@@ -30,7 +30,8 @@
 // each thread harvests its own completion slots — the multi-sensor
 // deployment shape, where several capture points feed one detector. The
 // run reports aggregate flows/s, per-request p50/p99 latency, the mean
-// coalesced batch size, and checks per-flow predictions against the
+// coalesced batch size, the batcher's wake-ups per flush and what
+// triggered its flushes, and checks per-flow predictions against the
 // serial staged replay (bit-identical by construction).
 //
 // With `--bits {1,2,4,8}` the trained model is first snapshot into a
@@ -265,6 +266,13 @@ int run_concurrent(const core::Classifier& model,
       static_cast<unsigned long long>(stats.batches),
       100.0 * static_cast<double>(correct) /
           static_cast<double>(flows.rows()));
+  std::printf(
+      "batcher: %.2f wake-ups per scoring flush (%llu size-, %llu "
+      "linger-triggered flushes)\n",
+      static_cast<double>(stats.batcher_wakes) /
+          static_cast<double>(std::max<std::uint64_t>(1, stats.batches)),
+      static_cast<unsigned long long>(stats.size_flushes),
+      static_cast<unsigned long long>(stats.linger_flushes));
   if (cache != nullptr) print_cache_bytes(*cache);
   const std::uint64_t degraded = stats.expired + stats.failed;
   if (degraded > 0) {

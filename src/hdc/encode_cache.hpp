@@ -137,7 +137,9 @@ class EncodeCache {
   /// One shard's counters (tests pin the per-shard accounting with this).
   EncodeCacheStats shard_stats(std::size_t shard) const;
 
-  /// FNV-1a 64-bit content hash of a raw row's bytes.
+  /// Content hash of a raw row's bytes (std::hash over them, a word at a
+  /// time). Equal bytes give equal hashes within one process; the value
+  /// is not stable across standard-library versions and is never stored.
   static std::uint64_t hash_row(std::span<const float> x) noexcept;
 
   /// The shard a hash routes to (exposed so tests can steer rows).

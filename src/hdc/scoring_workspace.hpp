@@ -128,8 +128,8 @@ struct ScoringWorkspace {
     /// The value previously recorded for `key`, or `val` after recording
     /// it — the open-addressed analogue of try_emplace(key, val).second.
     std::uint32_t find_or_insert(std::uint64_t key, std::uint32_t val) {
-      // splitmix64-style finalizer: FNV's low bits cluster for similar
-      // rows, and linear probing needs the spread.
+      // splitmix64-style finalizer: the row hash makes no promise about
+      // its low bits, and linear probing needs them spread.
       std::uint64_t z = key;
       z ^= z >> 30;
       z *= 0xbf58476d1ce4e5b9ULL;

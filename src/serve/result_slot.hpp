@@ -4,10 +4,10 @@
 // Each stream keeps one ResultSlot per outstanding request (an open-loop
 // client keeps a window of them). The slot is a single-producer
 // single-consumer handoff — the batcher writes scores and timestamps,
-// then flips one atomic with release ordering; the waiting client sees
-// the flip with acquire ordering and may read everything the batcher
-// wrote. No mutex, and waiting uses C++20 atomic wait (futex-backed on
-// Linux) so an idle client burns no CPU.
+// then flips one atomic (sequentially consistent, see publish()); the
+// waiting client sees the flip with acquire ordering and may read
+// everything the batcher wrote. No mutex, and waiting uses C++20 atomic
+// wait (futex-backed on Linux) so an idle client burns no CPU.
 //
 // Reuse protocol: reset() re-arms the slot for the next request. A slot
 // must not be reset or resubmitted while a submission that references it
@@ -73,7 +73,7 @@ class ResultSlot {
   }
 
   /// The terminal status. Valid once ready() — ordered by the same
-  /// release/acquire pair as the scores.
+  /// store/acquire pair as the scores.
   RequestStatus status() const noexcept {
     assert(ready());
     return status_;
@@ -107,22 +107,32 @@ class ResultSlot {
     std::copy(scores.begin(), scores.end(), scores_.begin());
     completed_at_us_ = now_us;
     status_ = RequestStatus::kOk;
-    ready_.store(1, std::memory_order_release);
-    ready_.notify_all();
+    publish();
   }
 
   /// Server side: terminate the request without scores — rejected, shed
   /// past its deadline, or failed by an unavailable model. Same
-  /// release/notify protocol as deliver().
+  /// publish/notify protocol as deliver().
   void fail(RequestStatus status, std::uint64_t now_us) noexcept {
     assert(status != RequestStatus::kOk);
     completed_at_us_ = now_us;
     status_ = status;
-    ready_.store(1, std::memory_order_release);
-    ready_.notify_all();
+    publish();
   }
 
  private:
+  /// Flip ready_ and wake the waiter. The store must be seq_cst, not
+  /// just release: libstdc++'s notify_all skips the futex wake when its
+  /// waiter count reads zero, and a waiter bumps that count (seq_cst)
+  /// before its last load of ready_. A release store may stay in the
+  /// store buffer past the count load (x86 lets a later load pass an
+  /// earlier store), so both sides can miss each other and the waiter
+  /// sleeps forever. A seq_cst store is ordered before that load.
+  void publish() noexcept {
+    ready_.store(1, std::memory_order_seq_cst);
+    ready_.notify_all();
+  }
+
   std::vector<float> scores_;
   std::uint64_t submitted_at_us_ = 0;
   std::uint64_t completed_at_us_ = 0;

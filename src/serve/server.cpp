@@ -8,6 +8,10 @@
 #include "core/env.hpp"
 #include "serve/snapshot.hpp"
 
+#if defined(__linux__)
+#include <sys/prctl.h>
+#endif
+
 namespace cyberhd::serve {
 
 std::uint64_t Server::linger_from_env() noexcept {
@@ -115,14 +119,22 @@ bool Server::try_submit(std::span<const float> features, ResultSlot& slot,
     return false;
   }
   accepted_.fetch_add(1, std::memory_order_relaxed);
-  // Wake a sleeping batcher. seq_cst on the sleep flag (both sides) makes
-  // the common interleavings airtight: a batcher that published its sleep
-  // intent before this load gets notified; a batcher that publishes after
-  // re-checks the ring under wake_mutex_ and sees our push. The one
-  // theoretically thin ordering (our ring publish racing its re-check) is
-  // bounded by wait_for_work's finite sleep — a missed wakeup costs one
-  // backstop period, never a hang (and the watchdog kicks it too).
-  if (batcher_sleeping_.load(std::memory_order_seq_cst)) {
+  // Wake a sleeping batcher once the ring holds what it waits for: one
+  // request while it idles, the rest of its batch while it lingers. An
+  // arrival that leaves a lingering batch short sends nothing; the
+  // deadline ends that sleep. seq_cst on the sleep flag (both sides)
+  // makes the common interleavings airtight: a batcher that published
+  // its sleep intent (after wake_at_) before this load gets notified; a
+  // batcher that publishes after re-checks the ring under wake_mutex_
+  // and sees our push. The exchange lets one producer notify per sleep.
+  // The one theoretically thin ordering (our ring claim racing its
+  // re-check) is bounded by wait_for_work's finite sleep — a missed
+  // wakeup costs at most the linger deadline or the idle backstop, never
+  // a hang (and the watchdog kicks it too).
+  if (batcher_sleeping_.load(std::memory_order_seq_cst) &&
+      queue_.size_approx() >= wake_at_.load(std::memory_order_relaxed) &&
+      batcher_sleeping_.exchange(false, std::memory_order_seq_cst)) {
+    batcher_wakes_.fetch_add(1, std::memory_order_relaxed);
     const std::lock_guard<std::mutex> lock(wake_mutex_);
     wake_cv_.notify_one();
   }
@@ -162,12 +174,15 @@ bool Server::submit_with_retry(std::span<const float> features,
   }
 }
 
-void Server::wait_for_work(std::uint64_t max_wait_us) {
+void Server::wait_for_work(std::uint64_t max_wait_us, std::size_t wake_at) {
   std::unique_lock<std::mutex> lock(wake_mutex_);
+  wake_at_.store(wake_at, std::memory_order_relaxed);
   batcher_sleeping_.store(true, std::memory_order_seq_cst);
-  // Re-check after publishing sleep intent: a producer that pushed before
-  // seeing the flag would otherwise strand its request until the backstop.
-  if (!queue_.can_pop() && !stopping_.load(std::memory_order_relaxed)) {
+  // Re-check after publishing sleep intent: producers that pushed before
+  // seeing the flag did not notify, and theirs may be the arrivals that
+  // complete the batch.
+  if (queue_.size_approx() < wake_at &&
+      !stopping_.load(std::memory_order_relaxed)) {
     wake_cv_.wait_for(lock, std::chrono::microseconds(std::max<std::uint64_t>(
                                 1, max_wait_us)));
   }
@@ -310,6 +325,17 @@ void Server::flush(std::size_t n) {
 }
 
 void Server::batcher_loop() {
+#if defined(__linux__)
+  // A lingering batch ends when its sleep times out at the deadline. The
+  // default 50 µs timer slack lets the kernel run that timeout up to
+  // 50 µs late, added to every linger flush; 1 ns asks for it on time.
+  (void)::prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+#endif
+  // Ring occupancy that wakes a lingering batcher: the rest of the batch,
+  // capped at half the ring so a ring smaller than a batch still drains
+  // before it rejects.
+  const std::size_t ring_wake_cap =
+      std::max<std::size_t>(1, queue_.capacity() / 2);
   std::uint64_t deadline_us = 0;  // 0 = no pending batch
   for (;;) {
     // Liveness signal for the watchdog: every pass through the loop —
@@ -326,6 +352,7 @@ void Server::batcher_loop() {
     }
 
     if (pending_.size() >= max_batch_rows_) {  // size trigger
+      size_flushes_.fetch_add(1, std::memory_order_relaxed);
       flush(pending_.size());
       deadline_us = 0;
       continue;
@@ -336,13 +363,15 @@ void Server::batcher_loop() {
       const std::uint64_t now = now_us();
       if (deadline_us == 0) deadline_us = now + linger_us_;
       if (stopping || linger_us_ == 0 || now >= deadline_us) {  // deadline
+        if (!stopping) linger_flushes_.fetch_add(1, std::memory_order_relaxed);
         flush(pending_.size());
         deadline_us = 0;
         continue;
       }
-      // Linger: sleep toward the deadline; a new arrival wakes us early
-      // (it might complete the batch).
-      wait_for_work(deadline_us - now);
+      // Linger: sleep toward the deadline; only the arrival that fills
+      // the batch wakes us early.
+      wait_for_work(deadline_us - now,
+                    std::min(max_batch_rows_ - pending_.size(), ring_wake_cap));
       continue;
     }
 
@@ -369,9 +398,9 @@ void Server::batcher_loop() {
     // should still be healed before the next request arrives.
     maybe_audit(false);
 
-    // Idle: sleep until a producer pokes us (bounded as a belt-and-braces
-    // backstop against any missed wakeup).
-    wait_for_work(1000);
+    // Idle: sleep until the first arrival pokes us (bounded as a
+    // belt-and-braces backstop against any missed wakeup).
+    wait_for_work(1000, 1);
   }
 }
 
@@ -424,6 +453,9 @@ ServerStats Server::stats() const {
   s.expired = expired_.load(std::memory_order_relaxed);
   s.failed = failed_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
+  s.batcher_wakes = batcher_wakes_.load(std::memory_order_relaxed);
+  s.size_flushes = size_flushes_.load(std::memory_order_relaxed);
+  s.linger_flushes = linger_flushes_.load(std::memory_order_relaxed);
   const std::uint64_t rows = batched_rows_.load(std::memory_order_relaxed);
   s.mean_batch_rows =
       s.batches == 0 ? 0.0

@@ -12,6 +12,11 @@
 // batch reaches the planner's preferred size (size trigger) or when the
 // oldest pending request has lingered for CYBERHD_BATCH_LINGER_US
 // microseconds (deadline trigger — bounds tail latency at low load).
+// A lingering batcher sleeps until its deadline and is woken early only
+// by the arrival that fills its batch: it publishes the ring occupancy
+// it waits for (one request while idle, the rest of the batch while
+// lingering), and try_submit notifies only once the ring holds that
+// many. Arrivals that leave the batch short cost no wake-up.
 // Each flush gathers the borrowed feature rows into one matrix, scores it
 // through Classifier::scores_block — the same stage-split encode→score
 // pipeline scores_batch drives, with each planner sub-batch dispatched as
@@ -108,6 +113,14 @@ struct ServerStats {
   std::uint64_t expired = 0;    ///< shed past their deadline, unscored
   std::uint64_t failed = 0;     ///< terminated MODEL_UNAVAILABLE
   std::uint64_t batches = 0;    ///< flushes that scored
+  /// Notifications try_submit sent to a sleeping batcher — about one per
+  /// flush when arrivals are sparse, not one per arrival.
+  std::uint64_t batcher_wakes = 0;
+  /// Flushes triggered by a full batch (the size trigger).
+  std::uint64_t size_flushes = 0;
+  /// Flushes triggered by the linger deadline (every flush at linger 0).
+  /// Flushes while shutting down count in neither trigger.
+  std::uint64_t linger_flushes = 0;
   /// Mean coalesced rows per scoring flush (batching effectiveness).
   double mean_batch_rows = 0.0;
   std::uint64_t retries = 0;    ///< backoff retries by submit_with_retry
@@ -217,10 +230,11 @@ class Server {
   /// Run the installed auditor when `forced` or the periodic interval
   /// elapsed; latch model_unavailable_ on an unhealable corruption.
   void maybe_audit(bool forced);
-  /// Sleep until woken by a producer or `max_wait_us` elapses. Publishes
-  /// sleep intent and re-checks the ring so a concurrent push is never
-  /// missed (producers fence-then-check the intent flag).
-  void wait_for_work(std::uint64_t max_wait_us);
+  /// Sleep until a producer sees at least `wake_at` requests in the ring
+  /// (or `max_wait_us` elapses). Publishes the threshold and sleep intent,
+  /// then re-checks the ring, so pushes that landed before the intent was
+  /// visible are not missed.
+  void wait_for_work(std::uint64_t max_wait_us, std::size_t wake_at);
   std::uint64_t now_us() const noexcept;
 
   const core::Classifier& model_;
@@ -259,10 +273,14 @@ class Server {
   std::mutex watchdog_mutex_;
   std::condition_variable watchdog_cv_;
 
-  // Producer→batcher wakeup (Dekker-style sleep/notify handshake).
+  // Producer→batcher wakeup (Dekker-style sleep/notify handshake). The
+  // batcher publishes wake_at_, the ring occupancy worth waking it for,
+  // before its sleep flag; the producer that notifies clears the flag,
+  // so one sleep takes one notification.
   std::mutex wake_mutex_;
   std::condition_variable wake_cv_;
   std::atomic<bool> batcher_sleeping_{false};
+  std::atomic<std::size_t> wake_at_{1};
 
   // Shutdown handshake.
   std::atomic<bool> stopping_{false};
@@ -277,6 +295,9 @@ class Server {
   std::atomic<std::uint64_t> failed_{0};
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> batched_rows_{0};
+  std::atomic<std::uint64_t> batcher_wakes_{0};
+  std::atomic<std::uint64_t> size_flushes_{0};
+  std::atomic<std::uint64_t> linger_flushes_{0};
   std::atomic<std::uint64_t> retries_{0};
   std::atomic<std::uint64_t> audits_{0};
   std::atomic<std::uint64_t> corruptions_{0};

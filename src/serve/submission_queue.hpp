@@ -14,10 +14,13 @@
 // Memory ordering: ticket loads are acquire, ticket stores are release —
 // the request payload is ordered by the ticket alone. The cursors
 // themselves only need relaxed/CAS ordering (they are claims, not
-// publications). Producers are wait-free except for the claim CAS loop;
-// the single consumer is wait-free.
+// publications), which is also why their difference (size_approx) is an
+// estimate, good for deciding when to wake the consumer but never for
+// deciding what to pop. Producers are wait-free except for the claim CAS
+// loop; the single consumer is wait-free.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstddef>
@@ -109,13 +112,19 @@ class SubmissionQueue {
     return true;
   }
 
-  /// True when a try_pop right now would return a request. Single
-  /// consumer only; producers may of course push immediately after.
-  bool can_pop() const noexcept {
-    const std::size_t pos = dequeue_pos_.load(std::memory_order_relaxed);
-    const std::size_t ticket =
-        slots_[pos & mask_].ticket.load(std::memory_order_acquire);
-    return ticket == pos + 1;
+  /// Approximate occupancy: claimed minus popped slots, read from the two
+  /// cursors, in [0, capacity()]. Any thread may call it. A slot counts
+  /// from its claim, a moment before its request is published, and the
+  /// two cursor loads are not one snapshot, so the value can be off while
+  /// pushes or pops race it; with neither in flight it is exact.
+  std::size_t size_approx() const noexcept {
+    // Dequeue first: the enqueue cursor read after it has moved at least
+    // as far, so the difference is only negative when the loads reorder.
+    const std::size_t deq = dequeue_pos_.load(std::memory_order_relaxed);
+    const std::size_t enq = enqueue_pos_.load(std::memory_order_relaxed);
+    const auto n = static_cast<std::intptr_t>(enq - deq);
+    if (n <= 0) return 0;
+    return std::min(static_cast<std::size_t>(n), capacity_);
   }
 
  private:

@@ -1,6 +1,7 @@
 // Concurrency stress suite for the serving front-end: the lock-free
-// submission ring, the coalescing batcher, the sharded encode cache, and
-// the first-touch initialization of the process-wide execution context.
+// submission ring, the result-slot handoff, the coalescing batcher and its
+// wake-ups, the sharded encode cache, and the first-touch initialization
+// of the process-wide execution context.
 //
 // The keystone assertions are bit-identity ones: whatever way N producer
 // threads interleave their flows through the ring, and however the
@@ -22,6 +23,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "core/classifier.hpp"
@@ -34,6 +36,8 @@
 #include "hdc/encode_cache.hpp"
 #include "hdc/encoder.hpp"
 #include "hdc/quantized.hpp"
+#include "nids/datasets.hpp"
+#include "nids/preprocess.hpp"
 #include "serve/fault_injector.hpp"
 #include "serve/result_slot.hpp"
 #include "serve/server.hpp"
@@ -140,14 +144,37 @@ TEST(SubmissionQueue, FullRingRejectsUntilPopped) {
   EXPECT_FALSE(q.try_push(tagged(99)));
 }
 
-TEST(SubmissionQueue, CanPopTracksOccupancy) {
-  SubmissionQueue q(2);
-  EXPECT_FALSE(q.can_pop());
-  ASSERT_TRUE(q.try_push(tagged(7)));
-  EXPECT_TRUE(q.can_pop());
-  Request r;
-  ASSERT_TRUE(q.try_pop(r));
-  EXPECT_FALSE(q.can_pop());
+TEST(SubmissionQueue, SizeApproxIsPushesMinusPopsWithinCapacity) {
+  SubmissionQueue q(4);
+  EXPECT_EQ(q.size_approx(), 0u);
+  std::uint64_t pushes = 0, pops = 0;
+  const auto expect_exact = [&] {
+    EXPECT_EQ(q.size_approx(), pushes - pops);
+    EXPECT_LE(q.size_approx(), q.capacity());
+  };
+  // Fill past full, drain past empty, then half-fill and half-drain, so
+  // the cursors lap the ring at several phases; with one thread the
+  // estimate is exact at every step.
+  for (int round = 0; round < 6; ++round) {
+    for (int i = 0; i < 6; ++i) {
+      if (q.try_push(tagged(pushes))) ++pushes;
+      expect_exact();
+    }
+    EXPECT_EQ(q.size_approx(), q.capacity());
+    Request r;
+    for (int i = 0; i < 6; ++i) {
+      if (q.try_pop(r)) ++pops;
+      expect_exact();
+    }
+    EXPECT_EQ(q.size_approx(), 0u);
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(q.try_push(tagged(pushes++)));
+      expect_exact();
+    }
+    ASSERT_TRUE(q.try_pop(r));
+    ++pops;
+    expect_exact();
+  }
 }
 
 TEST(SubmissionQueue, ConcurrentProducersLoseNothing) {
@@ -189,6 +216,84 @@ TEST(SubmissionQueue, ConcurrentProducersLoseNothing) {
   for (std::size_t i = 0; i < seen_count.size(); ++i) {
     ASSERT_EQ(seen_count[i], 1u) << "request " << i;
   }
+}
+
+// ---------------------------------------------------------------------------
+// ResultSlot handoff.
+
+TEST(ResultSlot, DeliverToWaitHandoffNeverLosesAWakeup) {
+  // Ping-pong between two threads: the main thread delivers ping[i] and
+  // waits on pong[i]; the echo thread waits on ping[i] and delivers
+  // pong[i]. Each wait therefore races the delivery that ends it — the
+  // waiter is often just entering its futex sleep as the other side
+  // publishes, the window a lost wakeup needs.
+  constexpr std::size_t kRounds = 20'000;
+  constexpr std::size_t kIdle = ~std::size_t{0};
+  std::vector<ResultSlot> ping(kRounds);
+  std::vector<ResultSlot> pong(kRounds);
+  for (std::size_t i = 0; i < kRounds; ++i) {
+    ping[i].reset(1);
+    pong[i].reset(1);
+  }
+  // The round each side is blocked in (kIdle between waits): 0 = main
+  // thread on pong, 1 = echo thread on ping.
+  std::array<std::atomic<std::size_t>, 2> waiting_on;
+  for (auto& w : waiting_on) w.store(kIdle);
+  std::atomic<bool> done{false};
+  std::atomic<int> lost{0};
+
+  // Watchdog: a wait that has sat on a ready slot for over a second lost
+  // its wakeup. Record it, then deliver the same value again — its
+  // notify wakes the sleeper — so the failure is reported, not a hang.
+  std::thread watchdog([&] {
+    std::array<std::size_t, 2> seen{kIdle, kIdle};
+    std::array<std::chrono::steady_clock::time_point, 2> ready_since{};
+    while (!done.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      for (std::size_t w = 0; w < 2; ++w) {
+        const std::size_t i = waiting_on[w].load();
+        ResultSlot* slot = i == kIdle ? nullptr : w == 0 ? &pong[i] : &ping[i];
+        if (slot == nullptr || !slot->ready()) {
+          seen[w] = kIdle;
+          continue;
+        }
+        const auto now = std::chrono::steady_clock::now();
+        if (seen[w] != i) {
+          seen[w] = i;
+          ready_since[w] = now;
+        } else if (now - ready_since[w] > std::chrono::seconds(1)) {
+          lost.fetch_add(1);
+          const float v = static_cast<float>(i);
+          slot->deliver(std::span<const float>(&v, 1), 0);
+          seen[w] = kIdle;
+        }
+      }
+    }
+  });
+
+  std::thread echo([&] {
+    for (std::size_t i = 0; i < kRounds; ++i) {
+      waiting_on[1].store(i);
+      ping[i].wait();
+      waiting_on[1].store(kIdle);
+      const float v = ping[i].scores()[0];
+      pong[i].deliver(std::span<const float>(&v, 1), i);
+    }
+  });
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < kRounds; ++i) {
+    const float v = static_cast<float>(i);
+    ping[i].deliver(std::span<const float>(&v, 1), i);
+    waiting_on[0].store(i);
+    pong[i].wait();
+    waiting_on[0].store(kIdle);
+    if (pong[i].scores()[0] != v) ++mismatches;
+  }
+  echo.join();
+  done.store(true);
+  watchdog.join();
+  EXPECT_EQ(lost.load(), 0) << "waits that slept over 1 s on a ready slot";
+  EXPECT_EQ(mismatches, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -561,6 +666,70 @@ TEST(ServerEdge, ResolvesPlannerBatchAndEnvLinger) {
   EXPECT_EQ(server.max_batch_rows(), f.model.preferred_batch_rows(probe));
   EXPECT_EQ(server.num_classes(), 3u);
   EXPECT_EQ(server.input_dim(), 5u);
+}
+
+// ---------------------------------------------------------------------------
+// Batcher wake-ups and flush triggers. Injection and the watchdog are off,
+// so only try_submit's notifications and the deadline can end a sleep.
+
+ServerConfig wake_test_config(long linger_us, std::size_t batch_rows) {
+  ServerConfig cfg;
+  cfg.max_linger_us = linger_us;
+  cfg.max_batch_rows = batch_rows;
+  cfg.domain_affine = false;
+  cfg.faults = FaultConfig{};
+  cfg.watchdog_us = 0;
+  return cfg;
+}
+
+TEST(ServerWakeups, ShortBatchLingersWithoutPerArrivalWakeups) {
+  SlowStub stub;
+  Server server(stub, 3, wake_test_config(20'000, 64));
+  constexpr std::size_t kFlows = 16;
+  std::vector<ResultSlot> slots(kFlows);
+  const std::array<float, 3> row{0.5f, 1.0f, -1.0f};
+  for (auto& slot : slots) ASSERT_TRUE(server.try_submit(row, slot));
+  for (auto& slot : slots) {
+    slot.wait();
+    ASSERT_TRUE(slot.ok());
+    EXPECT_EQ(slot.scores()[1], 0.5f);
+  }
+  const ServerStats stats = server.stats();
+  // 16 of 64 rows never fill the batch: the deadline flushes it once, and
+  // only the first arrival (the one that ends the idle sleep) notifies —
+  // two when the batcher is between its wake-up and clearing its flag.
+  EXPECT_EQ(stats.linger_flushes, 1u);
+  EXPECT_EQ(stats.size_flushes, 0u);
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_LE(stats.batcher_wakes, 2u);
+}
+
+TEST(ServerWakeups, FillingArrivalWakesALingeringBatcher) {
+  SlowStub stub;
+  Server server(stub, 3, wake_test_config(1'000'000, 32));
+  constexpr std::size_t kFlows = 32;
+  std::vector<ResultSlot> slots(kFlows);
+  const std::array<float, 3> row{0.5f, 1.0f, -1.0f};
+  // Let the batcher take the first flow and settle into its linger sleep.
+  ASSERT_TRUE(server.try_submit(row, slots[0]));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(slots[0].ready());
+  const auto start = std::chrono::steady_clock::now();
+  for (std::size_t i = 1; i < kFlows; ++i) {
+    ASSERT_TRUE(server.try_submit(row, slots[i]));
+  }
+  for (auto& slot : slots) {
+    slot.wait();
+    ASSERT_TRUE(slot.ok());
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  // The 32nd arrival fills the batch and wakes the lingering batcher long
+  // before its 1 s deadline would have.
+  EXPECT_LT(elapsed, std::chrono::milliseconds(250));
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.size_flushes, 1u);
+  EXPECT_EQ(stats.linger_flushes, 0u);
+  EXPECT_GE(stats.batcher_wakes, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -1252,6 +1421,40 @@ TEST(ShardedEncodeCache, SameContentAlwaysRoutesToOneShard) {
     EXPECT_EQ(h1, h2);
     EXPECT_EQ(cache.shard_of(h1), cache.shard_of(h2));
     EXPECT_LT(cache.shard_of(h1), cache.shard_count());
+  }
+}
+
+TEST(ShardedEncodeCache, CicIds2017FlowsSpreadEvenlyOverDefaultShards) {
+  // The rows the cache serves are structured — one-hot blocks, scaled
+  // counters, many exact zeros — not random floats. Distinct preprocessed
+  // flows must still load every default shard within 25% of the mean.
+  const nids::FlowSynthesizer synth =
+      nids::make_synthesizer(nids::DatasetId::kCicIds2017, 1);
+  const nids::TrainTestSplit flows =
+      nids::preprocess(synth.generate(5000, 1), 0.01, 1);
+  const core::Matrix& x = flows.train.x;
+  hdc::EncodeCache cache(x.cols(), 8, 4096);  // shards: the default
+  std::vector<std::size_t> per_shard(cache.shard_count(), 0);
+  std::unordered_set<std::string> seen;
+  std::size_t distinct = 0;
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    const auto row = x.row(i);
+    if (!seen.emplace(reinterpret_cast<const char*>(row.data()),
+                      row.size_bytes())
+             .second) {
+      continue;
+    }
+    ++per_shard[cache.shard_of(hdc::EncodeCache::hash_row(row))];
+    ++distinct;
+  }
+  ASSERT_GE(distinct, 4000u);
+  EXPECT_EQ(cache.shard_count(), hdc::EncodeCache::shards_from_env());
+  const double mean = static_cast<double>(distinct) /
+                      static_cast<double>(cache.shard_count());
+  for (std::size_t s = 0; s < per_shard.size(); ++s) {
+    const auto n = static_cast<double>(per_shard[s]);
+    EXPECT_GE(n, 0.75 * mean) << "shard " << s;
+    EXPECT_LE(n, 1.25 * mean) << "shard " << s;
   }
 }
 
