@@ -10,12 +10,14 @@
 // sub-batch runs the two pipeline stages explicitly so their costs are
 // inspectable:
 //
-//   stage 1  encode_block()   — repeated flows replay out of the
-//                               content-addressed encode cache
-//                               (CYBERHD_ENCODE_CACHE rows); fresh flows
-//                               encode across the SIMD kernel layer
-//   stage 2  scores_encoded() — the EncodedBatch view streams through the
-//                               tile scorer while still cache-resident
+//   stage 1  encode_block_cached() — repeated flows are borrowed in place
+//                                    from the content-addressed encode
+//                                    cache (CYBERHD_ENCODE_CACHE rows);
+//                                    fresh flows encode across the SIMD
+//                                    kernel layer
+//   stage 2  similarities_into()   — the EncodedRows pointer view streams
+//                                    through the gather tile scorer while
+//                                    still cache-resident
 //
 // The same stream is driven three times — cache disabled, cache cold, and
 // cache warm — and the run reports per-stage timing, the cache hit rate,
@@ -38,7 +40,7 @@
 // QuantizedCyberHd and the SAME loops run through the packed quantized
 // pipeline: rows are quantized once at encode time, the encode cache holds
 // packed entries (1/4 to 1/32 of the float bytes per flow), and scoring
-// streams packed tiles through the integer kernels. Scores stay
+// streams the PackedRows view through the integer gather kernels. Scores stay
 // bit-identical across cache regimes, and `--bits` composes with
 // `--streams N` (the concurrent check then replays the quantized serial
 // pipeline).
@@ -58,6 +60,7 @@
 #include "hdc/cyberhd.hpp"
 #include "hdc/encode_cache.hpp"
 #include "hdc/quantized.hpp"
+#include "hdc/scoring_workspace.hpp"
 #include "nids/datasets.hpp"
 #include "nids/preprocess.hpp"
 #include "serve/result_slot.hpp"
@@ -85,6 +88,7 @@ StreamResult drive_stream(const hdc::CyberHdClassifier& model,
                           const nids::DatasetSchema& schema) {
   StreamResult result;
   result.predictions.reserve(flows.rows());
+  hdc::ScoringWorkspace ws;
   core::Matrix staging;
   core::Matrix scores;
   std::size_t alerts = 0;
@@ -93,12 +97,15 @@ StreamResult drive_stream(const hdc::CyberHdClassifier& model,
     const std::size_t end = std::min(t + batch_rows, flows.rows());
 
     core::Timer clock;
-    const hdc::EncodedBatch encoded =
-        model.encode_block(flows, t, end, staging);
+    const hdc::EncodedRows encoded =
+        hdc::encode_block_cached(model.encoder(), model.encode_cache(), flows,
+                                 t, end, staging, ws, model.exec());
     result.encode_s += clock.seconds();
 
     clock.reset();
-    model.scores_encoded(encoded, scores);
+    scores.resize(encoded.rows(), model.num_classes());
+    model.model().similarities_into(encoded, scores.data(), model.exec());
+    ws.borrow.release();  // the borrowed cache rows are scored
     result.score_s += clock.seconds();
 
     for (std::size_t r = 0; r < encoded.rows(); ++r) {
@@ -128,14 +135,16 @@ StreamResult drive_stream(const hdc::CyberHdClassifier& model,
 }
 
 /// The quantized sibling of drive_stream: stage 1 encodes AND packs each
-/// sub-batch (through the packed encode cache when armed), stage 2 scores
-/// the PackedBatch view through the integer tile kernels.
+/// sub-batch (borrowing packed hits from the encode cache when armed),
+/// stage 2 scores the PackedRows view through the integer gather kernels.
 StreamResult drive_stream_quantized(const hdc::QuantizedCyberHd& q,
                                     const core::Matrix& flows,
                                     const std::vector<std::size_t>& truth,
-                                    std::size_t batch_rows) {
+                                    std::size_t batch_rows,
+                                    const core::ExecutionContext& exec) {
   StreamResult result;
   result.predictions.reserve(flows.rows());
+  hdc::ScoringWorkspace ws;
   hdc::PackedStaging staging;
   core::Matrix scores;
   core::Timer total;
@@ -143,12 +152,14 @@ StreamResult drive_stream_quantized(const hdc::QuantizedCyberHd& q,
     const std::size_t end = std::min(t + batch_rows, flows.rows());
 
     core::Timer clock;
-    const hdc::PackedBatch packed =
-        q.encode_block_packed(flows, t, end, staging);
+    const hdc::PackedRows packed =
+        q.encode_block_packed_borrowed(flows, t, end, staging, ws);
     result.encode_s += clock.seconds();
 
     clock.reset();
-    q.scores_encoded(packed, scores);
+    scores.resize(packed.rows(), q.num_classes());
+    q.model().similarities_packed(packed, scores.data(), exec);
+    ws.borrow.release();  // the borrowed cache rows are scored
     result.score_s += clock.seconds();
 
     for (std::size_t r = 0; r < packed.rows(); ++r) {
@@ -404,7 +415,8 @@ int main(int argc, char** argv) {
 
     q.set_encode_cache(0);
     const StreamResult uncached =
-        drive_stream_quantized(q, flows, truth, batch_rows);
+        drive_stream_quantized(q, flows, truth, batch_rows,
+                               model.exec());
     print_pass("no-cache", uncached, kStream);
     std::printf(
         "cold-path encode: %8.0f flows/s (every flow pays the fused "
@@ -418,10 +430,12 @@ int main(int argc, char** argv) {
     }
     q.set_encode_cache(cache_rows);
     const StreamResult cold =
-        drive_stream_quantized(q, flows, truth, batch_rows);
+        drive_stream_quantized(q, flows, truth, batch_rows,
+                               model.exec());
     print_pass("cold-cache", cold, kStream);
     const StreamResult warm =
-        drive_stream_quantized(q, flows, truth, batch_rows);
+        drive_stream_quantized(q, flows, truth, batch_rows,
+                               model.exec());
     print_pass("warm-cache", warm, kStream);
 
     const hdc::EncodeCacheStats stats = q.encode_cache()->stats();
@@ -498,10 +512,9 @@ int main(int argc, char** argv) {
       100.0 * rate(warm_stats, cold_stats), uncached.total_s / warm.total_s,
       uncached.encode_s / warm.encode_s);
   print_cache_bytes(*model.encode_cache());
+  const bool identical = uncached.predictions == cold.predictions &&
+                         uncached.predictions == warm.predictions;
   std::printf("scores bit-identical across cache regimes: %s\n",
-              (uncached.predictions == cold.predictions &&
-               uncached.predictions == warm.predictions)
-                  ? "yes"
-                  : "NO — BUG");
-  return 0;
+              identical ? "yes" : "NO — BUG");
+  return identical ? 0 : 1;
 }

@@ -28,8 +28,8 @@
 //
 // Contracts shared by all backends:
 //  * integer kernels (xor_popcount_words, quantized_dot_i8, and the packed
-//    serving tiles similarities_tile_i8 / hamming_tile_1b) are exact —
-//    backends must agree bit-for-bit;
+//    serving tiles similarities_tile_i8_gather / hamming_tile_1b_gather)
+//    are exact — backends must agree bit-for-bit;
 //  * float kernels may reassociate sums, so backends agree only to rounding
 //    (tests pin the tolerance);
 //  * within one backend, cos_rbf_rows(rows=N) and N calls with rows=1 yield
@@ -69,8 +69,9 @@ struct Kernels {
   /// loaded once per row block (class vectors stay cache-resident while the
   /// tile streams), but every individual dot accumulates in exactly
   /// dot_f32's order — each out entry is bit-identical to a per-pair
-  /// dot_f32 call on the same backend. This is the kernel behind
-  /// HdcModel::similarities_batch and the minibatch trainer.
+  /// dot_f32 call on the same backend. The minibatch trainer and the
+  /// sign-projection encoder call it on their contiguous tiles; batch
+  /// scoring reads rows through the gather variant below.
   void (*similarities_tile_f32)(const float* h, std::size_t rows,
                                 const float* classes, std::size_t num_classes,
                                 std::size_t dims, float* out);
@@ -111,59 +112,44 @@ struct Kernels {
   std::int64_t (*quantized_dot_i8)(const std::int8_t* a, const std::int8_t* b,
                                    std::size_t n);
 
-  /// Blocked int8 similarity tile: raw integer dot products of a tile of
-  /// quantized query rows against every quantized class row,
-  ///   out[r * num_classes + c] = sum_i h[r*dims + i] * classes[c*dims + i]
-  /// for r in [0, rows), c in [0, num_classes). Same register-blocking
-  /// contract as similarities_tile_f32 (SIMD backends amortize each class
-  /// load over a block of query rows), but exact-integer like
-  /// quantized_dot_i8: every backend must agree bit-for-bit with a
-  /// per-pair scalar dot. This is the stage-2 kernel of the packed
-  /// quantized serving pipeline (bits in {2, 4, 8}).
-  void (*similarities_tile_i8)(const std::int8_t* h, std::size_t rows,
-                               const std::int8_t* classes,
-                               std::size_t num_classes, std::size_t dims,
-                               std::int64_t* out);
+  // -- gather (row-pointer) scoring tiles ------------------------------------
+  // Every batch scorer reads its query rows through a per-row pointer
+  // table: stage 1 of the serving pipeline hands stage 2 rows borrowed
+  // from the encode cache ring and miss rows from the staging block, any
+  // mix, and a contiguous batch is a table with one pointer per row.
+  // h_rows[r] points at query row r (rows need not be contiguous or
+  // ordered); `classes` is a row-major num_classes block.
 
-  /// Packed-XOR/popcount Hamming tile over 64-bit words:
-  ///   out[r * num_classes + c] =
-  ///       sum_w popcount(h[r*words + w] ^ classes[c*words + w])
-  /// for r in [0, rows), c in [0, num_classes). `h` is a row-major
-  /// rows x words tile of packed bipolar rows, `classes` a row-major
-  /// num_classes x words block (bitpack.hpp's tail-masking invariant
-  /// applies to both). Exact-integer: all backends agree bit-for-bit.
-  /// This is the stage-2 kernel of the 1-bit packed serving pipeline.
-  void (*hamming_tile_1b)(const std::uint64_t* h, std::size_t rows,
-                          const std::uint64_t* classes,
-                          std::size_t num_classes, std::size_t words,
-                          std::uint32_t* out);
-
-  // -- gather (indirect) tile variants ---------------------------------------
-  // The zero-copy serving path scores cache hits IN PLACE: instead of
-  // memcpying each hit row into a contiguous staging batch, stage 1 hands
-  // stage 2 a per-row pointer table (rows borrowed from the cache ring,
-  // miss rows from the staging block — any mix). The gather variants below
-  // read query rows through that table; each backend implements them with
-  // THE SAME register-blocked inner body as its contiguous sibling (only
-  // the row-pointer derivation differs), so every out entry is
-  // bit-identical to the contiguous kernel over the same row bytes — the
-  // float contract per backend, the exact-integer contract everywhere.
-
-  /// similarities_tile_f32 over a row-pointer table: h_rows[r] points at
-  /// row r's dims floats (rows need not be contiguous or ordered).
+  /// similarities_tile_f32 over a row-pointer table. Each backend shares
+  /// its contiguous tile's register-blocked inner body (only the row
+  /// pointer derivation differs), so every out entry is bit-identical to
+  /// the contiguous kernel over the same row bytes.
   void (*similarities_tile_f32_gather)(const float* const* h_rows,
                                        std::size_t rows, const float* classes,
                                        std::size_t num_classes,
                                        std::size_t dims, float* out);
 
-  /// similarities_tile_i8 over a row-pointer table.
+  /// Blocked int8 similarity tile: raw integer dot products of the query
+  /// rows against every quantized class row,
+  ///   out[r * num_classes + c] = sum_i h_rows[r][i] * classes[c*dims + i]
+  /// for r in [0, rows), c in [0, num_classes). Register-blocked like the
+  /// float tile (SIMD backends amortize each class load over a block of
+  /// query rows), but exact-integer like quantized_dot_i8: every backend
+  /// must agree bit-for-bit with a per-pair scalar dot. The stage-2 kernel
+  /// of the packed quantized serving pipeline (bits in {2, 4, 8}).
   void (*similarities_tile_i8_gather)(const std::int8_t* const* h_rows,
                                       std::size_t rows,
                                       const std::int8_t* classes,
                                       std::size_t num_classes,
                                       std::size_t dims, std::int64_t* out);
 
-  /// hamming_tile_1b over a row-pointer table.
+  /// Packed-XOR/popcount Hamming tile over 64-bit words:
+  ///   out[r * num_classes + c] =
+  ///       sum_w popcount(h_rows[r][w] ^ classes[c*words + w])
+  /// for r in [0, rows), c in [0, num_classes), over packed bipolar rows
+  /// (bitpack.hpp's tail-masking invariant applies to the query rows and
+  /// the class block alike). Exact-integer: all backends agree
+  /// bit-for-bit. The stage-2 kernel of the 1-bit packed serving pipeline.
   void (*hamming_tile_1b_gather)(const std::uint64_t* const* h_rows,
                                  std::size_t rows,
                                  const std::uint64_t* classes,
@@ -199,7 +185,7 @@ bool cpu_supports_avx512_vpopcntdq() noexcept;
 
 /// True when the running CPU additionally reports AVX512VNNI (vpdpbusd,
 /// the fused 8-bit dot-product accumulate; Cascade Lake and newer). Gates
-/// the VNNI variant of similarities_tile_i8 the same way VPOPCNTDQ gates
+/// the VNNI variant of similarities_tile_i8_gather the same way VPOPCNTDQ gates
 /// the vectorized popcount — requested-but-absent falls back to the
 /// inherited avx2 tile.
 bool cpu_supports_avx512_vnni() noexcept;

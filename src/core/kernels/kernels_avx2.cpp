@@ -61,12 +61,13 @@ CYBERHD_AVX2 float dot_f32_avx2(const float* a, const float* b,
 // one class row, so each class load is amortized across 4 dots. Every dot
 // keeps its own (acc0, acc1) pair and walks dims in exactly dot_f32_avx2's
 // order — the out entries are bit-identical to per-pair dot_f32 calls,
-// which is the contract HdcModel::similarities_batch relies on.
+// which is the contract every float batch scorer relies on.
 //
 // The 4-row inner body is factored out over explicit row pointers so the
-// contiguous tile and its gather (row-pointer-table) variant share the
-// IDENTICAL instruction sequence — bit-identity between the two is by
-// construction, not by parallel maintenance.
+// contiguous tile (the trainer's) and its gather (row-pointer-table)
+// variant (the batch scorers') share the IDENTICAL instruction sequence —
+// bit-identity between the two is by construction, not by parallel
+// maintenance.
 CYBERHD_AVX2 inline void sim_tile_f32_block4_avx2(
     const float* h0, const float* h1, const float* h2, const float* h3,
     const float* classes, std::size_t num_classes, std::size_t dims,
@@ -531,13 +532,13 @@ CYBERHD_AVX2 std::int64_t quantized_dot_i8_avx2(const std::int8_t* a,
 }
 
 // Register-blocked int8 similarity tile, the quantized sibling of
-// similarities_tile_f32_avx2: 4 query rows advance together against one
-// class row, each class load amortized over 4 vpmaddwd dots. Integer sums
-// are order-independent, so unlike the float tile no accumulation-order
-// mirroring is needed — every out entry is the exact dot. The i32
-// accumulators follow quantized_dot_i8_avx2's widening cap: each 16-element
-// round adds at most 2 * 127^2 per lane, so 32768 rounds stay far below
-// i32 overflow before the i64 widening.
+// similarities_tile_f32_gather_avx2: 4 query rows advance together
+// against one class row, each class load amortized over 4 vpmaddwd dots.
+// Integer sums are order-independent, so unlike the float tile no
+// accumulation-order mirroring is needed — every out entry is the exact
+// dot. The i32 accumulators follow quantized_dot_i8_avx2's widening cap:
+// each 16-element round adds at most 2 * 127^2 per lane, so 32768 rounds
+// stay far below i32 overflow before the i64 widening.
 /// acc64 += the 8 i32 lanes of acc32, widened (the overflow-safe widening
 /// step shared with quantized_dot_i8_avx2).
 CYBERHD_AVX2 inline __m256i widen_add_i32_to_i64(__m256i acc64,
@@ -554,9 +555,7 @@ CYBERHD_AVX2 inline std::int64_t hsum_i64x4(__m256i acc64) {
   return lanes[0] + lanes[1] + lanes[2] + lanes[3];
 }
 
-// 4-row inner body over explicit row pointers, shared by the contiguous
-// tile and its gather variant (exact-integer contract: both are exact, so
-// the sharing is about code size, not numerics).
+// The 4-row inner body, over the block's explicit row pointers.
 CYBERHD_AVX2 inline void sim_tile_i8_block4_avx2(
     const std::int8_t* h0, const std::int8_t* h1, const std::int8_t* h2,
     const std::int8_t* h3, const std::int8_t* classes,
@@ -616,26 +615,6 @@ CYBERHD_AVX2 inline void sim_tile_i8_block4_avx2(
   }
 }
 
-CYBERHD_AVX2 void similarities_tile_i8_avx2(const std::int8_t* h,
-                                            std::size_t rows,
-                                            const std::int8_t* classes,
-                                            std::size_t num_classes,
-                                            std::size_t dims,
-                                            std::int64_t* out) {
-  std::size_t r = 0;
-  for (; r + 4 <= rows; r += 4) {
-    sim_tile_i8_block4_avx2(h + (r + 0) * dims, h + (r + 1) * dims,
-                            h + (r + 2) * dims, h + (r + 3) * dims, classes,
-                            num_classes, dims, out + r * num_classes);
-  }
-  for (; r < rows; ++r) {
-    for (std::size_t c = 0; c < num_classes; ++c) {
-      out[r * num_classes + c] =
-          quantized_dot_i8_avx2(h + r * dims, classes + c * dims, dims);
-    }
-  }
-}
-
 CYBERHD_AVX2 void similarities_tile_i8_gather_avx2(
     const std::int8_t* const* h_rows, std::size_t rows,
     const std::int8_t* classes, std::size_t num_classes, std::size_t dims,
@@ -654,31 +633,15 @@ CYBERHD_AVX2 void similarities_tile_i8_gather_avx2(
   }
 }
 
-CYBERHD_AVX2 void hamming_tile_1b_avx2(const std::uint64_t* h,
-                                       std::size_t rows,
-                                       const std::uint64_t* classes,
-                                       std::size_t num_classes,
-                                       std::size_t words,
-                                       std::uint32_t* out) {
-  // Per-pair word scans through the nibble-LUT popcount: at serving widths
-  // (D <= 16k -> words <= 256) a packed row block plus the class block fit
-  // in L1, so the tile gains nothing from further register blocking.
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < num_classes; ++c) {
-      out[r * num_classes + c] = static_cast<std::uint32_t>(
-          xor_popcount_words_avx2(h + r * words, classes + c * words, words));
-    }
-  }
-}
-
 CYBERHD_AVX2 void hamming_tile_1b_gather_avx2(const std::uint64_t* const* h_rows,
                                               std::size_t rows,
                                               const std::uint64_t* classes,
                                               std::size_t num_classes,
                                               std::size_t words,
                                               std::uint32_t* out) {
-  // Same per-pair structure as the contiguous tile with row r read through
-  // h_rows[r]; exact-integer, so trivially bit-identical.
+  // Per-pair word scans through the nibble-LUT popcount: at serving widths
+  // (D <= 16k -> words <= 256) a packed row block plus the class block fit
+  // in L1, so the tile gains nothing from further register blocking.
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < num_classes; ++c) {
       out[r * num_classes + c] = static_cast<std::uint32_t>(
@@ -697,8 +660,6 @@ constexpr Kernels kAvx2Kernels = {
     .cos_rbf_tile_f32 = cos_rbf_tile_f32_avx2,
     .xor_popcount_words = xor_popcount_words_avx2,
     .quantized_dot_i8 = quantized_dot_i8_avx2,
-    .similarities_tile_i8 = similarities_tile_i8_avx2,
-    .hamming_tile_1b = hamming_tile_1b_avx2,
     .similarities_tile_f32_gather = similarities_tile_f32_gather_avx2,
     .similarities_tile_i8_gather = similarities_tile_i8_gather_avx2,
     .hamming_tile_1b_gather = hamming_tile_1b_gather_avx2,

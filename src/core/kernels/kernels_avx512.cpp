@@ -18,8 +18,8 @@
 // Note on numerics: dot_f32 here reduces two 16-lane accumulators with
 // _mm512_reduce_add_ps, so float sums associate differently from both the
 // scalar and avx2 backends (tests bound the difference). Within this
-// backend, similarities_tile_f32 reproduces dot_f32's accumulation order
-// exactly — the bit-identical tile contract of kernels.hpp holds per
+// backend, the float similarity tiles reproduce dot_f32's accumulation
+// order exactly — the bit-identical tile contract of kernels.hpp holds per
 // backend, as elsewhere.
 #include "core/kernels/kernels.hpp"
 
@@ -97,8 +97,9 @@ CYBERHD_AVX512 void mul_acc_f32_avx512(const float* a, const float* b,
 // the per-pair bit-identity contract holds.
 //
 // As in the avx2 backend, the 4-row inner body is factored over explicit
-// row pointers so the contiguous tile and the gather (row-pointer-table)
-// variant share the identical instruction sequence.
+// row pointers so the contiguous tile (the trainer's) and the gather
+// (row-pointer-table) variant (the batch scorers') share the identical
+// instruction sequence.
 CYBERHD_AVX512 inline void sim_tile_f32_block4_avx512(
     const float* h0, const float* h1, const float* h2, const float* h3,
     const float* classes, std::size_t num_classes, std::size_t dims,
@@ -200,24 +201,12 @@ CYBERHD_AVX512_POPCNT std::size_t xor_popcount_words_avx512(
   return count;
 }
 
-CYBERHD_AVX512_POPCNT void hamming_tile_1b_avx512(
-    const std::uint64_t* h, std::size_t rows, const std::uint64_t* classes,
-    std::size_t num_classes, std::size_t words, std::uint32_t* out) {
-  // Per-pair vpopcntq word scans — same structure as the avx2 tile, with
-  // the hardware 64-bit popcount doing the counting.
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < num_classes; ++c) {
-      out[r * num_classes + c] = static_cast<std::uint32_t>(
-          xor_popcount_words_avx512(h + r * words, classes + c * words,
-                                    words));
-    }
-  }
-}
-
 CYBERHD_AVX512_POPCNT void hamming_tile_1b_gather_avx512(
     const std::uint64_t* const* h_rows, std::size_t rows,
     const std::uint64_t* classes, std::size_t num_classes, std::size_t words,
     std::uint32_t* out) {
+  // Per-pair vpopcntq word scans — same structure as the avx2 tile, with
+  // the hardware 64-bit popcount doing the counting.
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < num_classes; ++c) {
       out[r * num_classes + c] = static_cast<std::uint32_t>(
@@ -248,7 +237,7 @@ CYBERHD_AVX512 inline __m512i widen_add_i32_to_i64_512(__m512i acc64,
 // i32 before the i64 widening.
 // Per-row-block VNNI body over an explicit 4-entry row-pointer block
 // (tail blocks alias hr[0]; lanes beyond `block` compute values that go
-// unused). Shared by the contiguous tile and the gather variant.
+// unused).
 CYBERHD_AVX512_VNNI inline void sim_tile_i8_vnni_block4(
     const std::int8_t* const hr[4], std::size_t block,
     const std::int8_t* classes, std::size_t num_classes, std::size_t dims,
@@ -323,20 +312,6 @@ CYBERHD_AVX512_VNNI inline void sim_tile_i8_vnni_block4(
   }
 }
 
-CYBERHD_AVX512_VNNI void similarities_tile_i8_avx512vnni(
-    const std::int8_t* h, std::size_t rows, const std::int8_t* classes,
-    std::size_t num_classes, std::size_t dims, std::int64_t* out) {
-  for (std::size_t r0 = 0; r0 < rows; r0 += 4) {
-    const std::size_t block = std::min<std::size_t>(4, rows - r0);
-    const std::int8_t* hr[4];
-    for (std::size_t k = 0; k < 4; ++k) {
-      hr[k] = h + (r0 + (k < block ? k : 0)) * dims;
-    }
-    sim_tile_i8_vnni_block4(hr, block, classes, num_classes, dims,
-                            out + r0 * num_classes);
-  }
-}
-
 CYBERHD_AVX512_VNNI void similarities_tile_i8_gather_avx512vnni(
     const std::int8_t* const* h_rows, std::size_t rows,
     const std::int8_t* classes, std::size_t num_classes, std::size_t dims,
@@ -370,11 +345,9 @@ const Kernels make_avx512_table() noexcept {
   k.similarities_tile_f32_gather = similarities_tile_f32_gather_avx512;
   if (cpu_supports_avx512_vpopcntdq()) {
     k.xor_popcount_words = xor_popcount_words_avx512;
-    k.hamming_tile_1b = hamming_tile_1b_avx512;
     k.hamming_tile_1b_gather = hamming_tile_1b_gather_avx512;
   }
   if (cpu_supports_avx512_vnni()) {
-    k.similarities_tile_i8 = similarities_tile_i8_avx512vnni;
     k.similarities_tile_i8_gather = similarities_tile_i8_gather_avx512vnni;
   }
   return k;

@@ -93,38 +93,12 @@ std::int64_t quantized_dot_i8_scalar(const std::int8_t* a,
   return s;
 }
 
-void similarities_tile_i8_scalar(const std::int8_t* h, std::size_t rows,
-                                 const std::int8_t* classes,
-                                 std::size_t num_classes, std::size_t dims,
-                                 std::int64_t* out) {
-  // Reference semantics: one exact integer dot per (row, class) pair.
-  // SIMD backends may block and reassociate freely — integer sums are
-  // order-independent, so exact equality is the contract, not a tolerance.
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < num_classes; ++c) {
-      out[r * num_classes + c] =
-          quantized_dot_i8_scalar(h + r * dims, classes + c * dims, dims);
-    }
-  }
-}
-
-void hamming_tile_1b_scalar(const std::uint64_t* h, std::size_t rows,
-                            const std::uint64_t* classes,
-                            std::size_t num_classes, std::size_t words,
-                            std::uint32_t* out) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < num_classes; ++c) {
-      out[r * num_classes + c] = static_cast<std::uint32_t>(
-          xor_popcount_words_scalar(h + r * words, classes + c * words,
-                                    words));
-    }
-  }
-}
-
-// Gather (indirect) tile variants: identical per-pair loops, with row r
-// read through h_rows[r] instead of h + r * dims. Same dot per pair, so
-// each out entry is bit-identical to the contiguous kernel over the same
-// row bytes.
+// Gather tiles: one dot per (row, class) pair, row r read through
+// h_rows[r]. The float tile's dot is the contiguous tile's, so each out
+// entry is bit-identical to it over the same row bytes; the integer tiles
+// are the exact reference every SIMD backend must reproduce (integer sums
+// are order-independent, so SIMD backends may block and reassociate
+// freely).
 void similarities_tile_f32_gather_scalar(const float* const* h_rows,
                                          std::size_t rows,
                                          const float* classes,
@@ -174,8 +148,6 @@ constexpr Kernels kScalarKernels = {
     .cos_rbf_tile_f32 = cos_rbf_tile_f32_scalar,
     .xor_popcount_words = xor_popcount_words_scalar,
     .quantized_dot_i8 = quantized_dot_i8_scalar,
-    .similarities_tile_i8 = similarities_tile_i8_scalar,
-    .hamming_tile_1b = hamming_tile_1b_scalar,
     .similarities_tile_f32_gather = similarities_tile_f32_gather_scalar,
     .similarities_tile_i8_gather = similarities_tile_i8_gather_scalar,
     .hamming_tile_1b_gather = hamming_tile_1b_gather_scalar,

@@ -228,20 +228,6 @@ std::size_t CyberHdClassifier::preferred_batch_rows(
   return exec().plan_serving(config_.dims).batch_rows;
 }
 
-EncodedBatch CyberHdClassifier::encode_block(const core::Matrix& x,
-                                             std::size_t begin,
-                                             std::size_t end,
-                                             core::Matrix& storage) const {
-  assert(encoder_ != nullptr && "encode_block() before fit()");
-  return encode_block_cached(*encoder_, encode_cache_.get(), x, begin, end,
-                             storage, exec());
-}
-
-void CyberHdClassifier::scores_encoded(const EncodedBatch& h,
-                                       core::Matrix& out) const {
-  model_.similarities_batch(h, out, exec());
-}
-
 void CyberHdClassifier::scores_block(const core::Matrix& x,
                                      std::size_t begin, std::size_t end,
                                      core::Matrix& out) const {
@@ -250,22 +236,15 @@ void CyberHdClassifier::scores_block(const core::Matrix& x,
   if (m == 0) return;
   // The staging buffer is thread_local so the driver's block loop reuses
   // one allocation per calling thread without breaking const-concurrency.
+  // Stage 1 PINS cache hits in the ring and encodes only the misses into
+  // staging; stage 2 streams the row-pointer view through the gather tile
+  // kernel. The pins are released however this scope exits.
   thread_local core::Matrix staging;
-  if (encode_cache_ != nullptr) {
-    // Zero-copy serving: stage 1 PINS cache hits in the ring instead of
-    // memcpying them out and encodes only the misses into staging; stage 2
-    // streams the resulting row-pointer view through the gather tile
-    // kernel — bit-identical to the contiguous path over the same rows.
-    ScoringWorkspace& ws = ScoringWorkspace::tl();
-    encode_cache_->encode_rows_borrowed(*encoder_, x, begin, end, staging,
-                                        ws, exec());
-    const EncodedRows rows(ws.f32_rows.data(), m, encoder_->output_dim());
-    model_.similarities_into(rows, out.row(begin).data(), exec());
-    ws.borrow.release();
-    return;
-  }
-  const EncodedBatch encoded = encode_block(x, begin, end, staging);
-  model_.similarities_into(encoded, out.row(begin).data(), exec());
+  ScoringWorkspace& ws = ScoringWorkspace::tl();
+  const BorrowRelease release(ws.borrow);
+  const EncodedRows rows = encode_block_cached(
+      *encoder_, encode_cache_.get(), x, begin, end, staging, ws, exec());
+  model_.similarities_into(rows, out.row(begin).data(), exec());
 }
 
 void CyberHdClassifier::set_encode_cache(std::size_t capacity_rows,

@@ -31,7 +31,6 @@
 #include "core/matrix.hpp"
 #include "core/rng.hpp"
 #include "hdc/encode_cache.hpp"
-#include "hdc/encoded_batch.hpp"
 #include "hdc/encoder.hpp"
 #include "hdc/model.hpp"
 #include "hdc/regen.hpp"
@@ -138,11 +137,12 @@ class CyberHdClassifier final : public core::Classifier {
   // -- the stage-split serving pipeline --------------------------------------
   // scores_batch (the core::Classifier driver) walks `x` in sub-batches
   // the L3-aware planner sizes (preferred_batch_rows) and runs each
-  // through scores_block: stage 1 encodes the block — serving repeated
-  // rows from the content-addressed encode cache — and stage 2 streams
-  // the EncodedBatch view through the tile scorer while it is still
-  // L3-resident. Per-row results are bit-identical to predict()/scores()
-  // on that row, cache on or off; predict_batch rides the same driver.
+  // through scores_block: stage 1 (encode_block_cached) encodes the
+  // block — borrowing repeated rows from the content-addressed encode
+  // cache in place — and stage 2 streams the EncodedRows view through the
+  // gather tile scorer while it is still L3-resident. Per-row results are
+  // bit-identical to predict()/scores() on that row, cache on or off;
+  // predict_batch rides the same path.
 
   /// Sub-batch size of the staged driver: the execution context's serving
   /// plan (per-L3-domain blocks of serving_block_rows).
@@ -151,18 +151,6 @@ class CyberHdClassifier final : public core::Classifier {
   /// Stage 1 + stage 2 over one planned block (see class comment).
   void scores_block(const core::Matrix& x, std::size_t begin,
                     std::size_t end, core::Matrix& out) const override;
-
-  /// Stage 1 alone: encode rows [begin, end) of `x` into the front of
-  /// `storage` (grown to (end - begin) x D when too small, otherwise
-  /// reused as-is), serving repeats from the encode cache when one is
-  /// enabled. Returns the handoff view over the filled rows. Valid after
-  /// fit().
-  EncodedBatch encode_block(const core::Matrix& x, std::size_t begin,
-                            std::size_t end, core::Matrix& storage) const;
-
-  /// Stage 2 alone: cosine scores of an already-encoded view; `out` is
-  /// resized to h.rows() x num_classes().
-  void scores_encoded(const EncodedBatch& h, core::Matrix& out) const;
 
   /// Resize the serving encode cache: `capacity_rows` rows of raw +
   /// encoded storage split into `shards` independently locked partitions

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <functional>
 #include <string_view>
 
@@ -128,7 +129,6 @@ EncodeCacheStats EncodeCache::stats() const {
     total.misses += shards_[s].stats.misses;
     total.evictions += shards_[s].stats.evictions;
     total.borrowed_rows += shards_[s].stats.borrowed_rows;
-    total.copied_bytes += shards_[s].stats.copied_bytes;
     total.bytes_resident +=
         static_cast<std::uint64_t>(shards_[s].resident) * entry_bytes_;
     total.bytes_capacity +=
@@ -240,28 +240,6 @@ void encode_float_misses(const Encoder& encoder, const core::Matrix& x,
 
 }  // namespace
 
-std::size_t EncodeCache::encode_rows(const Encoder& encoder,
-                                     const core::Matrix& x,
-                                     std::size_t begin, std::size_t end,
-                                     core::Matrix& h,
-                                     const core::ExecutionContext& exec) {
-  assert(x.cols() == input_dim_);
-  assert(h.cols() == encoded_dim_ && h.rows() >= end - begin);
-  assert(entry_bytes_ == encoded_dim_ * sizeof(float) &&
-         "float driver on a float-armed cache only");
-  auto* out = reinterpret_cast<unsigned char*>(h.data());
-  const std::size_t stride = h.cols() * sizeof(float);
-  ScoringWorkspace& ws = ScoringWorkspace::tl();
-  return encode_entries_impl(
-      x, begin, end, out, stride,
-      [&](std::span<const std::size_t> rows, unsigned char* o,
-          std::size_t o_stride) {
-        encode_float_misses(encoder, x, begin, input_dim_, encoded_dim_, ws,
-                            exec, rows, o, o_stride);
-      },
-      nullptr, nullptr, ws);
-}
-
 std::size_t EncodeCache::encode_rows_borrowed(
     const Encoder& encoder, const core::Matrix& x, std::size_t begin,
     std::size_t end, core::Matrix& staging, ScoringWorkspace& ws,
@@ -286,20 +264,10 @@ std::size_t EncodeCache::encode_rows_borrowed(
   ws.f32_rows.resize(m);
   for (std::size_t i = 0; i < m; ++i) {
     // Ring entries are 64-aligned and staging rows float-aligned, so the
-    // typed reinterpret matches PackedBatch's row accessors in spirit.
+    // typed reinterpret is sound.
     ws.f32_rows[i] = reinterpret_cast<const float*>(ws.entry_ptrs[i]);
   }
   return hits;
-}
-
-std::size_t EncodeCache::encode_entries(const core::Matrix& x,
-                                        std::size_t begin, std::size_t end,
-                                        unsigned char* out,
-                                        std::size_t out_stride,
-                                        EncodeMissesFn encode_misses,
-                                        const core::ExecutionContext&) {
-  return encode_entries_impl(x, begin, end, out, out_stride, encode_misses,
-                             nullptr, nullptr, ScoringWorkspace::tl());
 }
 
 std::size_t EncodeCache::encode_entries_borrowed(
@@ -307,26 +275,28 @@ std::size_t EncodeCache::encode_entries_borrowed(
     unsigned char* staging, std::size_t out_stride,
     EncodeMissesFn encode_misses, ScoringWorkspace& ws,
     const core::ExecutionContext&) {
-  assert(ws.borrow.empty() &&
-         "previous flush's borrows must be released before the next");
-  ws.entry_ptrs.resize(end - begin);
-  return encode_entries_impl(x, begin, end, staging, out_stride,
-                             encode_misses, ws.entry_ptrs.data(), &ws.borrow,
-                             ws);
-}
-
-std::size_t EncodeCache::encode_entries_impl(
-    const core::Matrix& x, std::size_t begin, std::size_t end,
-    unsigned char* out, std::size_t out_stride, EncodeMissesFn encode_misses,
-    const unsigned char** entry_ptrs, BorrowGuard* guard,
-    ScoringWorkspace& ws) {
   assert(end >= begin && end <= x.rows());
   assert(x.cols() == input_dim_);
   assert(out_stride >= entry_bytes_);
-  assert((entry_ptrs == nullptr) == (guard == nullptr));
+  assert(ws.borrow.empty() &&
+         "previous flush's borrows must be released before the next");
   const std::size_t m = end - begin;
   if (m == 0) return 0;
-  if (guard != nullptr) guard->cache_ = this;
+  ws.entry_ptrs.resize(m);
+  const unsigned char** entry_ptrs = ws.entry_ptrs.data();
+  BorrowGuard& guard = ws.borrow;
+  guard.cache_ = this;
+  // Pins taken below must not outlive a throw from this call (the miss
+  // callback, an allocation): ws is typically thread_local, so unwinding
+  // never destroys its guard. On the success path the pins stay for the
+  // caller's stage 2.
+  struct UnpinOnThrow {
+    BorrowGuard& guard;
+    int uncaught = std::uncaught_exceptions();
+    ~UnpinOnThrow() {
+      if (std::uncaught_exceptions() > uncaught) guard.release();
+    }
+  } const unpin_on_throw{guard};
 
   // Hashing and shard routing are pure functions of the rows — done
   // before any lock, so concurrent scorers only serialize on their own
@@ -357,9 +327,8 @@ std::size_t EncodeCache::encode_entries_impl(
   }
   // shard_offsets[s] now marks the END of shard s's bucket.
 
-  // Probe pass (per shard, under that shard's lock only): serve hits —
-  // copied into the output rows (copy mode) or pinned in place (borrow
-  // mode) — and collect miss indices. A row repeated *within* this batch
+  // Probe pass (per shard, under that shard's lock only): pin hits in
+  // place and collect miss indices. A row repeated *within* this batch
   // — common when a large coalesced drain covers many arrivals of the
   // same flow — encodes once: later occurrences are deduplicated against
   // the first one and replayed after the encode pass. Identical rows
@@ -384,17 +353,13 @@ std::size_t EncodeCache::encode_entries_impl(
       const auto row = x.row(begin + i);
       const std::size_t slot = find_slot(shard, ws.hashes[i], row);
       if (slot < shard.capacity) {
-        if (entry_ptrs != nullptr) {
-          ++shard.pins[slot];
-          guard->pins_.push_back({static_cast<std::uint32_t>(s),
-                                  static_cast<std::uint32_t>(slot)});
-          entry_ptrs[i] = slot_entry(shard, slot);
-          ++shard.stats.borrowed_rows;
-        } else {
-          std::memcpy(out + i * out_stride, slot_entry(shard, slot),
-                      entry_bytes_);
-          shard.stats.copied_bytes += entry_bytes_;
-        }
+        // Record the pin before taking it, so a failed push_back leaves
+        // nothing pinned that release() would not find.
+        guard.pins_.push_back({static_cast<std::uint32_t>(s),
+                               static_cast<std::uint32_t>(slot)});
+        ++shard.pins[slot];
+        entry_ptrs[i] = slot_entry(shard, slot);
+        ++shard.stats.borrowed_rows;
         ++shard.stats.hits;
         continue;
       }
@@ -404,7 +369,6 @@ std::size_t EncodeCache::encode_entries_impl(
           std::memcmp(x.row(begin + first).data(), row.data(),
                       row.size_bytes()) == 0) {
         ws.dups.push_back({i, first});
-        if (entry_ptrs == nullptr) shard.stats.copied_bytes += entry_bytes_;
         ++shard.stats.hits;
       } else {
         ws.misses.push_back(i);
@@ -421,25 +385,19 @@ std::size_t EncodeCache::encode_entries_impl(
   // re-streamed per row. Per-row results are independent of the batching,
   // so output never depends on the miss mix.
   if (!ws.misses.empty()) {
-    encode_misses(std::span<const std::size_t>(ws.misses), out, out_stride);
+    encode_misses(std::span<const std::size_t>(ws.misses), staging,
+                  out_stride);
   }
-  if (entry_ptrs != nullptr) {
-    for (const std::size_t i : ws.misses) {
-      entry_ptrs[i] = out + i * out_stride;
-    }
+  for (const std::size_t i : ws.misses) {
+    entry_ptrs[i] = staging + i * out_stride;
   }
 
   // In-batch duplicates replay the fresh encode of their first occurrence
-  // (bit-identical by encoder determinism, like any cache hit). In borrow
-  // mode the replay is a pointer alias — the dup source is always a miss
-  // row of this same batch, so its staging address is already recorded.
+  // (bit-identical by encoder determinism, like any cache hit) as a
+  // pointer alias — the dup source is always a miss row of this same
+  // batch, so its staging address is already recorded.
   for (const ScoringWorkspace::BatchDup& d : ws.dups) {
-    if (entry_ptrs != nullptr) {
-      entry_ptrs[d.row] = entry_ptrs[d.src];
-    } else {
-      std::memcpy(out + d.row * out_stride, out + d.src * out_stride,
-                  entry_bytes_);
-    }
+    entry_ptrs[d.row] = entry_ptrs[d.src];
   }
 
   // Insert pass (per shard, under that shard's lock only): fresh encodes
@@ -462,32 +420,37 @@ std::size_t EncodeCache::encode_entries_impl(
           shard.capacity) {
         continue;
       }
-      insert(shard, ws.hashes[i], x.row(begin + i), out + i * out_stride);
+      insert(shard, ws.hashes[i], x.row(begin + i), entry_ptrs[i]);
     }
     miss_begin = miss_end;
   }
   return m - ws.misses.size();
 }
 
-EncodedBatch encode_block_cached(const Encoder& encoder, EncodeCache* cache,
-                                 const core::Matrix& x, std::size_t begin,
-                                 std::size_t end, core::Matrix& storage,
-                                 const core::ExecutionContext& exec) {
+EncodedRows encode_block_cached(const Encoder& encoder, EncodeCache* cache,
+                                const core::Matrix& x, std::size_t begin,
+                                std::size_t end, core::Matrix& staging,
+                                ScoringWorkspace& ws,
+                                const core::ExecutionContext& exec) {
   assert(end >= begin && end <= x.rows());
   const std::size_t m = end - begin;
   const std::size_t dims = encoder.output_dim();
-  if (storage.rows() < m || storage.cols() != dims) {
-    storage.resize(m, dims);
-  }
   if (cache != nullptr) {
-    cache->encode_rows(encoder, x, begin, end, storage, exec);
+    cache->encode_rows_borrowed(encoder, x, begin, end, staging, ws, exec);
   } else {
     // Cache-off path: the block is one contiguous tile call — the
-    // dominant shape under cold (non-replay) traffic.
-    encoder.encode_tile(x, begin, end, storage.data(), storage.cols(),
-                        exec);
+    // dominant shape under cold (non-replay) traffic — and the table
+    // points at its staging rows.
+    if (staging.rows() < m || staging.cols() != dims) {
+      staging.resize(m, dims);
+    }
+    encoder.encode_tile(x, begin, end, staging.data(), staging.cols(), exec);
+    ws.f32_rows.resize(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      ws.f32_rows[i] = staging.row(i).data();
+    }
   }
-  return EncodedBatch::front_of(storage, m);
+  return EncodedRows(ws.f32_rows.data(), m, dims);
 }
 
 }  // namespace cyberhd::hdc

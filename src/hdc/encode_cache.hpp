@@ -65,11 +65,8 @@ struct EncodeCacheStats {
   /// Bytes the ring can hold (capacity x entry bytes).
   std::uint64_t bytes_capacity = 0;
   /// Rows served zero-copy: hits handed out as borrowed (pinned) pointers
-  /// into the ring instead of being memcpy'd into the staging batch.
+  /// into the ring. Every ring hit is borrowed — no hit is ever copied.
   std::uint64_t borrowed_rows = 0;
-  /// Bytes memcpy'd to serve hits and in-batch replays through the
-  /// copy-mode drivers — the traffic the borrow mode eliminates.
-  std::uint64_t copied_bytes = 0;
   double hit_rate() const noexcept {
     const std::uint64_t total = hits + misses;
     return total == 0 ? 0.0
@@ -112,7 +109,7 @@ class EncodeCache {
   /// `entry_bytes` is the fixed size of one cached encoded entry, set at
   /// arm time: 0 (the default) stores float rows (encoded_dim * 4 bytes);
   /// the quantized pipeline arms its cache with the packed row size
-  /// (PackedBatch::row_bytes), so the same ring holds int8 or packed-bit
+  /// (PackedRows::row_bytes), so the same ring holds int8 or packed-bit
   /// entries — same content hash, same byte-verified hits, same in-batch
   /// dedup, 4-32x the flows per byte.
   EncodeCache(std::size_t input_dim, std::size_t encoded_dim,
@@ -145,61 +142,34 @@ class EncodeCache {
   /// The shard a hash routes to (exposed so tests can steer rows).
   std::size_t shard_of(std::uint64_t hash) const noexcept;
 
-  /// The float stage-1 driver: fill rows [0, end - begin) of `h` with the
-  /// encodings of rows [begin, end) of `x` — hits copied out of their
-  /// shard's ring, misses gathered into one contiguous block and batched
-  /// through `encoder.encode_tile` (split across the context's pool),
-  /// then inserted. `h` must already be sized to at least
-  /// (end - begin) x encoded_dim. Returns the number of hits (including
-  /// in-batch replays). Safe to call concurrently from any number of
-  /// threads. Only valid for float-armed caches (entry_bytes ==
-  /// encoded_dim * 4); a thin wrapper over encode_entries.
-  std::size_t encode_rows(const Encoder& encoder, const core::Matrix& x,
-                          std::size_t begin, std::size_t end,
-                          core::Matrix& h,
-                          const core::ExecutionContext& exec);
-
-  /// The batched miss-encode callback of the entry drivers. A non-owning
-  /// FunctionRef (not std::function): the drivers invoke it before
-  /// returning, and erasing by reference keeps the call allocation-free —
-  /// a capturing lambda passed as a temporary never hits the heap.
+  /// The batched miss-encode callback of encode_entries_borrowed. A
+  /// non-owning FunctionRef (not std::function): the call invokes it
+  /// before returning, and erasing by reference keeps the call
+  /// allocation-free — a capturing lambda passed as a temporary never hits
+  /// the heap.
   using EncodeMissesFn = core::FunctionRef<void(
       std::span<const std::size_t>, unsigned char*, std::size_t)>;
 
-  /// The generic stage-1 driver the float and packed pipelines share:
-  /// fill entries [0, end - begin) of `out` (entry i at
-  /// out + i * out_stride, entry_bytes() bytes each; out_stride >=
-  /// entry_bytes()) with the cached encodings of rows [begin, end) of `x`.
-  /// Hits are byte-copied out of their shard's ring; misses are handed to
-  /// `encode_misses` in ONE batched call — `encode_misses(rows, out,
-  /// out_stride)` must write, for every batch-row index i in `rows`,
-  /// exactly entry_bytes() bytes of the encoding of batch row i
-  /// (x.row(begin + i)) to out + i * out_stride, deterministically. The
-  /// callback owns its own gather/tile/parallelism (the tile encoders
-  /// batch the whole miss list into GEMM-shaped kernel calls instead of
-  /// per-row encodes); it runs outside every shard lock. Fresh entries
-  /// are then inserted, and in-batch duplicates replay the first
-  /// occurrence's fresh entry. Returns the number of hits (including
-  /// in-batch replays). Safe to call concurrently from any number of
-  /// threads.
-  std::size_t encode_entries(const core::Matrix& x, std::size_t begin,
-                             std::size_t end, unsigned char* out,
-                             std::size_t out_stride,
-                             EncodeMissesFn encode_misses,
-                             const core::ExecutionContext& exec);
-
-  /// Zero-copy sibling of encode_entries: instead of memcpying hit entries
-  /// into `staging`, each hit's ring slot is PINNED (eviction skips it)
-  /// and ws.entry_ptrs[i] is set to the entry's stable address inside the
-  /// ring; miss rows are encoded into `staging` exactly as in copy mode
-  /// and their staging address recorded, and in-batch duplicates alias
-  /// their first occurrence's pointer. The pins land in ws.borrow, which
-  /// the caller MUST release (or let unwind) after stage 2 has consumed
-  /// the rows — until then the pinned slots cannot be evicted, so the
-  /// pointers stay valid across concurrent inserts. `staging` must still
-  /// cover all m rows (misses land at their batch offset). Returns the
-  /// number of hits. Safe to call concurrently; ws is the caller's
-  /// (typically thread-local) scratch.
+  /// The stage 1 the float and packed pipelines share. For each
+  /// row i in [0, end - begin), ws.entry_ptrs[i] is set to where the
+  /// encoding of x.row(begin + i) lives:
+  ///  * a hit PINS its ring slot (eviction skips it) and points into the
+  ///    ring;
+  ///  * misses go to `encode_misses` in ONE batched call, outside every
+  ///    shard lock: `encode_misses(rows, staging, out_stride)` must write,
+  ///    for every batch-row index i in `rows`, exactly entry_bytes() bytes
+  ///    of row i's encoding to staging + i * out_stride (out_stride >=
+  ///    entry_bytes()), deterministically. The callback owns its gather,
+  ///    tiling and parallelism. Fresh entries are then inserted, and miss
+  ///    rows point into `staging`;
+  ///  * in-batch duplicates alias their first occurrence's pointer.
+  /// The pins land in ws.borrow, which the caller releases once stage 2
+  /// has consumed the rows (BorrowRelease does it on every exit path);
+  /// until then the pointers stay valid across concurrent inserts. If this
+  /// call throws (the miss callback, an insert's allocation), it releases
+  /// its own pins first. Returns the number of hits, in-batch replays
+  /// included. Safe to call concurrently; ws is the caller's (typically
+  /// thread-local) scratch.
   std::size_t encode_entries_borrowed(const core::Matrix& x,
                                       std::size_t begin, std::size_t end,
                                       unsigned char* staging,
@@ -208,10 +178,13 @@ class EncodeCache {
                                       ScoringWorkspace& ws,
                                       const core::ExecutionContext& exec);
 
-  /// Borrow-mode float driver: encode_entries_borrowed plus the float
-  /// miss-encode callback, leaving ws.f32_rows[i] pointing at row i's
-  /// encoding (ring or staging) for the gather scoring kernels. Only valid
-  /// for float-armed caches. Returns the number of hits.
+  /// The float stage 1: encode_entries_borrowed plus the float
+  /// miss-encode callback (misses gathered into one block and batched
+  /// through `encoder.encode_tile`, split across the context's pool),
+  /// leaving ws.f32_rows[i] pointing at row i's encoding (ring or
+  /// `staging`, which is grown to end - begin rows when too small) for the
+  /// gather scoring kernels. Only valid for float-armed caches
+  /// (entry_bytes == encoded_dim * 4). Returns the number of hits.
   std::size_t encode_rows_borrowed(const Encoder& encoder,
                                    const core::Matrix& x, std::size_t begin,
                                    std::size_t end, core::Matrix& staging,
@@ -244,17 +217,6 @@ class EncodeCache {
     EncodeCacheStats stats;
   };
 
-  /// The shared body of the copy- and borrow-mode entry drivers:
-  /// entry_ptrs == nullptr selects copy mode (hits memcpy'd to out);
-  /// otherwise hits are pinned into `guard` and entry_ptrs[i] records
-  /// where row i's entry lives. All per-call scratch lives in `ws`.
-  std::size_t encode_entries_impl(const core::Matrix& x, std::size_t begin,
-                                  std::size_t end, unsigned char* out,
-                                  std::size_t out_stride,
-                                  EncodeMissesFn encode_misses,
-                                  const unsigned char** entry_ptrs,
-                                  BorrowGuard* guard, ScoringWorkspace& ws);
-
   /// Slot index of the verified-resident row, or shard.capacity when
   /// absent. Caller holds shard.mutex.
   std::size_t find_slot(const Shard& shard, std::uint64_t hash,
@@ -286,14 +248,17 @@ class EncodeCache {
   std::unique_ptr<Shard[]> shards_;
 };
 
-/// The stage-1 driver shared by the float and quantized serving
-/// pipelines: fill rows [0, end - begin) of `storage` (resized when too
-/// small) with the encodings of rows [begin, end) of `x` — through
-/// `cache` when one is supplied, with a plain pool-parallel encode
-/// otherwise. Returns the EncodedBatch handoff view over the filled rows.
-EncodedBatch encode_block_cached(const Encoder& encoder, EncodeCache* cache,
-                                 const core::Matrix& x, std::size_t begin,
-                                 std::size_t end, core::Matrix& storage,
-                                 const core::ExecutionContext& exec);
+/// The float stage 1 shared by CyberHdClassifier and the bits 16/32
+/// quantized scorer: point ws.f32_rows[i] at the encoding of row
+/// begin + i of `x` and return the EncodedRows view over that table.
+/// With `cache` armed this is cache->encode_rows_borrowed (hits borrowed
+/// from the ring, pinned in ws.borrow until the caller releases it);
+/// without one the block is one encode_tile call into `staging` (grown to
+/// end - begin rows when too small) and no pins are taken.
+EncodedRows encode_block_cached(const Encoder& encoder, EncodeCache* cache,
+                                const core::Matrix& x, std::size_t begin,
+                                std::size_t end, core::Matrix& staging,
+                                ScoringWorkspace& ws,
+                                const core::ExecutionContext& exec);
 
 }  // namespace cyberhd::hdc

@@ -1,14 +1,15 @@
-// EncodedBatch — the view type the stage-split serving pipeline hands
-// between its two stages.
+// The row-pointer views the stage-split serving pipeline hands between its
+// two stages.
 //
-// Stage 1 (Encoder::encode_batch, or the encode cache on its behalf) fills
-// a caller-owned row-major buffer and returns an EncodedBatch over it;
-// stage 2 (HdcModel::similarities_batch / the quantized scorer) consumes
-// the view without caring whether the rows came from a fresh encode, a
-// cache hit, or a slice of a larger staging buffer. Keeping the handoff a
-// non-owning view is what lets the batch planner cut one logical batch
-// into L3-resident sub-batches without copies, and lets callers reuse one
-// staging buffer across pipeline iterations.
+// Stage 1 (encode_block_cached for float rows, the packed encoder for
+// quantized ones) records where each batch row's encoding lives — a
+// borrowed cache-ring entry or a staging row, any mix — in a per-thread
+// pointer table, and returns a view over that table; stage 2
+// (HdcModel::similarities_into / QuantizedHdcModel::similarities_packed)
+// streams the rows through the gather tile kernels without caring where
+// they came from. A contiguous batch is just the special case of a table
+// with one pointer per row, so every batch scorer has exactly this one
+// input shape.
 #pragma once
 
 #include <cassert>
@@ -21,126 +22,12 @@
 
 namespace cyberhd::hdc {
 
-/// Non-owning view of `rows` encoded hypervectors laid out row-major and
-/// contiguously (`dims` floats per row, no inter-row padding) — the
-/// contract the tile-scoring kernels need. Cheap to copy; never outlives
-/// the buffer it views.
-class EncodedBatch {
- public:
-  EncodedBatch() = default;
-  EncodedBatch(const float* data, std::size_t rows, std::size_t dims)
-      : data_(data), rows_(rows), dims_(dims) {
-    assert(data != nullptr || rows == 0);
-  }
-
-  /// View over every row of a matrix of encoded samples.
-  static EncodedBatch of(const core::Matrix& m) noexcept {
-    return {m.data(), m.rows(), m.cols()};
-  }
-  /// View over the first `rows` rows of a (possibly larger) staging
-  /// matrix — the encode stage fills exactly the front of its buffer.
-  static EncodedBatch front_of(const core::Matrix& m,
-                               std::size_t rows) noexcept {
-    assert(rows <= m.rows());
-    return {m.data(), rows, m.cols()};
-  }
-
-  std::size_t rows() const noexcept { return rows_; }
-  std::size_t dims() const noexcept { return dims_; }
-  bool empty() const noexcept { return rows_ == 0; }
-  const float* data() const noexcept { return data_; }
-
-  std::span<const float> row(std::size_t r) const noexcept {
-    assert(r < rows_);
-    return {data_ + r * dims_, dims_};
-  }
-
-  /// Sub-view of `count` rows starting at `begin` — how the batch planner
-  /// carves per-domain sub-batches out of one encoded block.
-  EncodedBatch slice(std::size_t begin, std::size_t count) const noexcept {
-    assert(begin + count <= rows_);
-    return {data_ + begin * dims_, count, dims_};
-  }
-
- private:
-  const float* data_ = nullptr;
-  std::size_t rows_ = 0;
-  std::size_t dims_ = 0;
-};
-
-/// Non-owning view of `rows` QUANTIZED hypervectors — the packed sibling of
-/// EncodedBatch the quantized serving pipeline hands between its stages.
-/// Rows are laid out contiguously at row_bytes(dims, bits) bytes each:
-///
-///   bits in {2, 4, 8} — dims int8 levels per row (one byte per dimension;
-///     levels at <= 8 bits fit int8 exactly, and the int8 layout is what
-///     the similarities_tile_i8 kernel streams);
-///   bits == 1        — ceil(dims / 64) little-endian 64-bit words per row
-///     (bit set = +1), tail bits zero per bitpack.hpp's masking invariant;
-///     what the hamming_tile_1b kernel streams.
-///
-/// The buffer must be 8-byte aligned when bits == 1 (PackedStaging and the
-/// encode cache's ring storage both over-align to 64). Cheap to copy;
-/// never outlives the buffer it views.
-class PackedBatch {
- public:
-  PackedBatch() = default;
-  PackedBatch(const unsigned char* data, std::size_t rows, std::size_t dims,
-              int bits)
-      : data_(data), rows_(rows), dims_(dims), bits_(bits) {
-    assert(data != nullptr || rows == 0);
-    assert(bits >= 1 && bits <= 8);
-  }
-
-  /// Bytes one packed row occupies (the cache entry size and the planner's
-  /// bytes-per-row input): dims for int8 rows, ceil(dims / 64) * 8 for
-  /// packed 1-bit rows.
-  static constexpr std::size_t row_bytes(std::size_t dims,
-                                         int bits) noexcept {
-    return bits == 1 ? ((dims + 63) / 64) * sizeof(std::uint64_t) : dims;
-  }
-
-  std::size_t rows() const noexcept { return rows_; }
-  std::size_t dims() const noexcept { return dims_; }
-  int bits() const noexcept { return bits_; }
-  bool empty() const noexcept { return rows_ == 0; }
-  std::size_t row_bytes() const noexcept { return row_bytes(dims_, bits_); }
-  /// Words per row; only meaningful when bits() == 1.
-  std::size_t words() const noexcept { return (dims_ + 63) / 64; }
-  const unsigned char* data() const noexcept { return data_; }
-
-  /// Row r as int8 levels. Precondition: bits() > 1.
-  const std::int8_t* i8_row(std::size_t r) const noexcept {
-    assert(r < rows_ && bits_ > 1);
-    return reinterpret_cast<const std::int8_t*>(data_ + r * row_bytes());
-  }
-  /// Row r as packed words. Precondition: bits() == 1.
-  const std::uint64_t* word_row(std::size_t r) const noexcept {
-    assert(r < rows_ && bits_ == 1);
-    return reinterpret_cast<const std::uint64_t*>(data_ + r * row_bytes());
-  }
-
-  /// Sub-view of `count` rows starting at `begin`.
-  PackedBatch slice(std::size_t begin, std::size_t count) const noexcept {
-    assert(begin + count <= rows_);
-    return {data_ + begin * row_bytes(), count, dims_, bits_};
-  }
-
- private:
-  const unsigned char* data_ = nullptr;
-  std::size_t rows_ = 0;
-  std::size_t dims_ = 0;
-  int bits_ = 8;
-};
-
 /// Non-owning INDIRECT view of `n` encoded hypervectors: row r lives at
 /// rows[r], an arbitrary address (a borrowed cache-ring entry, a staging
-/// row — any mix). The zero-copy serving path builds one of these instead
-/// of memcpying cache hits into a contiguous EncodedBatch; stage 2 scores
-/// it through the gather tile kernels, whose outputs are bit-identical to
-/// the contiguous kernels over the same row bytes. Cheap to copy; neither
-/// the pointer table nor the rows it names may outlive their owners (the
-/// ScoringWorkspace and its BorrowGuard hold both for exactly one flush).
+/// row — any mix). Stage 2 scores it through the gather tile kernels.
+/// Cheap to copy; neither the pointer table nor the rows it names may
+/// outlive their owners (the ScoringWorkspace and its BorrowGuard hold both
+/// for exactly one flush).
 class EncodedRows {
  public:
   EncodedRows() = default;
@@ -166,10 +53,17 @@ class EncodedRows {
   std::size_t dims_ = 0;
 };
 
-/// Indirect sibling of PackedBatch: a typed row-pointer table over packed
-/// quantized rows. Exactly one of the two tables is populated — int8 rows
-/// for bits in {2, 4, 8}, packed 64-bit word rows for bits == 1 — matching
-/// the two gather tile kernels.
+/// The packed sibling of EncodedRows: a typed row-pointer table over
+/// QUANTIZED rows. Exactly one of the two tables is populated, matching
+/// the two gather tile kernels:
+///
+///   bits in {2, 4, 8} — int8 rows of dims levels (one byte per dimension;
+///     levels at <= 8 bits fit int8 exactly);
+///   bits == 1        — ceil(dims / 64) little-endian 64-bit words per row
+///     (bit set = +1), tail bits zero per bitpack.hpp's masking invariant.
+///
+/// Word rows must be 8-byte aligned (PackedStaging and the encode cache's
+/// ring storage both over-align to 64).
 class PackedRows {
  public:
   PackedRows() = default;
@@ -185,6 +79,14 @@ class PackedRows {
              std::size_t dims)
       : words_(word_rows), n_(n), dims_(dims), bits_(1) {
     assert(word_rows != nullptr || n == 0);
+  }
+
+  /// Bytes one packed row occupies (the cache entry size and the planner's
+  /// bytes-per-row input): dims for int8 rows, ceil(dims / 64) * 8 for
+  /// packed 1-bit rows.
+  static constexpr std::size_t row_bytes(std::size_t dims,
+                                         int bits) noexcept {
+    return bits == 1 ? ((dims + 63) / 64) * sizeof(std::uint64_t) : dims;
   }
 
   std::size_t rows() const noexcept { return n_; }
@@ -213,24 +115,19 @@ class PackedRows {
   int bits_ = 8;
 };
 
-/// Reusable owning buffer behind PackedBatch views — the packed pipeline's
-/// analogue of the float staging Matrix. 64-byte aligned (so 1-bit word
-/// rows stay 8-byte aligned and SIMD loads never straddle lines); grows
-/// monotonically like the staging Matrix, so per-block serving reuses one
-/// allocation.
+/// Reusable owning buffer the packed stage 1 encodes miss rows into — the
+/// packed pipeline's analogue of the float staging Matrix. 64-byte aligned
+/// (so 1-bit word rows stay 8-byte aligned and SIMD loads never straddle
+/// lines); grows monotonically like the staging Matrix, so per-block
+/// serving reuses one allocation.
 class PackedStaging {
  public:
-  /// Ensure capacity for `rows` rows of row_bytes(dims, bits) bytes and
-  /// return the mutable base pointer.
+  /// Ensure capacity for `rows` rows of PackedRows::row_bytes(dims, bits)
+  /// bytes and return the mutable base pointer.
   unsigned char* prepare(std::size_t rows, std::size_t dims, int bits) {
-    const std::size_t need = rows * PackedBatch::row_bytes(dims, bits);
+    const std::size_t need = rows * PackedRows::row_bytes(dims, bits);
     if (bytes_.size() < need) bytes_.resize(need);
     return bytes_.data();
-  }
-  /// View over the first `rows` rows of the prepared buffer.
-  PackedBatch view(std::size_t rows, std::size_t dims, int bits) const {
-    assert(rows * PackedBatch::row_bytes(dims, bits) <= bytes_.size());
-    return {bytes_.data(), rows, dims, bits};
   }
 
  private:

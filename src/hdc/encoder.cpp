@@ -12,12 +12,11 @@
 
 namespace cyberhd::hdc {
 
-EncodedBatch Encoder::encode_batch(const core::Matrix& x, core::Matrix& h,
-                                   const core::ExecutionContext& exec) const {
+void Encoder::encode_batch(const core::Matrix& x, core::Matrix& h,
+                           const core::ExecutionContext& exec) const {
   assert(x.cols() == input_dim());
   h.resize(x.rows(), output_dim());
   encode_tile(x, 0, x.rows(), h.data(), h.cols(), exec);
-  return EncodedBatch::of(h);
 }
 
 void Encoder::encode_tile(const core::Matrix& x, std::size_t begin,

@@ -28,7 +28,6 @@
 #include "core/exec/execution_context.hpp"
 #include "core/matrix.hpp"
 #include "core/rng.hpp"
-#include "hdc/encoded_batch.hpp"
 
 namespace cyberhd::hdc {
 
@@ -72,12 +71,10 @@ class Encoder {
 
   /// Encode every row of X into the matching row of H (resized to
   /// X.rows() x output_dim()). The sample range splits across the
-  /// context's pool when it has one. Returns the stage-1 handoff view over
-  /// H that the scoring stage (HdcModel::similarities_batch, the quantized
-  /// scorer) consumes. Rides encode_tile().
-  EncodedBatch encode_batch(const core::Matrix& x, core::Matrix& h,
-                            const core::ExecutionContext& exec =
-                                core::ExecutionContext::serial()) const;
+  /// context's pool when it has one. Rides encode_tile().
+  void encode_batch(const core::Matrix& x, core::Matrix& h,
+                    const core::ExecutionContext& exec =
+                        core::ExecutionContext::serial()) const;
 
   /// Batched encode of rows [begin, end) of X, row i landing at
   /// out + (i - begin) * out_stride (out_stride >= output_dim() floats).

@@ -35,18 +35,15 @@ void HdcModel::similarities(std::span<const float> h,
 void HdcModel::similarities_batch(const core::Matrix& h,
                                   core::Matrix& scores,
                                   const core::ExecutionContext& exec) const {
-  similarities_batch(EncodedBatch::of(h), scores, exec);
-}
-
-void HdcModel::similarities_batch(const EncodedBatch& h,
-                                  core::Matrix& scores,
-                                  const core::ExecutionContext& exec) const {
   scores.resize(h.rows(), num_classes());
-  if (h.rows() == 0) return;
-  similarities_into(h, scores.data(), exec);
+  std::vector<const float*>& rows = ScoringWorkspace::tl().f32_rows;
+  rows.resize(h.rows());
+  for (std::size_t r = 0; r < h.rows(); ++r) rows[r] = h.row(r).data();
+  similarities_into(EncodedRows(rows.data(), h.rows(), h.cols()),
+                    scores.data(), exec);
 }
 
-void HdcModel::similarities_into(const EncodedBatch& h, float* out,
+void HdcModel::similarities_into(const EncodedRows& h, float* out,
                                  const core::ExecutionContext& exec) const {
   assert(h.dims() == dims());
   if (h.rows() == 0) return;
@@ -62,47 +59,12 @@ void HdcModel::similarities_into(const EncodedBatch& h, float* out,
     class_norms[c] = core::norm2(classes_.row(c));
   }
   // Tile-internal blocking: each worker streams its row range through the
-  // register-blocked tile kernel in chunks small enough that the chunk's
-  // rows stay L2-resident for the norm pass right after the kernel pass
-  // (and the class-vector block stays cache-resident throughout); the
+  // register-blocked gather tile kernel in chunks small enough that the
+  // chunk's rows stay L2-resident for the norm pass right after the kernel
+  // pass (and the class-vector block stays cache-resident throughout); the
   // chunk size is derived from the machine's cache model, not hand-tuned.
   // The kernel's per-dot accumulation equals dot_f32's, so cosine_from_dot
   // on the raw dots reproduces similarities() bit-for-bit.
-  const std::size_t tile_rows = exec.score_block_rows(D);
-  const core::Kernels& k = exec.kernels();
-  const auto body = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t t = begin; t < end; t += tile_rows) {
-      const std::size_t rows = std::min(tile_rows, end - t);
-      float* block = out + t * C;
-      k.similarities_tile_f32(h.row(t).data(), rows, classes_.data(), C, D,
-                              block);
-      for (std::size_t r = 0; r < rows; ++r) {
-        const float hn = core::norm2(h.row(t + r));
-        for (std::size_t c = 0; c < C; ++c) {
-          float& s = block[r * C + c];
-          s = cosine_from_dot(s, hn, class_norms[c]);
-        }
-      }
-    }
-  };
-  exec.parallel_for(h.rows(), body, /*grain=*/32);
-}
-
-void HdcModel::similarities_into(const EncodedRows& h, float* out,
-                                 const core::ExecutionContext& exec) const {
-  assert(h.dims() == dims());
-  if (h.rows() == 0) return;
-  const std::size_t C = num_classes();
-  const std::size_t D = dims();
-  std::vector<float>& class_norms = ScoringWorkspace::tl().class_norms;
-  class_norms.resize(C);
-  for (std::size_t c = 0; c < C; ++c) {
-    class_norms[c] = core::norm2(classes_.row(c));
-  }
-  // Mirror of the contiguous overload with the gather tile kernel reading
-  // rows through the pointer table; per-row norms read through the same
-  // table, so every output entry is bit-identical to the contiguous path
-  // over the same row bytes.
   const std::size_t tile_rows = exec.score_block_rows(D);
   const core::Kernels& k = exec.kernels();
   const float* const* rows_tbl = h.row_ptrs();

@@ -60,37 +60,24 @@ class HdcModel {
                     std::span<float> scores) const noexcept;
 
   /// Row-wise similarities of a whole encoded batch: `scores` is resized to
-  /// h.rows() x num_classes(). Class norms are computed once, rows stream
-  /// through the register-blocked similarities_tile_f32 kernel in
-  /// cache-derived chunks (ExecutionContext::score_block_rows; class
-  /// vectors stay resident), and the sample range splits across the
-  /// context's pool. Each output row is bit-identical to a similarities()
-  /// call on that row, for any tile split or thread count.
+  /// h.rows() x num_classes(). The rows become a one-pointer-per-row table
+  /// in this thread's ScoringWorkspace (f32_rows) and are scored by
+  /// similarities_into — the one batch scorer.
   void similarities_batch(const core::Matrix& h, core::Matrix& scores,
                           const core::ExecutionContext& exec =
                               core::ExecutionContext::serial()) const;
 
-  /// Stage-2 entry of the serving pipeline: the same scoring over an
-  /// EncodedBatch view (however its rows were produced — fresh encode,
-  /// cache replay, or a planner sub-slice).
-  void similarities_batch(const EncodedBatch& h, core::Matrix& scores,
-                          const core::ExecutionContext& exec =
-                              core::ExecutionContext::serial()) const;
-
-  /// Scoring into caller-owned storage: writes h.rows() x num_classes()
-  /// floats row-major at `out`. This is what lets the staged scores_batch
-  /// drivers score one sub-batch directly into its row range of the full
-  /// output matrix, with no per-sub-batch resize or copy.
-  void similarities_into(const EncodedBatch& h, float* out,
-                         const core::ExecutionContext& exec =
-                             core::ExecutionContext::serial()) const;
-
-  /// Zero-copy stage-2 entry: the same scoring over an INDIRECT row view
-  /// (rows borrowed from the encode cache ring, staging rows, any mix),
-  /// streamed through the gather tile kernel. Bit-identical to the
-  /// contiguous overload over the same row bytes — the gather kernels
-  /// share the contiguous kernels' register-blocked inner body per
-  /// backend.
+  /// The batch scorer (stage 2 of the serving pipeline): writes
+  /// h.rows() x num_classes() floats row-major at `out`, caller-owned
+  /// storage, so the staged scores_batch paths score one sub-batch
+  /// straight into its row range of the full output matrix. Rows are read
+  /// through the view's pointer table (borrowed cache-ring rows, staging
+  /// rows, any mix). Class norms are computed once, rows stream through the
+  /// register-blocked similarities_tile_f32_gather kernel in cache-derived
+  /// chunks (ExecutionContext::score_block_rows; class vectors stay
+  /// resident), and the row range splits across the context's pool. Each
+  /// output row is bit-identical to a similarities() call on that row, for
+  /// any tile split or thread count.
   void similarities_into(const EncodedRows& h, float* out,
                          const core::ExecutionContext& exec =
                              core::ExecutionContext::serial()) const;

@@ -129,7 +129,7 @@ void QuantizedHdcModel::pack_row(std::span<const float> h,
 }
 
 void QuantizedHdcModel::similarities_packed(
-    const PackedBatch& h, float* out,
+    const PackedRows& h, float* out,
     const core::ExecutionContext& exec) const {
   assert(bits_ <= 8);
   assert(h.bits() == bits_);
@@ -144,6 +144,7 @@ void QuantizedHdcModel::similarities_packed(
     // editors must resync(), like level_classes() editors always had to).
     const std::size_t words = h.words();
     assert(classes_1b_.size() == classes * words);
+    const std::uint64_t* const* rows_tbl = h.word_row_ptrs();
     exec.parallel_for(
         h.rows(),
         [&](std::size_t begin, std::size_t end) {
@@ -155,92 +156,13 @@ void QuantizedHdcModel::similarities_packed(
           }
           for (std::size_t t = begin; t < end; t += tile_rows) {
             const std::size_t rows = std::min(tile_rows, end - t);
-            k.hamming_tile_1b(h.word_row(t), rows, classes_1b_.data(),
-                              classes, words, ham.data());
-            for (std::size_t r = 0; r < rows; ++r) {
-              float* dst = out + (t + r) * classes;
-              for (std::size_t c = 0; c < classes; ++c) {
-                // Exactly cosine_bipolar(): dot = D - 2 * hamming, exact
-                // in int64, divided by D in float.
-                const std::int64_t dot =
-                    static_cast<std::int64_t>(dims_) -
-                    2 * static_cast<std::int64_t>(ham[r * classes + c]);
-                dst[c] =
-                    static_cast<float>(dot) / static_cast<float>(dims_);
-              }
-            }
-          }
-        },
-        /*grain=*/32);
-    return;
-  }
-  exec.parallel_for(
-      h.rows(),
-      [&](std::size_t begin, std::size_t end) {
-        std::vector<std::int64_t>& dots = ScoringWorkspace::tl().dot_tile;
-        if (dots.size() < tile_rows * classes) {
-          dots.resize(tile_rows * classes);
-        }
-        for (std::size_t t = begin; t < end; t += tile_rows) {
-          const std::size_t rows = std::min(tile_rows, end - t);
-          k.similarities_tile_i8(h.i8_row(t), rows, classes_i8_.data(),
-                                 classes, dims_, dots.data());
-          for (std::size_t r = 0; r < rows; ++r) {
-            // The query's sum of squared levels is an exact integer
-            // (<= D * 127^2, far inside double's mantissa), recomputed
-            // from the packed row itself — the same value similarities()
-            // accumulates on the float detour, in any summation order.
-            const double qn = static_cast<double>(k.quantized_dot_i8(
-                h.i8_row(t + r), h.i8_row(t + r), dims_));
-            float* dst = out + (t + r) * classes;
-            for (std::size_t c = 0; c < classes; ++c) {
-              if (qn == 0.0 || level_sumsq_[c] == 0.0) {
-                dst[c] = 0.0f;
-                continue;
-              }
-              const double dot =
-                  static_cast<double>(dots[r * classes + c]);
-              dst[c] = static_cast<float>(
-                  dot / (std::sqrt(qn) * std::sqrt(level_sumsq_[c])));
-            }
-          }
-        }
-      },
-      /*grain=*/32);
-}
-
-void QuantizedHdcModel::similarities_packed(
-    const PackedRows& h, float* out,
-    const core::ExecutionContext& exec) const {
-  assert(bits_ <= 8);
-  assert(h.bits() == bits_);
-  assert(h.dims() == dims_);
-  const std::size_t classes = num_classes();
-  if (h.rows() == 0 || classes == 0) return;
-  const core::Kernels& k = exec.kernels();
-  const std::size_t tile_rows = exec.score_block_rows(dims_);
-  // Mirror of the contiguous overload with the gather tile kernels reading
-  // rows through the pointer table; the query-norm dots read through the
-  // same table, so every score is bit-identical to the contiguous path
-  // over the same row bytes.
-  if (bits_ == 1) {
-    const std::size_t words = h.words();
-    assert(classes_1b_.size() == classes * words);
-    const std::uint64_t* const* rows_tbl = h.word_row_ptrs();
-    exec.parallel_for(
-        h.rows(),
-        [&](std::size_t begin, std::size_t end) {
-          std::vector<std::uint32_t>& ham = ScoringWorkspace::tl().ham_tile;
-          if (ham.size() < tile_rows * classes) {
-            ham.resize(tile_rows * classes);
-          }
-          for (std::size_t t = begin; t < end; t += tile_rows) {
-            const std::size_t rows = std::min(tile_rows, end - t);
             k.hamming_tile_1b_gather(rows_tbl + t, rows, classes_1b_.data(),
                                      classes, words, ham.data());
             for (std::size_t r = 0; r < rows; ++r) {
               float* dst = out + (t + r) * classes;
               for (std::size_t c = 0; c < classes; ++c) {
+                // Exactly cosine_bipolar(): dot = D - 2 * hamming, exact
+                // in int64, divided by D in float.
                 const std::int64_t dot =
                     static_cast<std::int64_t>(dims_) -
                     2 * static_cast<std::int64_t>(ham[r * classes + c]);
@@ -267,6 +189,10 @@ void QuantizedHdcModel::similarities_packed(
                                         classes_i8_.data(), classes, dims_,
                                         dots.data());
           for (std::size_t r = 0; r < rows; ++r) {
+            // The query's sum of squared levels is an exact integer
+            // (<= D * 127^2, far inside double's mantissa), recomputed
+            // from the packed row itself — the same value similarities()
+            // accumulates on the float detour, in any summation order.
             const double qn = static_cast<double>(k.quantized_dot_i8(
                 rows_tbl[t + r], rows_tbl[t + r], dims_));
             float* dst = out + (t + r) * classes;
@@ -341,20 +267,6 @@ std::size_t QuantizedCyberHd::preferred_batch_rows(
   return exec_.plan_serving(model_.dims()).batch_rows;
 }
 
-void QuantizedCyberHd::scores_encoded(const EncodedBatch& h,
-                                      core::Matrix& out) const {
-  assert(h.dims() == model_.dims());
-  out.resize(h.rows(), model_.num_classes());
-  exec_.parallel_for(
-      h.rows(),
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          model_.similarities(h.row(i), out.row(i));
-        }
-      },
-      /*grain=*/32);
-}
-
 void QuantizedCyberHd::encode_tile_packed(const core::Matrix& x,
                                           std::size_t begin, std::size_t end,
                                           unsigned char* dst,
@@ -393,58 +305,6 @@ void QuantizedCyberHd::encode_tile_packed(const core::Matrix& x,
       /*grain=*/plan.flow_rows);
 }
 
-void QuantizedCyberHd::encode_packed_misses(const core::Matrix& x,
-                                            std::size_t begin,
-                                            std::span<const std::size_t> rows,
-                                            unsigned char* o,
-                                            std::size_t o_stride,
-                                            ScoringWorkspace& ws) const {
-  // Batched miss path: gather the lookup's misses into one contiguous
-  // block, run them through the fused tile-encode-and-pack, scatter the
-  // packed rows (a packed_row_bytes memcpy each) to their slots. The
-  // gather block and the packed block live in the workspace — grown once,
-  // reused every flush.
-  const std::size_t k = rows.size();
-  const std::size_t row_bytes = model_.packed_row_bytes();
-  ws.miss_raw.resize(k, x.cols());
-  for (std::size_t j = 0; j < k; ++j) {
-    const auto src = x.row(begin + rows[j]);
-    std::copy(src.begin(), src.end(), ws.miss_raw.row(j).begin());
-  }
-  if (ws.miss_packed.size() < k * row_bytes) {
-    ws.miss_packed.resize(k * row_bytes);
-  }
-  encode_tile_packed(ws.miss_raw, 0, k, ws.miss_packed.data(), row_bytes);
-  for (std::size_t j = 0; j < k; ++j) {
-    std::memcpy(o + rows[j] * o_stride, ws.miss_packed.data() + j * row_bytes,
-                row_bytes);
-  }
-}
-
-PackedBatch QuantizedCyberHd::encode_block_packed(
-    const core::Matrix& x, std::size_t begin, std::size_t end,
-    PackedStaging& staging) const {
-  assert(model_.bits() <= 8);
-  const std::size_t m = end - begin;
-  const std::size_t dims = model_.dims();
-  const int bits = model_.bits();
-  unsigned char* out = staging.prepare(m, dims, bits);
-  const std::size_t row_bytes = model_.packed_row_bytes();
-  if (encode_cache_ != nullptr) {
-    ScoringWorkspace& ws = ScoringWorkspace::tl();
-    encode_cache_->encode_entries(
-        x, begin, end, out, row_bytes,
-        [&](std::span<const std::size_t> rows, unsigned char* o,
-            std::size_t o_stride) {
-          encode_packed_misses(x, begin, rows, o, o_stride, ws);
-        },
-        exec_);
-  } else {
-    encode_tile_packed(x, begin, end, out, row_bytes);
-  }
-  return staging.view(m, dims, bits);
-}
-
 PackedRows QuantizedCyberHd::encode_block_packed_borrowed(
     const core::Matrix& x, std::size_t begin, std::size_t end,
     PackedStaging& staging, ScoringWorkspace& ws) const {
@@ -455,11 +315,30 @@ PackedRows QuantizedCyberHd::encode_block_packed_borrowed(
   unsigned char* out = staging.prepare(m, dims, bits);
   const std::size_t row_bytes = model_.packed_row_bytes();
   if (encode_cache_ != nullptr) {
+    // Batched miss path: gather the lookup's misses into one contiguous
+    // block, run them through the fused tile-encode-and-pack, scatter the
+    // packed rows (a row_bytes memcpy each) to their staging slots. The
+    // gather block and the packed block live in the workspace — grown
+    // once, reused every flush.
     encode_cache_->encode_entries_borrowed(
         x, begin, end, out, row_bytes,
         [&](std::span<const std::size_t> rows, unsigned char* o,
             std::size_t o_stride) {
-          encode_packed_misses(x, begin, rows, o, o_stride, ws);
+          const std::size_t k = rows.size();
+          ws.miss_raw.resize(k, x.cols());
+          for (std::size_t j = 0; j < k; ++j) {
+            const auto src = x.row(begin + rows[j]);
+            std::copy(src.begin(), src.end(), ws.miss_raw.row(j).begin());
+          }
+          if (ws.miss_packed.size() < k * row_bytes) {
+            ws.miss_packed.resize(k * row_bytes);
+          }
+          encode_tile_packed(ws.miss_raw, 0, k, ws.miss_packed.data(),
+                             row_bytes);
+          for (std::size_t j = 0; j < k; ++j) {
+            std::memcpy(o + rows[j] * o_stride,
+                        ws.miss_packed.data() + j * row_bytes, row_bytes);
+          }
         },
         ws, exec_);
   } else {
@@ -487,49 +366,40 @@ PackedRows QuantizedCyberHd::encode_block_packed_borrowed(
   return PackedRows(ws.i8_rows.data(), m, dims, bits);
 }
 
-void QuantizedCyberHd::scores_encoded(const PackedBatch& h,
-                                      core::Matrix& out) const {
-  assert(h.dims() == model_.dims());
-  assert(h.bits() == model_.bits());
-  out.resize(h.rows(), model_.num_classes());
-  if (h.rows() == 0) return;
-  model_.similarities_packed(h, out.row(0).data(), exec_);
-}
-
 void QuantizedCyberHd::scores_block(const core::Matrix& x,
                                     std::size_t begin, std::size_t end,
                                     core::Matrix& out) const {
   const std::size_t m = end - begin;
   if (m == 0) return;
+  // Staging buffers are thread_local so the block loop reuses one
+  // allocation per calling thread; the pins stage 1 takes are released
+  // however this scope exits.
+  ScoringWorkspace& ws = ScoringWorkspace::tl();
+  const BorrowRelease release(ws.borrow);
   if (model_.bits() <= 8) {
     // Quantized end to end, zero-copy: stage 1 packs each row at encode
     // time, PINS cache hits in the ring instead of memcpying them out,
     // and encodes only the misses into the thread-local staging; stage 2
     // streams the resulting row-pointer view through the gather tile
     // kernels. No float row crosses the stage boundary, no hit byte is
-    // copied, and every score is bit-identical to the re-quantize path
-    // below.
+    // copied, and every score is bit-identical to scores() on its row.
     thread_local PackedStaging staging;
-    ScoringWorkspace& ws = ScoringWorkspace::tl();
     const PackedRows packed =
         encode_block_packed_borrowed(x, begin, end, staging, ws);
     model_.similarities_packed(packed, out.row(begin).data(), exec_);
-    ws.borrow.release();
     return;
   }
-  // bits 16/32 keep the float pipeline: cached float encode, then per-row
-  // quantize-and-score. Staging is thread_local so the block loop reuses
-  // one allocation per calling thread.
+  // bits 16/32: the shared float stage 1 (hits borrowed from the float
+  // cache ring), then per-row quantize-and-score straight from the
+  // pointer table.
   thread_local core::Matrix staging;
-  const EncodedBatch encoded =
-      encode_block_cached(*encoder_, encode_cache_.get(), x, begin, end,
-                          staging, exec_);
-  // Stage 2: quantized scoring of the view into the block's output rows.
+  const EncodedRows rows = encode_block_cached(
+      *encoder_, encode_cache_.get(), x, begin, end, staging, ws, exec_);
   exec_.parallel_for(
       m,
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
-          model_.similarities(encoded.row(i), out.row(begin + i));
+          model_.similarities(rows.row(i), out.row(begin + i));
         }
       },
       /*grain=*/32);

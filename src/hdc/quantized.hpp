@@ -55,32 +55,27 @@ class QuantizedHdcModel {
   // -- packed-domain batch scoring (bits <= 8) -------------------------------
   // The serving pipeline quantizes each row ONCE at encode time (pack_row)
   // and scores whole packed tiles against the class block through the
-  // integer tile kernels — no float detour, 1-8 bits moved per dimension.
-  // Row for row bit-identical to quantize-then-similarities(): the tile
-  // dots are exact integers on every backend and the final cosine
-  // expression is the same.
+  // integer gather tile kernels — no float detour, 1-8 bits moved per
+  // dimension. Row for row bit-identical to quantize-then-similarities():
+  // the tile dots are exact integers on every backend and the final
+  // cosine expression is the same.
 
-  /// Bytes one packed query row occupies (PackedBatch::row_bytes at this
+  /// Bytes one packed query row occupies (PackedRows::row_bytes at this
   /// model's width). Only meaningful when bits() <= 8.
   std::size_t packed_row_bytes() const noexcept {
-    return PackedBatch::row_bytes(dims_, bits_);
+    return PackedRows::row_bytes(dims_, bits_);
   }
   /// Quantize a float-encoded query into its packed form: dims() int8
   /// levels (bits 2..8) or ceil(dims/64) packed sign words (bits == 1),
   /// written to `dst` (packed_row_bytes() bytes). Thread-safe.
   /// Precondition: bits() <= 8.
   void pack_row(std::span<const float> h, unsigned char* dst) const;
-  /// Quantized-domain cosine scores of a packed tile: writes
-  /// h.rows() x num_classes() floats to `out` (row-major, stride
-  /// num_classes()), split across `exec`'s pool. Thread-safe.
-  /// Preconditions: bits() <= 8, h.bits() == bits(), h.dims() == dims().
-  void similarities_packed(const PackedBatch& h, float* out,
-                           const core::ExecutionContext& exec) const;
-  /// Zero-copy sibling: the same scoring over an INDIRECT packed row view
-  /// (rows borrowed from the encode cache ring, staging rows, any mix),
-  /// streamed through the gather tile kernels. Bit-identical to the
-  /// contiguous overload over the same row bytes — the gather kernels
-  /// share the contiguous kernels' register-blocked inner body.
+  /// Quantized-domain cosine scores of packed rows read through the view's
+  /// pointer table (rows borrowed from the encode cache ring, staging
+  /// rows, any mix): writes h.rows() x num_classes() floats to `out`
+  /// (row-major, stride num_classes()), split across `exec`'s pool.
+  /// Thread-safe. Preconditions: bits() <= 8, h.bits() == bits(),
+  /// h.dims() == dims().
   void similarities_packed(const PackedRows& h, float* out,
                            const core::ExecutionContext& exec) const;
 
@@ -122,15 +117,15 @@ class QuantizedHdcModel {
   std::vector<core::PackedBits> packed_;        // bits == 1
   std::vector<core::QuantizedVector> levels_;   // bits > 1
   // Scoring caches for bits in {2, 4, 8}: class levels mirrored as ONE
-  // contiguous num_classes x dims int8 block (the layout the
-  // similarities_tile_i8 kernel streams), plus each class's sum of squared
-  // levels (exact integers held in double, matching cosine_quantized()'s
-  // accumulator).
+  // contiguous num_classes x dims int8 block (the class layout the
+  // similarities_tile_i8_gather kernel streams), plus each class's sum of
+  // squared levels (exact integers held in double, matching
+  // cosine_quantized()'s accumulator).
   std::vector<std::int8_t, core::AlignedAllocator<std::int8_t>> classes_i8_;
   std::vector<double> level_sumsq_;
   // Scoring cache for bits == 1: the packed class words gathered into ONE
-  // contiguous num_classes x words block (the layout hamming_tile_1b
-  // streams), rebuilt by resync().
+  // contiguous num_classes x words block (the layout
+  // hamming_tile_1b_gather streams), rebuilt by resync().
   std::vector<std::uint64_t, core::AlignedAllocator<std::uint64_t>>
       classes_1b_;
 };
@@ -160,8 +155,10 @@ class QuantizedCyberHd final : public core::Classifier {
   // For bits <= 8 the pipeline is QUANTIZED END TO END: stage 1 encodes a
   // row once and immediately packs it (int8 levels, or sign words at
   // bits == 1), the encode cache stores the packed entry, and stage 2
-  // scores packed tiles through the integer tile kernels — floats never
-  // round-trip between the stages. bits 16/32 keep the float pipeline.
+  // scores the PackedRows view through the integer gather tile kernels —
+  // floats never round-trip between the stages. bits 16/32 share
+  // CyberHdClassifier's float stage 1 (encode_block_cached) and quantize
+  // each row straight from its EncodedRows pointer table.
 
   /// Sub-batch size of the staged scores_batch driver: the execution
   /// context's L3-aware serving plan over the PACKED row size when
@@ -169,24 +166,19 @@ class QuantizedCyberHd final : public core::Classifier {
   /// budget), over the float row size otherwise.
   std::size_t preferred_batch_rows(const core::Matrix& x) const override;
   /// One planned block: cached encode of rows [begin, end), then
-  /// quantized scoring of the packed (bits <= 8) or float view into the
-  /// block's rows of `out`, split across the execution context's pool.
+  /// quantized scoring of the packed (bits <= 8) or float row view into
+  /// the block's rows of `out`, split across the execution context's pool.
   /// predict_batch (from core::Classifier) rides the same driver.
   void scores_block(const core::Matrix& x, std::size_t begin,
                     std::size_t end, core::Matrix& out) const override;
-  /// Stage 1 alone (bits <= 8): encode rows [begin, end) of `x` straight
-  /// into packed form — through the packed encode cache when armed —
-  /// staged in `staging`. The returned view borrows `staging`'s bytes.
-  PackedBatch encode_block_packed(const core::Matrix& x, std::size_t begin,
-                                  std::size_t end,
-                                  PackedStaging& staging) const;
-  /// Zero-copy stage 1 (bits <= 8): like encode_block_packed, but cache
-  /// hits are BORROWED (pinned in the ring, no memcpy out) and only misses
-  /// land in `staging`. The returned indirect view routes each row to its
-  /// ring slot or staging offset through `ws`'s pointer tables; the caller
-  /// must release ws.borrow after stage 2 consumes the rows. With the
-  /// cache disabled every row encodes into `staging` and no pins are
-  /// taken — the view is still valid and ws.borrow is empty.
+  /// Packed stage 1 (bits <= 8): encode rows [begin, end) of `x` straight
+  /// into packed form. Cache hits are BORROWED (pinned in the ring, no
+  /// memcpy out) and only misses land in `staging`. The returned view
+  /// routes each row to its ring slot or staging offset through `ws`'s
+  /// pointer tables; the caller must release ws.borrow after stage 2
+  /// consumes the rows. With the cache disabled every row encodes into
+  /// `staging` and no pins are taken — the view is still valid and
+  /// ws.borrow is empty.
   PackedRows encode_block_packed_borrowed(const core::Matrix& x,
                                           std::size_t begin, std::size_t end,
                                           PackedStaging& staging,
@@ -198,20 +190,11 @@ class QuantizedCyberHd final : public core::Classifier {
   /// dst + i * dst_stride (packed_row_bytes() bytes each) — no
   /// batch-sized float staging matrix ever exists. Same quantize
   /// expression as pack_row, so the packed bytes are bit-identical to
-  /// encode-then-pack. Both encode_block_packed paths (cache miss batch,
-  /// cache off) ride this.
+  /// encode-then-pack. Both packed stage-1 paths (cache miss batch, cache
+  /// off) ride this.
   void encode_tile_packed(const core::Matrix& x, std::size_t begin,
                           std::size_t end, unsigned char* dst,
                           std::size_t dst_stride) const;
-  /// Stage 2 alone: quantized-domain scores of an already-encoded float
-  /// view (the query rows are re-quantized per row); `out` is resized to
-  /// h.rows() x num_classes().
-  void scores_encoded(const EncodedBatch& h, core::Matrix& out) const;
-  /// Stage 2 alone, packed domain (bits <= 8): scores of an
-  /// encode_block_packed view, no float detour; `out` is resized to
-  /// h.rows() x num_classes(). Bit-identical to the float overload over
-  /// the same rows.
-  void scores_encoded(const PackedBatch& h, core::Matrix& out) const;
 
   /// Resize the serving encode cache (0 disables; `shards` = 0 picks the
   /// CYBERHD_CACHE_SHARDS / topology default). The constructor installs
@@ -231,15 +214,6 @@ class QuantizedCyberHd final : public core::Classifier {
   const QuantizedHdcModel& model() const noexcept { return model_; }
 
  private:
-  /// Shared miss half of both encode_block_packed drivers: gather the
-  /// cache lookup's miss rows into the workspace's raw block, run them
-  /// through the fused tile-encode-and-pack, scatter the packed rows to
-  /// their batch offsets in `o`.
-  void encode_packed_misses(const core::Matrix& x, std::size_t begin,
-                            std::span<const std::size_t> rows,
-                            unsigned char* o, std::size_t o_stride,
-                            ScoringWorkspace& ws) const;
-
   std::unique_ptr<Encoder> encoder_;
   QuantizedHdcModel model_;
   core::ExecutionContext exec_;

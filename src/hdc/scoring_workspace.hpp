@@ -14,16 +14,16 @@
 // policy means the steady state touches no allocator at all (a test pins
 // this with a counting operator new).
 //
-// BorrowGuard is the other half of zero-copy hits: instead of memcpying a
-// hit entry out of the cache ring, the borrow-mode drivers PIN the slot
-// (a per-slot pin count, mutated only under the shard mutex) and record a
-// stable pointer into the ring storage. Ring eviction skips pinned slots,
-// and ring storage never reallocates after its lazy ensure_storage, so the
-// pointer stays valid until the guard releases — which the drivers do
-// right after stage 2 consumes the scores. The guard is deliberately
-// non-copyable and tied to one cache at a time; release() is idempotent
-// and batches unpins per shard so a flush's worth of pins costs one lock
-// round per shard, not per row.
+// BorrowGuard is the other half of zero-copy hits: the cache's stage 1
+// (EncodeCache::encode_entries_borrowed) PINS each hit's slot (a per-slot
+// pin count, mutated only under the shard mutex) and records a stable
+// pointer into the ring storage. Ring eviction skips pinned slots, and
+// ring storage never reallocates after its lazy ensure_storage, so the
+// pointer stays valid until the guard releases — which the scorers make
+// happen when the flush's scope exits, normally or by a throw
+// (BorrowRelease). The guard is deliberately non-copyable and tied to one
+// cache at a time; release() is idempotent and batches unpins per shard
+// so a flush's worth of pins costs one lock round per shard, not per row.
 #pragma once
 
 #include <algorithm>
@@ -37,9 +37,12 @@ namespace cyberhd::hdc {
 
 class EncodeCache;
 
-/// RAII set of pinned cache slots. Filled by the borrow-mode cache
-/// drivers; released (unpinning every slot) explicitly after scoring, or
-/// at destruction as a backstop. Never holds pins across flushes.
+/// RAII set of pinned cache slots. Filled by the cache's stage 1;
+/// released (unpinning every slot) when the flush that took the pins ends.
+/// Its destructor unpins too, but the per-thread workspace that owns the
+/// serving path's guard lives until thread exit — so a flush must not
+/// rely on it, on the unwind path least of all (see BorrowRelease). Never
+/// holds pins across flushes.
 class BorrowGuard {
  public:
   BorrowGuard() = default;
@@ -64,13 +67,29 @@ class BorrowGuard {
   std::vector<Pin> pins_;  // shard-grouped (probe walks shard by shard)
 };
 
+/// Releases a BorrowGuard when the enclosing scope exits, normally or by a
+/// throw. Each scorer holds one across its stage 1 and stage 2, so a
+/// failing miss encode or scoring pass cannot leave pins behind in the
+/// thread's long-lived workspace (serve::Server catches the failure and
+/// keeps serving; a later cache teardown must not find stale pins).
+class BorrowRelease {
+ public:
+  explicit BorrowRelease(BorrowGuard& guard) noexcept : guard_(guard) {}
+  BorrowRelease(const BorrowRelease&) = delete;
+  BorrowRelease& operator=(const BorrowRelease&) = delete;
+  ~BorrowRelease() { guard_.release(); }
+
+ private:
+  BorrowGuard& guard_;
+};
+
 /// Per-thread scratch for the serving hot path. Every member grows
 /// monotonically and is reused across flushes; none carries state between
 /// calls (each driver overwrites what it reads). Distinct pipeline stages
 /// use distinct members, so one flush may touch all of them without
 /// aliasing.
 struct ScoringWorkspace {
-  // --- cache routing (EncodeCache::encode_entries) -----------------------
+  // --- cache routing (EncodeCache::encode_entries_borrowed) --------------
   std::vector<std::uint64_t> hashes;        // per batch row
   std::vector<std::uint32_t> shard_of_row;  // per batch row
   // Counting-sort bucketing of batch rows by shard (replaces the old
@@ -151,8 +170,9 @@ struct ScoringWorkspace {
 
   // --- zero-copy row tables ---------------------------------------------
   // Per batch row: where its encoded entry lives (borrowed ring slot or
-  // staging row). entry_ptrs is what the borrow-mode cache driver fills;
-  // the typed tables are what the gather kernels consume.
+  // staging row). entry_ptrs is what the cache's stage 1 fills; the typed
+  // tables are what the gather kernels consume (f32_rows also carries
+  // HdcModel::similarities_batch's one-pointer-per-row table).
   std::vector<const unsigned char*> entry_ptrs;
   std::vector<const float*> f32_rows;
   std::vector<const std::int8_t*> i8_rows;
@@ -171,9 +191,9 @@ struct ScoringWorkspace {
   std::vector<std::uint32_t> ham_tile;
   std::vector<std::int64_t> dot_tile;
 
-  // --- miss gather scratch (packed pipeline) ----------------------------
+  // --- miss gather scratch (the batched miss encodes) ------------------
   core::Matrix miss_raw;  // gathered raw miss rows
-  core::Matrix miss_enc;  // their float encodings before quantization
+  core::Matrix miss_enc;  // their float encodings (float pipeline)
   std::vector<unsigned char, core::AlignedAllocator<unsigned char>>
       miss_packed;  // their packed entries
 

@@ -59,8 +59,6 @@ TEST(KernelDispatch, ActiveBackendIsAlwaysValid) {
   ASSERT_NE(k.cos_rbf_tile_f32, nullptr);
   ASSERT_NE(k.xor_popcount_words, nullptr);
   ASSERT_NE(k.quantized_dot_i8, nullptr);
-  ASSERT_NE(k.similarities_tile_i8, nullptr);
-  ASSERT_NE(k.hamming_tile_1b, nullptr);
   ASSERT_NE(k.similarities_tile_f32_gather, nullptr);
   ASSERT_NE(k.similarities_tile_i8_gather, nullptr);
   ASSERT_NE(k.hamming_tile_1b_gather, nullptr);
@@ -168,124 +166,11 @@ TEST(KernelParity, QuantizedDotI8BitExact) {
             avx2->quantized_dot_i8(a.data(), b.data(), big));
 }
 
-// ---- the integer tile kernels (packed quantized serving) -------------------
-
-/// Every backend's int8 tile must reproduce the scalar per-pair
-/// quantized_dot_i8 bit-for-bit — all the math is exact integer, so unlike
-/// the float tile there is no rounding latitude, on any backend including
-/// the VNNI kernel when the avx512 table carries it. Rows straddle the
-/// 4-row register block, dims the 16- and 64-lane vector widths and tails.
-TEST(KernelTile, SimilaritiesTileI8MatchesPerPairDotExactly) {
-  std::vector<const core::Kernels*> backends = {&core::scalar_kernels()};
-  if (const core::Kernels* avx2 = runnable_avx2()) backends.push_back(avx2);
-  if (const core::Kernels* avx512 = runnable_avx512()) {
-    backends.push_back(avx512);
-  }
-  const core::Kernels& scalar = core::scalar_kernels();
-  core::Rng rng(21);
-  for (const core::Kernels* k : backends) {
-    for (std::size_t rows : {1u, 3u, 4u, 5u, 8u, 17u}) {
-      for (std::size_t classes : {1u, 2u, 3u, 10u}) {
-        for (std::size_t dims :
-             {1u, 15u, 16u, 17u, 63u, 64u, 65u, 100u, 118u, 512u}) {
-          std::vector<std::int8_t> h(rows * dims), cls(classes * dims);
-          for (auto& v : h) {
-            v = static_cast<std::int8_t>(rng.next_below(256));
-          }
-          for (auto& v : cls) {
-            v = static_cast<std::int8_t>(rng.next_below(256));
-          }
-          std::vector<std::int64_t> out(rows * classes, -1);
-          k->similarities_tile_i8(h.data(), rows, cls.data(), classes, dims,
-                                  out.data());
-          for (std::size_t r = 0; r < rows; ++r) {
-            for (std::size_t c = 0; c < classes; ++c) {
-              EXPECT_EQ(out[r * classes + c],
-                        scalar.quantized_dot_i8(h.data() + r * dims,
-                                                cls.data() + c * dims, dims))
-                  << k->name << " rows=" << rows << " classes=" << classes
-                  << " dims=" << dims << " r=" << r << " c=" << c;
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(KernelTile, SimilaritiesTileI8SaturatedAccumulatorChunks) {
-  // Saturated worst case across every backend's 32-bit accumulator chunk
-  // boundary (AVX2 caps at 32768 rounds of 16 lanes, VNNI at 8192 rounds
-  // of 64 — both 524288 dims), plus a ragged tail.
-  const std::size_t big = 64 * 8192 + 77;
-  const std::size_t rows = 5;
-  std::vector<std::int8_t> h(rows * big, 127);
-  std::vector<std::int8_t> cls(2 * big, 127);
-  for (std::size_t i = big; i < 2 * big; ++i) {
-    cls[i] = -128;
-  }
-  std::vector<const core::Kernels*> backends = {&core::scalar_kernels()};
-  if (const core::Kernels* avx2 = runnable_avx2()) backends.push_back(avx2);
-  if (const core::Kernels* avx512 = runnable_avx512()) {
-    backends.push_back(avx512);
-  }
-  const core::Kernels& scalar = core::scalar_kernels();
-  for (const core::Kernels* k : backends) {
-    std::vector<std::int64_t> out(rows * 2, 0);
-    k->similarities_tile_i8(h.data(), rows, cls.data(), 2, big, out.data());
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t c = 0; c < 2; ++c) {
-        EXPECT_EQ(out[r * 2 + c],
-                  scalar.quantized_dot_i8(h.data() + r * big,
-                                          cls.data() + c * big, big))
-            << k->name << " r=" << r << " c=" << c;
-      }
-    }
-  }
-}
-
-TEST(KernelTile, HammingTile1bMatchesPerPairPopcountExactly) {
-  std::vector<const core::Kernels*> backends = {&core::scalar_kernels()};
-  if (const core::Kernels* avx2 = runnable_avx2()) backends.push_back(avx2);
-  if (const core::Kernels* avx512 = runnable_avx512()) {
-    backends.push_back(avx512);
-  }
-  const core::Kernels& scalar = core::scalar_kernels();
-  core::Rng rng(23);
-  for (const core::Kernels* k : backends) {
-    for (std::size_t rows : {1u, 3u, 4u, 5u, 8u, 17u}) {
-      for (std::size_t classes : {1u, 2u, 3u, 10u}) {
-        for (std::size_t words : {1u, 2u, 7u, 8u, 9u, 31u, 64u, 257u}) {
-          std::vector<std::uint64_t> h(rows * words), cls(classes * words);
-          for (auto& w : h) w = rng.next_u64();
-          for (auto& w : cls) w = rng.next_u64();
-          std::vector<std::uint32_t> out(rows * classes, 0xffffffffu);
-          k->hamming_tile_1b(h.data(), rows, cls.data(), classes, words,
-                             out.data());
-          for (std::size_t r = 0; r < rows; ++r) {
-            for (std::size_t c = 0; c < classes; ++c) {
-              EXPECT_EQ(out[r * classes + c],
-                        static_cast<std::uint32_t>(scalar.xor_popcount_words(
-                            h.data() + r * words, cls.data() + c * words,
-                            words)))
-                  << k->name << " rows=" << rows << " classes=" << classes
-                  << " words=" << words << " r=" << r << " c=" << c;
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-// ---- gather (row-pointer) tile variants ------------------------------------
-// Each backend's gather kernel shares its contiguous sibling's
-// register-blocked inner body, so over the same row bytes the outputs must
-// be BIT-identical — floats included. The tables below shuffle the row
-// order ((r * 7 + 3) % rows is a permutation for every tested row count)
-// and compare against the contiguous kernel run on an equally shuffled
-// contiguous copy, so the test also proves the kernels follow arbitrary
-// pointer tables rather than assuming h + r * dims.
+// ---- gather (row-pointer) tile kernels -------------------------------------
+// Every batch scorer reads its rows through a pointer table. The tables
+// below shuffle the row order ((r * 7 + 3) % rows is a permutation for
+// every tested row count), so the tests also prove the kernels follow
+// arbitrary pointer tables rather than assuming h + r * dims.
 
 std::vector<const core::Kernels*> gather_backends() {
   std::vector<const core::Kernels*> backends = {&core::scalar_kernels()};
@@ -296,6 +181,10 @@ std::vector<const core::Kernels*> gather_backends() {
   return backends;
 }
 
+/// Each backend's float gather tile shares its contiguous sibling's
+/// register-blocked inner body, so over the same row bytes the outputs
+/// must be BIT-identical — compared against the contiguous kernel run on
+/// an equally shuffled contiguous copy.
 TEST(KernelGather, SimilaritiesTileF32GatherBitIdenticalToContiguous) {
   for (const core::Kernels* k : gather_backends()) {
     for (std::size_t rows : {1u, 3u, 4u, 5u, 8u, 17u}) {
@@ -328,37 +217,42 @@ TEST(KernelGather, SimilaritiesTileF32GatherBitIdenticalToContiguous) {
   }
 }
 
-TEST(KernelGather, SimilaritiesTileI8GatherBitIdenticalToContiguous) {
-  core::Rng rng(31);
+/// Every backend's int8 gather tile must reproduce the scalar per-pair
+/// quantized_dot_i8 bit-for-bit — all the math is exact integer, so unlike
+/// the float tile there is no rounding latitude, on any backend including
+/// the VNNI kernel when the avx512 table carries it. Rows straddle the
+/// 4-row register block, dims the 16- and 64-lane vector widths and tails,
+/// and levels cover the full int8 range.
+TEST(KernelGather, SimilaritiesTileI8GatherMatchesPerPairDotExactly) {
+  const core::Kernels& scalar = core::scalar_kernels();
+  core::Rng rng(21);
   for (const core::Kernels* k : gather_backends()) {
     for (std::size_t rows : {1u, 3u, 4u, 5u, 8u, 17u}) {
       for (std::size_t classes : {1u, 2u, 3u, 10u}) {
-        for (std::size_t dims : {1u, 7u, 16u, 65u, 130u, 1000u}) {
+        for (std::size_t dims : {1u, 7u, 15u, 16u, 17u, 63u, 64u, 65u, 100u,
+                                 118u, 130u, 512u, 1000u}) {
           std::vector<std::int8_t> h(rows * dims), cls(classes * dims);
           for (auto& v : h) {
-            v = static_cast<std::int8_t>(rng.next_u64() % 255) - 127;
+            v = static_cast<std::int8_t>(rng.next_below(256));
           }
           for (auto& v : cls) {
-            v = static_cast<std::int8_t>(rng.next_u64() % 255) - 127;
+            v = static_cast<std::int8_t>(rng.next_below(256));
           }
           std::vector<const std::int8_t*> tbl(rows);
-          std::vector<std::int8_t> shuffled(rows * dims);
           for (std::size_t r = 0; r < rows; ++r) {
-            const std::size_t src = (r * 7 + 3) % rows;
-            tbl[r] = h.data() + src * dims;
-            std::copy(tbl[r], tbl[r] + dims,
-                      shuffled.data() + r * dims);
+            tbl[r] = h.data() + ((r * 7 + 3) % rows) * dims;
           }
-          std::vector<std::int64_t> want(rows * classes),
-              got(rows * classes);
-          k->similarities_tile_i8(shuffled.data(), rows, cls.data(),
-                                  classes, dims, want.data());
+          std::vector<std::int64_t> out(rows * classes, -1);
           k->similarities_tile_i8_gather(tbl.data(), rows, cls.data(),
-                                         classes, dims, got.data());
-          for (std::size_t i = 0; i < want.size(); ++i) {
-            EXPECT_EQ(want[i], got[i])
-                << k->name << " rows=" << rows << " classes=" << classes
-                << " dims=" << dims << " i=" << i;
+                                         classes, dims, out.data());
+          for (std::size_t r = 0; r < rows; ++r) {
+            for (std::size_t c = 0; c < classes; ++c) {
+              EXPECT_EQ(out[r * classes + c],
+                        scalar.quantized_dot_i8(tbl[r], cls.data() + c * dims,
+                                                dims))
+                  << k->name << " rows=" << rows << " classes=" << classes
+                  << " dims=" << dims << " r=" << r << " c=" << c;
+            }
           }
         }
       }
@@ -366,33 +260,62 @@ TEST(KernelGather, SimilaritiesTileI8GatherBitIdenticalToContiguous) {
   }
 }
 
-TEST(KernelGather, HammingTile1bGatherBitIdenticalToContiguous) {
-  core::Rng rng(37);
+TEST(KernelTile, SimilaritiesTileI8SaturatedAccumulatorChunks) {
+  // Saturated worst case across every backend's 32-bit accumulator chunk
+  // boundary (AVX2 caps at 32768 rounds of 16 lanes, VNNI at 8192 rounds
+  // of 64 — both 524288 dims), plus a ragged tail. The rows go through an
+  // identity pointer table.
+  const std::size_t big = 64 * 8192 + 77;
+  const std::size_t rows = 5;
+  std::vector<std::int8_t> h(rows * big, 127);
+  std::vector<std::int8_t> cls(2 * big, 127);
+  for (std::size_t i = big; i < 2 * big; ++i) {
+    cls[i] = -128;
+  }
+  std::vector<const std::int8_t*> tbl(rows);
+  for (std::size_t r = 0; r < rows; ++r) tbl[r] = h.data() + r * big;
+  const core::Kernels& scalar = core::scalar_kernels();
+  for (const core::Kernels* k : gather_backends()) {
+    std::vector<std::int64_t> out(rows * 2, 0);
+    k->similarities_tile_i8_gather(tbl.data(), rows, cls.data(), 2, big,
+                                   out.data());
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < 2; ++c) {
+        EXPECT_EQ(out[r * 2 + c],
+                  scalar.quantized_dot_i8(tbl[r], cls.data() + c * big, big))
+            << k->name << " r=" << r << " c=" << c;
+      }
+    }
+  }
+}
+
+/// The 1-bit gather tile against the scalar per-pair XOR-popcount, exact on
+/// every backend (the VPOPCNTDQ kernel included where the CPU has it).
+TEST(KernelGather, HammingTile1bGatherMatchesPerPairPopcountExactly) {
+  const core::Kernels& scalar = core::scalar_kernels();
+  core::Rng rng(23);
   for (const core::Kernels* k : gather_backends()) {
     for (std::size_t rows : {1u, 3u, 4u, 5u, 8u, 17u}) {
       for (std::size_t classes : {1u, 2u, 3u, 10u}) {
-        for (std::size_t words : {1u, 2u, 7u, 9u, 31u, 64u}) {
+        for (std::size_t words : {1u, 2u, 7u, 8u, 9u, 31u, 64u, 257u}) {
           std::vector<std::uint64_t> h(rows * words), cls(classes * words);
           for (auto& w : h) w = rng.next_u64();
           for (auto& w : cls) w = rng.next_u64();
           std::vector<const std::uint64_t*> tbl(rows);
-          std::vector<std::uint64_t> shuffled(rows * words);
           for (std::size_t r = 0; r < rows; ++r) {
-            const std::size_t src = (r * 7 + 3) % rows;
-            tbl[r] = h.data() + src * words;
-            std::copy(tbl[r], tbl[r] + words,
-                      shuffled.data() + r * words);
+            tbl[r] = h.data() + ((r * 7 + 3) % rows) * words;
           }
-          std::vector<std::uint32_t> want(rows * classes),
-              got(rows * classes);
-          k->hamming_tile_1b(shuffled.data(), rows, cls.data(), classes,
-                             words, want.data());
+          std::vector<std::uint32_t> out(rows * classes, 0xffffffffu);
           k->hamming_tile_1b_gather(tbl.data(), rows, cls.data(), classes,
-                                    words, got.data());
-          for (std::size_t i = 0; i < want.size(); ++i) {
-            EXPECT_EQ(want[i], got[i])
-                << k->name << " rows=" << rows << " classes=" << classes
-                << " words=" << words << " i=" << i;
+                                    words, out.data());
+          for (std::size_t r = 0; r < rows; ++r) {
+            for (std::size_t c = 0; c < classes; ++c) {
+              EXPECT_EQ(out[r * classes + c],
+                        static_cast<std::uint32_t>(scalar.xor_popcount_words(
+                            tbl[r], cls.data() + c * words, words)))
+                  << k->name << " rows=" << rows << " classes=" << classes
+                  << " words=" << words << " r=" << r << " c=" << c;
+            }
           }
         }
       }
@@ -457,10 +380,10 @@ TEST(KernelParity, Avx512XorPopcountBitExact) {
 // ---- the blocked similarity tile -------------------------------------------
 
 /// Every backend's tile kernel must reproduce its own dot_f32 per (row,
-/// class) pair bit-for-bit — the contract HdcModel::similarities_batch and
-/// the minibatch trainer build their "batching never changes results"
-/// guarantee on. Row counts straddle the 4-row register block, dims the
-/// SIMD widths and tails.
+/// class) pair bit-for-bit — the contract the batch scorers (through the
+/// gather variant, bit-identical to this tile) and the minibatch trainer
+/// build their "batching never changes results" guarantee on. Row counts
+/// straddle the 4-row register block, dims the SIMD widths and tails.
 TEST(KernelTile, MatchesPerPairDotBitExactly) {
   std::vector<const core::Kernels*> backends = {&core::scalar_kernels()};
   if (const core::Kernels* avx2 = runnable_avx2()) backends.push_back(avx2);

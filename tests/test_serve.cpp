@@ -36,6 +36,7 @@
 #include "hdc/encode_cache.hpp"
 #include "hdc/encoder.hpp"
 #include "hdc/quantized.hpp"
+#include "hdc/scoring_workspace.hpp"
 #include "nids/datasets.hpp"
 #include "nids/preprocess.hpp"
 #include "serve/fault_injector.hpp"
@@ -1482,28 +1483,47 @@ struct CacheFixture {
   core::Matrix reference;
 };
 
+/// Rows of [begin, end) whose encoding, read through the pointer table
+/// the last encode_rows_borrowed call over that range left in
+/// ws.f32_rows, differs byte for byte from `reference`.
+std::size_t mismatched_rows(const hdc::ScoringWorkspace& ws,
+                            const core::Matrix& reference, std::size_t begin,
+                            std::size_t end) {
+  std::size_t bad = 0;
+  for (std::size_t i = begin; i < end; ++i) {
+    const auto want = reference.row(i);
+    if (std::memcmp(ws.f32_rows[i - begin], want.data(),
+                    want.size_bytes()) != 0) {
+      ++bad;
+    }
+  }
+  return bad;
+}
+
 TEST(ShardedEncodeCache, StatsSumAcrossShardsAndHitsAreExact) {
   CacheFixture f;
   hdc::EncodeCache cache(6, 32, 64, 8);
-  core::Matrix h(40, 32);
+  hdc::ScoringWorkspace ws;  // after the cache: destroyed first
+  core::Matrix staging;
   const core::ExecutionContext& exec = core::ExecutionContext::serial();
 
   // Cold pass: 32 distinct rows miss, 8 in-batch replays hit.
   const std::size_t cold_hits =
-      cache.encode_rows(f.encoder, f.x, 0, 40, h, exec);
+      cache.encode_rows_borrowed(f.encoder, f.x, 0, 40, staging, ws, exec);
   EXPECT_EQ(cold_hits, 8u);
-  EXPECT_EQ(h, f.reference);
+  EXPECT_EQ(mismatched_rows(ws, f.reference, 0, 40), 0u);
+  ws.borrow.release();
   hdc::EncodeCacheStats agg = cache.stats();
   EXPECT_EQ(agg.misses, 32u);
   EXPECT_EQ(agg.hits, 8u);
   EXPECT_EQ(cache.size(), 32u);
 
   // Warm pass: every row hits its shard.
-  core::Matrix h2(40, 32);
   const std::size_t warm_hits =
-      cache.encode_rows(f.encoder, f.x, 0, 40, h2, exec);
+      cache.encode_rows_borrowed(f.encoder, f.x, 0, 40, staging, ws, exec);
   EXPECT_EQ(warm_hits, 40u);
-  EXPECT_EQ(h2, f.reference);
+  EXPECT_EQ(mismatched_rows(ws, f.reference, 0, 40), 0u);
+  ws.borrow.release();
   agg = cache.stats();
   EXPECT_EQ(agg.misses, 32u);
   EXPECT_EQ(agg.hits, 48u);
@@ -1529,9 +1549,11 @@ TEST(ShardedEncodeCache, StatsSumAcrossShardsAndHitsAreExact) {
 TEST(ShardedEncodeCache, ClearCoversEveryShard) {
   CacheFixture f;
   hdc::EncodeCache cache(6, 32, 64, 8);
-  core::Matrix h(40, 32);
+  hdc::ScoringWorkspace ws;
+  core::Matrix staging;
   const core::ExecutionContext& exec = core::ExecutionContext::serial();
-  cache.encode_rows(f.encoder, f.x, 0, 40, h, exec);
+  cache.encode_rows_borrowed(f.encoder, f.x, 0, 40, staging, ws, exec);
+  ws.borrow.release();
   EXPECT_GT(cache.size(), 0u);
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
@@ -1542,9 +1564,9 @@ TEST(ShardedEncodeCache, ClearCoversEveryShard) {
     EXPECT_EQ(ss.evictions, 0u);
   }
   // And the cleared cache re-encodes correctly (32 fresh misses).
-  core::Matrix h2(40, 32);
-  cache.encode_rows(f.encoder, f.x, 0, 40, h2, exec);
-  EXPECT_EQ(h2, f.reference);
+  cache.encode_rows_borrowed(f.encoder, f.x, 0, 40, staging, ws, exec);
+  EXPECT_EQ(mismatched_rows(ws, f.reference, 0, 40), 0u);
+  ws.borrow.release();
   EXPECT_EQ(cache.stats().misses, 32u);
 }
 
@@ -1554,11 +1576,14 @@ TEST(ShardedEncodeCache, OneSlotPerShardAliasingStaysCorrect) {
   // aliasing pressure. Correctness (content verification + re-encode)
   // must survive even though almost nothing stays resident.
   hdc::EncodeCache cache(6, 32, 4, 4);
-  core::Matrix h(40, 32);
+  hdc::ScoringWorkspace ws;
+  core::Matrix staging;
   const core::ExecutionContext& exec = core::ExecutionContext::serial();
   for (int pass = 0; pass < 3; ++pass) {
-    cache.encode_rows(f.encoder, f.x, 0, 40, h, exec);
-    EXPECT_EQ(h, f.reference) << "pass " << pass;
+    cache.encode_rows_borrowed(f.encoder, f.x, 0, 40, staging, ws, exec);
+    EXPECT_EQ(mismatched_rows(ws, f.reference, 0, 40), 0u)
+        << "pass " << pass;
+    ws.borrow.release();
   }
   EXPECT_GT(cache.stats().evictions, 0u);
   EXPECT_LE(cache.size(), 4u);
@@ -1574,21 +1599,20 @@ TEST(ShardedEncodeCache, ConcurrentHammerStaysBitIdentical) {
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       const core::ExecutionContext& exec = core::ExecutionContext::serial();
-      core::Matrix h(40, 32);
+      hdc::ScoringWorkspace ws;
+      core::Matrix staging;
       // Each thread walks a different overlapping window so shards see
-      // mixed hit/miss/evict traffic from all threads at once.
+      // mixed hit/miss/evict traffic from all threads at once. Hits are
+      // borrowed (pinned) while the other threads insert and evict.
       const std::size_t begin = t * 4;
       const std::size_t end = 40 - (kThreads - 1 - t) * 4;
       for (int it = 0; it < kIters; ++it) {
-        cache.encode_rows(f.encoder, f.x, begin, end, h, exec);
-        for (std::size_t i = begin; i < end; ++i) {
-          const auto got = h.row(i - begin);
-          const auto want = f.reference.row(i);
-          if (std::memcmp(got.data(), want.data(),
-                          want.size() * sizeof(float)) != 0) {
-            mismatches.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
+        cache.encode_rows_borrowed(f.encoder, f.x, begin, end, staging, ws,
+                                   exec);
+        mismatches.fetch_add(
+            static_cast<int>(mismatched_rows(ws, f.reference, begin, end)),
+            std::memory_order_relaxed);
+        ws.borrow.release();
       }
     });
   }

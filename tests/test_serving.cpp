@@ -1,14 +1,14 @@
-// Tests for the stage-split serving pipeline: the EncodedBatch view, the
-// content-addressed encode cache (bit-identical scores cache on / off /
-// evicting, with and without the thread pool — CI's kernels and threads
-// matrix legs re-run this file per backend and per worker count), the
-// staged encode_block / scores_encoded API, and the CYBERHD_ENCODE_CACHE
-// knob.
+// Tests for the stage-split serving pipeline: the content-addressed encode
+// cache (bit-identical scores cache on / off / evicting, with and without
+// the thread pool — CI's kernels and threads matrix legs re-run this file
+// per backend and per worker count), the per-block scores_block stage
+// split, the zero-copy borrow protocol, and the CYBERHD_ENCODE_CACHE knob.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -73,28 +73,6 @@ core::Matrix per_sample_scores(const core::Classifier& model,
     model.scores(x.row(i), out.row(i));
   }
   return out;
-}
-
-TEST(EncodedBatch, ViewsAddressRowsLikeTheMatrix) {
-  core::Matrix m(4, 3);
-  for (std::size_t r = 0; r < 4; ++r) {
-    for (std::size_t c = 0; c < 3; ++c) {
-      m(r, c) = static_cast<float>(r * 3 + c);
-    }
-  }
-  const EncodedBatch all = EncodedBatch::of(m);
-  EXPECT_EQ(all.rows(), 4u);
-  EXPECT_EQ(all.dims(), 3u);
-  EXPECT_EQ(all.row(2).data(), m.row(2).data());
-
-  const EncodedBatch front = EncodedBatch::front_of(m, 2);
-  EXPECT_EQ(front.rows(), 2u);
-  EXPECT_EQ(front.row(1)[0], 3.0f);
-
-  const EncodedBatch slice = all.slice(1, 2);
-  EXPECT_EQ(slice.rows(), 2u);
-  EXPECT_EQ(slice.row(0).data(), m.row(1).data());
-  EXPECT_TRUE(EncodedBatch().empty());
 }
 
 /// Snapshot/restore an environment variable around a test that mutates
@@ -190,20 +168,15 @@ TEST(ServingPipeline, StagedApiMatchesTheDriver) {
   core::Matrix driver_scores;
   t.model.scores_batch(t.queries, driver_scores);
 
-  // Stage 1 + stage 2 run by hand over two arbitrary blocks.
-  core::Matrix staging, out;
+  // Stage 1 + stage 2 over two arbitrary blocks, not the planner's.
+  core::Matrix out(t.queries.rows(), t.model.num_classes());
   for (const auto& [begin, end] :
        std::vector<std::pair<std::size_t, std::size_t>>{{0, 50},
                                                         {50, 128}}) {
-    const EncodedBatch encoded =
-        t.model.encode_block(t.queries, begin, end, staging);
-    ASSERT_EQ(encoded.rows(), end - begin);
-    ASSERT_EQ(encoded.dims(), t.model.physical_dims());
-    t.model.scores_encoded(encoded, out);
-    for (std::size_t r = 0; r < encoded.rows(); ++r) {
+    t.model.scores_block(t.queries, begin, end, out);
+    for (std::size_t r = begin; r < end; ++r) {
       for (std::size_t c = 0; c < out.cols(); ++c) {
-        EXPECT_EQ(out(r, c), driver_scores(begin + r, c))
-            << begin << "+" << r << "," << c;
+        EXPECT_EQ(out(r, c), driver_scores(r, c)) << r << "," << c;
       }
     }
   }
@@ -263,6 +236,8 @@ TEST(ServingPipeline, RefitRearmsTheCacheWithFreshEncodings) {
   EXPECT_EQ(refit_scores, reference);
 }
 
+/// Every bitwidth: the packed pipeline at 1/2/4/8 bits, the shared float
+/// stage 1 with per-row quantized scoring at 16/32.
 class QuantizedServing : public ::testing::TestWithParam<int> {};
 
 TEST_P(QuantizedServing, ScoresBitIdenticalCacheOnOffEvicting) {
@@ -278,10 +253,15 @@ TEST_P(QuantizedServing, ScoresBitIdenticalCacheOnOffEvicting) {
   q.set_encode_cache(1024);
   core::Matrix cold, warm;
   q.scores_batch(t.queries, cold);
+  const EncodeCacheStats before_warm = q.encode_cache()->stats();
   q.scores_batch(t.queries, warm);
   EXPECT_EQ(cold, reference);
   EXPECT_EQ(warm, reference);
   EXPECT_GT(q.encode_cache()->stats().hits, 0u);
+  // The warm pass scores every row in place out of the ring, float rows
+  // (bits 16/32) as much as packed ones.
+  EXPECT_EQ(q.encode_cache()->stats().borrowed_rows,
+            before_warm.borrowed_rows + t.queries.rows());
 
   q.set_encode_cache(3);
   core::Matrix evicting;
@@ -289,60 +269,45 @@ TEST_P(QuantizedServing, ScoresBitIdenticalCacheOnOffEvicting) {
   EXPECT_EQ(evicting, reference);
 }
 
-TEST_P(QuantizedServing, ScoresEncodedConsumesAnyView) {
-  ServingFixture t;
-  QuantizedCyberHd q(t.model, GetParam());
-  core::Matrix reference;
-  q.scores_batch(t.queries, reference);
-
-  // Encode through the float classifier's stage 1 (same cloned encoder
-  // weights), then hand the view to the quantized stage 2.
-  core::Matrix staging;
-  const EncodedBatch encoded =
-      t.model.encode_block(t.queries, 0, t.queries.rows(), staging);
-  core::Matrix out;
-  q.scores_encoded(encoded, out);
-  EXPECT_EQ(out, reference);
-  // A sub-slice scores exactly its rows.
-  core::Matrix slice_out;
-  q.scores_encoded(encoded.slice(8, 16), slice_out);
-  for (std::size_t r = 0; r < 16; ++r) {
-    for (std::size_t c = 0; c < slice_out.cols(); ++c) {
-      EXPECT_EQ(slice_out(r, c), reference(8 + r, c));
-    }
-  }
-}
-
 TEST_P(QuantizedServing, PackedStageSplitMatchesTheDriver) {
-  // The packed stage-1/stage-2 API pulled apart: encode_block_packed's
-  // view scored through the packed scores_encoded must equal the fused
-  // scores_batch driver, and a sub-slice must score exactly its rows.
+  // The stage split over blocks the planner would not pick: each
+  // scores_block call (stage 1 + stage 2 over rows [begin, end)) must
+  // reproduce exactly the rows scores_batch produces — the whole batch in
+  // one block, and a block from the middle.
   ServingFixture t;
   QuantizedCyberHd q(t.model, GetParam());
   core::Matrix reference;
   q.scores_batch(t.queries, reference);
 
-  PackedStaging staging;
-  const PackedBatch packed =
-      q.encode_block_packed(t.queries, 0, t.queries.rows(), staging);
-  EXPECT_EQ(packed.rows(), t.queries.rows());
-  EXPECT_EQ(packed.bits(), GetParam());
-  EXPECT_EQ(packed.row_bytes(),
-            PackedBatch::row_bytes(q.model().dims(), GetParam()));
-  core::Matrix out;
-  q.scores_encoded(packed, out);
-  EXPECT_EQ(out, reference);
-
-  core::Matrix slice_out;
-  q.scores_encoded(packed.slice(8, 16), slice_out);
-  for (std::size_t r = 0; r < 16; ++r) {
-    for (std::size_t c = 0; c < slice_out.cols(); ++c) {
-      EXPECT_EQ(slice_out(r, c), reference(8 + r, c));
+  core::Matrix out(t.queries.rows(), q.num_classes());
+  for (const auto& [begin, end] :
+       std::vector<std::pair<std::size_t, std::size_t>>{
+           {0, t.queries.rows()}, {8, 24}}) {
+    q.scores_block(t.queries, begin, end, out);
+    for (std::size_t r = begin; r < end; ++r) {
+      for (std::size_t c = 0; c < out.cols(); ++c) {
+        EXPECT_EQ(out(r, c), reference(r, c)) << r << "," << c;
+      }
     }
   }
 }
 
-TEST_P(QuantizedServing, CacheStoresPackedEntriesAndCountsBytes) {
+INSTANTIATE_TEST_SUITE_P(Bitwidths, QuantizedServing,
+                         ::testing::Values(1, 2, 4, 8, 16, 32));
+
+TEST(PackedRowsView, RowBytesSizeInt8AndWordRows) {
+  // int8 rows: one byte per dimension; 1-bit rows: whole 64-bit words.
+  EXPECT_EQ(PackedRows::row_bytes(128, 8), 128u);
+  EXPECT_EQ(PackedRows::row_bytes(128, 2), 128u);
+  EXPECT_EQ(PackedRows::row_bytes(128, 1), 16u);
+  EXPECT_EQ(PackedRows::row_bytes(65, 1), 16u);  // tail word rounds up
+}
+
+/// The packed pipeline's own surface: packed cache entries, the fused
+/// tile-encode-and-pack, borrowed packed hits (bits <= 8 only).
+class PackedServing : public ::testing::TestWithParam<int> {};
+
+TEST_P(PackedServing, CacheStoresPackedEntriesAndCountsBytes) {
   // The quantized cache ring is armed with the PACKED entry size — the
   // whole point of the packed pipeline's memory win — and the byte
   // residency stats must track occupied slots times that entry size.
@@ -351,7 +316,7 @@ TEST_P(QuantizedServing, CacheStoresPackedEntriesAndCountsBytes) {
   q.set_encode_cache(256);
   ASSERT_NE(q.encode_cache(), nullptr);
   const std::size_t entry =
-      PackedBatch::row_bytes(q.model().dims(), GetParam());
+      PackedRows::row_bytes(q.model().dims(), GetParam());
   EXPECT_EQ(q.encode_cache()->entry_bytes(), entry);
 
   const EncodeCacheStats before = q.encode_cache()->stats();
@@ -366,12 +331,13 @@ TEST_P(QuantizedServing, CacheStoresPackedEntriesAndCountsBytes) {
   EXPECT_LE(after.bytes_resident, after.bytes_capacity);
 }
 
-TEST_P(QuantizedServing, FusedTileEncodeMatchesEncodeThenPack) {
+TEST_P(PackedServing, FusedTileEncodeMatchesEncodeThenPack) {
   // The fused quantize-on-encode epilogue: encode_tile_packed's bytes must
-  // be identical to float-encoding the same rows (the cloned encoder's
-  // stage 1) and pack_row-ing them one at a time — the contract that lets
-  // the cache-miss batch and the cache-off path ride the tile without
-  // perturbing a single packed entry.
+  // be identical to float-encoding the same rows (encode_tile on the
+  // source encoder, whose weights the snapshot cloned) and pack_row-ing
+  // them one at a time — the contract that lets the cache-miss batch and
+  // the cache-off path ride the tile without perturbing a single packed
+  // entry.
   ServingFixture t;
   QuantizedCyberHd q(t.model, GetParam());
   const std::size_t row_bytes = q.model().packed_row_bytes();
@@ -380,9 +346,10 @@ TEST_P(QuantizedServing, FusedTileEncodeMatchesEncodeThenPack) {
   std::vector<unsigned char> fused(t.queries.rows() * stride, 0xc3);
   q.encode_tile_packed(t.queries, 0, t.queries.rows(), fused.data(), stride);
 
-  core::Matrix staging;
-  const EncodedBatch encoded =
-      t.model.encode_block(t.queries, 0, t.queries.rows(), staging);
+  core::Matrix encoded(t.queries.rows(), t.model.physical_dims());
+  t.model.encoder().encode_tile(t.queries, 0, t.queries.rows(),
+                                encoded.data(), encoded.cols(),
+                                core::ExecutionContext::serial());
   std::vector<unsigned char> ref(row_bytes);
   for (std::size_t i = 0; i < t.queries.rows(); ++i) {
     q.model().pack_row(encoded.row(i), ref.data());
@@ -393,38 +360,6 @@ TEST_P(QuantizedServing, FusedTileEncodeMatchesEncodeThenPack) {
       EXPECT_EQ(fused[i * stride + b], 0xc3) << "pad overwritten, row " << i;
     }
   }
-}
-
-INSTANTIATE_TEST_SUITE_P(Bitwidths, QuantizedServing,
-                         ::testing::Values(1, 2, 4, 8));
-
-TEST(PackedBatchView, RowBytesAndSlicesAddressPackedRows) {
-  // int8 rows: one byte per dimension; 1-bit rows: whole 64-bit words.
-  EXPECT_EQ(PackedBatch::row_bytes(128, 8), 128u);
-  EXPECT_EQ(PackedBatch::row_bytes(128, 2), 128u);
-  EXPECT_EQ(PackedBatch::row_bytes(128, 1), 16u);
-  EXPECT_EQ(PackedBatch::row_bytes(65, 1), 16u);  // tail word rounds up
-  EXPECT_TRUE(PackedBatch().empty());
-
-  PackedStaging staging;
-  unsigned char* base = staging.prepare(4, 16, 8);
-  for (std::size_t i = 0; i < 4 * 16; ++i) {
-    base[i] = static_cast<unsigned char>(i);
-  }
-  const PackedBatch view = staging.view(4, 16, 8);
-  EXPECT_EQ(view.rows(), 4u);
-  EXPECT_EQ(view.row_bytes(), 16u);
-  EXPECT_EQ(view.i8_row(2)[0], static_cast<std::int8_t>(32));
-  const PackedBatch slice = view.slice(1, 2);
-  EXPECT_EQ(slice.rows(), 2u);
-  EXPECT_EQ(slice.i8_row(0), view.i8_row(1));
-
-  unsigned char* wbase = staging.prepare(2, 130, 1);
-  const PackedBatch words = staging.view(2, 130, 1);
-  EXPECT_EQ(words.words(), 3u);
-  EXPECT_EQ(words.row_bytes(), 24u);
-  EXPECT_EQ(reinterpret_cast<const unsigned char*>(words.word_row(1)),
-            wbase + 24);
 }
 
 // ---- zero-copy borrow protocol ---------------------------------------------
@@ -441,12 +376,17 @@ TEST(BorrowPin, PinnedRowsSurviveFullRingWrap) {
   const core::ExecutionContext& exec = core::ExecutionContext::serial();
   const std::size_t dims = t.model.physical_dims();
 
-  // Fill all 8 slots, then re-probe rows 0..2 in borrow mode: both rows
-  // hit and pin their slots.
-  core::Matrix fill(8, dims);
-  cache->encode_rows(t.model.encoder(), t.queries, 0, 8, fill, exec);
-  ScoringWorkspace ws;
-  core::Matrix staging;
+  // Fill all 8 slots, then re-probe rows 0..2: both rows hit and pin
+  // their slots. Every other call runs on a second workspace whose pins
+  // are released right after it.
+  ScoringWorkspace ws, other;
+  core::Matrix staging, other_staging;
+  const auto encode_released = [&](std::size_t begin, std::size_t end) {
+    cache->encode_rows_borrowed(t.model.encoder(), t.queries, begin, end,
+                                other_staging, other, exec);
+    other.borrow.release();
+  };
+  encode_released(0, 8);
   const std::size_t hits = cache->encode_rows_borrowed(
       t.model.encoder(), t.queries, 0, 2, staging, ws, exec);
   EXPECT_EQ(hits, 2u);
@@ -459,10 +399,8 @@ TEST(BorrowPin, PinnedRowsSurviveFullRingWrap) {
 
   // 48 distinct rows through a full 8-slot ring: several complete wraps'
   // worth of eviction pressure while the pins are held.
-  core::Matrix churn(16, dims);
   for (std::size_t begin = 8; begin < 56; begin += 16) {
-    cache->encode_rows(t.model.encoder(), t.queries, begin, begin + 16,
-                       churn, exec);
+    encode_released(begin, begin + 16);
   }
   EXPECT_GT(cache->stats().evictions, 0u);
   for (std::size_t r = 0; r < 2; ++r) {
@@ -474,7 +412,7 @@ TEST(BorrowPin, PinnedRowsSurviveFullRingWrap) {
 
   // The pinned rows were never evicted: a fresh probe of them still hits.
   const EncodeCacheStats before = cache->stats();
-  cache->encode_rows(t.model.encoder(), t.queries, 0, 2, fill, exec);
+  encode_released(0, 2);
   EXPECT_EQ(cache->stats().hits, before.hits + 2);
 
   ws.borrow.release();
@@ -484,19 +422,58 @@ TEST(BorrowPin, PinnedRowsSurviveFullRingWrap) {
 
 TEST(BorrowPin, WarmFlushBorrowsEveryHitWithoutCopying) {
   // The zero-copy contract, observable in the stats: a warm flush serves
-  // every row as a borrowed pointer and the serving path never memcpys a
-  // hit (in-batch replays alias the fresh encode, so even the cold pass
-  // moves no hit bytes).
+  // every row as a borrowed pointer into the ring (in-batch replays alias
+  // the fresh encode, so even the cold pass moves no hit bytes).
   ServingFixture t;
   t.model.set_encode_cache(1024);
   core::Matrix scores;
   t.model.scores_batch(t.queries, scores);  // cold: 64 misses + 64 replays
   const EncodeCacheStats cold = t.model.encode_cache()->stats();
-  EXPECT_EQ(cold.copied_bytes, 0u);
   t.model.scores_batch(t.queries, scores);  // warm: every row a ring hit
   const EncodeCacheStats warm = t.model.encode_cache()->stats();
   EXPECT_EQ(warm.borrowed_rows, cold.borrowed_rows + t.queries.rows());
-  EXPECT_EQ(warm.copied_bytes, 0u);
+}
+
+TEST(BorrowPin, ThrowingMissEncodeReleasesItsPins) {
+  // A miss callback that throws after the probe pass has pinned the
+  // batch's hits must not leave those pins behind: the serving workspace
+  // is thread_local, so unwinding never runs its guard's destructor, and
+  // a server that catches the failure keeps serving on the same
+  // workspace. The workspace is declared after the cache so a leaked pin
+  // fails the expectation below instead of unpinning a destroyed cache.
+  ServingFixture t;
+  t.model.set_encode_cache(64, /*shards=*/1);
+  EncodeCache* cache = t.model.encode_cache();
+  ASSERT_NE(cache, nullptr);
+  const core::ExecutionContext& exec = core::ExecutionContext::serial();
+  ScoringWorkspace ws;
+  core::Matrix staging;
+  cache->encode_rows_borrowed(t.model.encoder(), t.queries, 0, 8, staging,
+                              ws, exec);
+  ws.borrow.release();
+
+  // Rows 0..8 hit (and pin), rows 8..16 miss and reach the callback.
+  const std::size_t dims = t.model.physical_dims();
+  staging.resize(16, dims);
+  EXPECT_THROW(
+      cache->encode_entries_borrowed(
+          t.queries, 0, 16,
+          reinterpret_cast<unsigned char*>(staging.data()),
+          dims * sizeof(float),
+          [](std::span<const std::size_t>, unsigned char*, std::size_t) {
+            throw std::runtime_error("injected miss-encode failure");
+          },
+          ws, exec),
+      std::runtime_error);
+  ASSERT_TRUE(ws.borrow.empty());
+  EXPECT_EQ(cache->stats().borrowed_rows, 8u);
+
+  // The workspace serves the next flush as usual, and the cached rows
+  // still hit.
+  const std::size_t hits = cache->encode_rows_borrowed(
+      t.model.encoder(), t.queries, 0, 8, staging, ws, exec);
+  EXPECT_EQ(hits, 8u);
+  ws.borrow.release();
 }
 
 TEST(BorrowPin, ConcurrentBorrowAndEvictionKeepScoresBitIdentical) {
@@ -524,7 +501,7 @@ TEST(BorrowPin, ConcurrentBorrowAndEvictionKeepScoresBitIdentical) {
   EXPECT_GT(t.model.encode_cache()->stats().borrowed_rows, 0u);
 }
 
-TEST_P(QuantizedServing, WarmFlushBorrowsPackedHits) {
+TEST_P(PackedServing, WarmFlushBorrowsPackedHits) {
   // The packed pipeline rides the same borrow protocol: after a cold fill,
   // a warm flush pins every row in the ring and copies nothing.
   ServingFixture t;
@@ -535,8 +512,10 @@ TEST_P(QuantizedServing, WarmFlushBorrowsPackedHits) {
   q.scores_batch(t.queries, scores);
   const EncodeCacheStats stats = q.encode_cache()->stats();
   EXPECT_EQ(stats.borrowed_rows, t.queries.rows());
-  EXPECT_EQ(stats.copied_bytes, 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Bitwidths, PackedServing,
+                         ::testing::Values(1, 2, 4, 8));
 
 TEST(EncodeCacheUnit, ContentVerificationDefeatsHashAliasing) {
   // Two different rows forced through the same cache: whatever the hash
