@@ -147,7 +147,7 @@ int main(int argc, char** argv) {
       hdc::CyberHdConfig cfg = bench::paper_cyberhd_config();
       cfg.batch_size = 0;  // auto: ExecutionContext derives the L2 tile
       const std::size_t resolved =
-          core::ExecutionContext::process().train_batch_rows(cfg.dims);
+          core::ExecutionContext::process().score_block_rows(cfg.dims);
       hdc::CyberHdClassifier cyber(cfg);
       const Timing t = measure(cyber, data);
       report(cyber.name() + "[mb" + std::to_string(resolved) + "]", t,

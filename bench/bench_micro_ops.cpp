@@ -100,8 +100,9 @@ BENCHMARK_CAPTURE(BM_KernelXorPopcount, avx2, "avx2")
 BENCHMARK_CAPTURE(BM_KernelXorPopcount, avx512, "avx512")
     ->Arg(512)->Arg(4096)->Arg(32768);
 
-// The blocked similarity tile — the kernel behind similarities_batch and
-// the minibatch trainer. range(0) is D; the tile is 64 rows x 8 classes.
+// The blocked similarity tile — the kernel behind similarities_into (batch
+// scoring and the minibatch trainer). range(0) is D; the tile is 64 rows x
+// 8 classes, read through an identity row-pointer table.
 void BM_KernelSimilaritiesTile(benchmark::State& state, const char* name) {
   const core::Kernels* k = backend(name);
   if (skip_unavailable(state, k)) return;
@@ -109,10 +110,12 @@ void BM_KernelSimilaritiesTile(benchmark::State& state, const char* name) {
   const std::size_t rows = 64, classes = 8;
   const auto h = random_vec(rows * dims, 31);
   const auto cls = random_vec(classes * dims, 32);
+  std::vector<const float*> tbl(rows);
+  for (std::size_t r = 0; r < rows; ++r) tbl[r] = h.data() + r * dims;
   std::vector<float> out(rows * classes);
   for (auto _ : state) {
-    k->similarities_tile_f32(h.data(), rows, cls.data(), classes, dims,
-                             out.data());
+    k->similarities_tile_f32_gather(tbl.data(), rows, cls.data(), classes,
+                                    dims, out.data());
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -137,8 +140,9 @@ void BM_KernelRbfEncode(benchmark::State& state, const char* name) {
   const auto x = random_vec(features, 7);
   std::vector<float> h(dims);
   for (auto _ : state) {
-    k->cos_rbf_rows(bases.data(), dims, features, x.data(), biases.data(),
-                    h.data());
+    // One flow: the shape of the per-sample encode().
+    k->cos_rbf_tile_f32(bases.data(), dims, features, x.data(), 1, features,
+                        biases.data(), h.data(), dims);
     benchmark::DoNotOptimize(h.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -147,9 +151,9 @@ void BM_KernelRbfEncode(benchmark::State& state, const char* name) {
 BENCHMARK_CAPTURE(BM_KernelRbfEncode, scalar, "scalar")->Arg(512)->Arg(4096);
 BENCHMARK_CAPTURE(BM_KernelRbfEncode, avx2, "avx2")->Arg(512)->Arg(4096);
 
-// The multi-flow encode tile against the per-flow row kernel above: the
-// same D x F multiply-adds per flow, but a 64-flow block amortizes every
-// base row loaded from L2/L3 across the register-blocked flows. items/s
+// The 64-flow encode tile against the one-flow call above: the same
+// D x F multiply-adds per flow, but a 64-flow block amortizes every base
+// row loaded from L2/L3 across the register-blocked flows. items/s
 // (flow-dims-features per second) over BM_KernelRbfEncode at the same Arg
 // is the arithmetic-intensity gain the batched encode path rides.
 void BM_EncodeTile(benchmark::State& state, const char* name) {
@@ -538,10 +542,11 @@ BENCHMARK(BM_TrainerEpoch)->Arg(0)->Arg(1)->Arg(16)->Arg(64)->Arg(256);
 
 /// The scoring-only bound of the minibatch epoch: labels are the model's
 /// own predictions, so the decision pass records zero updates and the
-/// epoch cost is gather + tile-kernel scoring + norms alone. Comparing
-/// BM_TrainerEpoch against this bound shows what the update pass costs —
-/// with the striped UpdateAccumulator replay it should sit within a few
-/// percent, i.e. the update pass no longer serializes the epoch.
+/// epoch cost is the visit-order table + tile-kernel scoring + norms
+/// alone. Comparing BM_TrainerEpoch against this bound shows what the
+/// update pass costs — with the striped UpdateAccumulator replay it should
+/// sit within a few percent, i.e. the update pass no longer serializes the
+/// epoch.
 void BM_TrainerEpochScoringOnly(benchmark::State& state) {
   EpochFixture& f = EpochFixture::get();
   hdc::TrainerConfig cfg;
@@ -604,7 +609,7 @@ void BM_CyberHdFitTrain(benchmark::State& state) {
       "batch_rows=" +
       std::to_string(cfg.batch_size != 0
                          ? cfg.batch_size
-                         : core::ExecutionContext::process().train_batch_rows(
+                         : core::ExecutionContext::process().score_block_rows(
                                cfg.dims)));
   for (auto _ : state) {
     hdc::CyberHdClassifier model(cfg);

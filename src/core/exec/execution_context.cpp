@@ -220,12 +220,6 @@ std::size_t ExecutionContext::score_block_rows(
                                  1, 64);
 }
 
-std::size_t ExecutionContext::serving_block_rows(
-    std::size_t dims) const noexcept {
-  return serving_block_rows_bytes(dims * sizeof(float),
-                                  score_block_rows(dims));
-}
-
 std::size_t ExecutionContext::serving_block_rows_bytes(
     std::size_t row_bytes, std::size_t floor_rows) const noexcept {
   floor_rows = std::clamp<std::size_t>(floor_rows, 1, 4096);

@@ -14,8 +14,8 @@
 //  * cache()   — a model of the machine's cache hierarchy, read once from
 //    sysconf//sys, from which every tile and batch size is *derived* rather
 //    than hand-tuned: score_block_rows() sizes the L2-resident row block of
-//    the tile-kernel scoring passes, train_batch_rows() the default
-//    minibatch of the adaptive trainer.
+//    the tile-kernel scoring passes (and is the adaptive trainer's auto
+//    minibatch), plan_serving() the L3-resident serving sub-batches.
 //
 // Determinism contract: for a fixed training configuration the context
 // never changes results. Tiling choices feed kernels whose outputs are
@@ -167,43 +167,34 @@ class ExecutionContext {
       const std::function<void(std::size_t, std::size_t)>& fn) const;
 
   /// Rows per L2-resident block of the tile-kernel scoring passes
-  /// (HdcModel::similarities_batch, the trainer's minibatch scoring): the
-  /// largest power of two whose row block fills at most a third of L2 —
-  /// one third each for the streaming rows, the class block, and slack —
-  /// clamped to [1, 64]. At D = 10k on a 2 MiB L2 this derives the 16 rows
-  /// that were previously hand-tuned.
+  /// (HdcModel::similarities_into, which serving and the trainer's
+  /// minibatch scoring share): the largest power of two whose row block
+  /// fills at most a third of L2 — one third each for the streaming rows,
+  /// the class block, and slack — clamped to [1, 64]. At D = 10k on a
+  /// 2 MiB L2 this derives the 16 rows that were previously hand-tuned.
+  /// TrainerConfig::batch_size == 0 (auto) resolves to it too: the L2
+  /// sweet spot is the block the scorer streams.
   std::size_t score_block_rows(std::size_t dims) const noexcept;
 
-  /// Default minibatch size of the adaptive trainer when
-  /// TrainerConfig::batch_size == 0 (auto): the L2 sweet spot is the same
-  /// block the scorer streams, so this equals score_block_rows().
-  std::size_t train_batch_rows(std::size_t dims) const noexcept {
-    return score_block_rows(dims);
-  }
-
-  /// Rows per L3-resident sub-batch of the serving pipeline: the largest
-  /// power of two whose encoded block (rows x dims floats) fills at most a
-  /// third of the shared L3 — one third each for the encoded rows, the
-  /// score/output traffic, and slack — exactly how score_block_rows derives
-  /// L2 tiles. Clamped to [score_block_rows(dims), 4096]: a sub-batch never
-  /// drops below the L2 scoring tile (the stage it feeds), and never grows
-  /// past the point where batching stops amortizing anything.
-  std::size_t serving_block_rows(std::size_t dims) const noexcept;
-
-  /// serving_block_rows generalized to an arbitrary bytes-per-row — the
-  /// quantized serving pipeline plans from its PACKED row size (dims int8
-  /// bytes, or dims/8 packed-bit bytes), not from a float row, so a packed
-  /// sub-batch fills the same third-of-L3 budget with 4-32x more rows.
-  /// `floor_rows` is the lower clamp (the L2 scoring tile the block
-  /// feeds); the upper clamp stays 4096.
+  /// Rows per L3-resident sub-batch of the serving pipeline, for
+  /// `row_bytes`-byte encoded rows: the largest power of two whose block
+  /// fills at most a third of the shared L3 — one third each for the
+  /// encoded rows, the score/output traffic, and slack — exactly how
+  /// score_block_rows derives L2 tiles. The quantized pipeline plans from
+  /// its PACKED row size (dims int8 bytes, or dims/8 packed-bit bytes), so
+  /// a packed sub-batch fills the same budget with 4-32x more rows.
+  /// Clamped to [floor_rows, 4096]: a sub-batch never drops below the L2
+  /// scoring tile it feeds (`floor_rows`), and never grows past the point
+  /// where batching stops amortizing anything.
   std::size_t serving_block_rows_bytes(std::size_t row_bytes,
                                        std::size_t floor_rows = 1)
       const noexcept;
 
-  /// The serving split for a batch of `dims`-wide encoded rows: one
-  /// serving_block_rows sub-batch per shared-L3 domain. The stage-split
-  /// scores_batch drivers walk their input in batch_rows chunks, encoding
-  /// then scoring each chunk while it is still L3-resident.
+  /// The serving split for a batch of `dims`-wide float rows: one
+  /// serving_block_rows_bytes sub-batch (floored at score_block_rows(dims))
+  /// per shared-L3 domain. The stage-split scores_batch drivers walk their
+  /// input in batch_rows chunks, encoding then scoring each chunk while it
+  /// is still L3-resident.
   ServingPlan plan_serving(std::size_t dims) const noexcept;
 
   /// plan_serving from an explicit packed bytes-per-row (see

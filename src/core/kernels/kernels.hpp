@@ -32,9 +32,11 @@
 //    are exact — backends must agree bit-for-bit;
 //  * float kernels may reassociate sums, so backends agree only to rounding
 //    (tests pin the tolerance);
-//  * within one backend, cos_rbf_rows(rows=N) and N calls with rows=1 yield
-//    bit-identical values per row — encode() and encode_dims() stay
-//    consistent after regeneration.
+//  * within one backend, every (flow, base) entry of a cos_rbf_tile_f32
+//    call is bit-identical to a one-base, one-flow call on the same pair —
+//    encode() and encode_dims() stay consistent after regeneration;
+//  * within one backend, every similarities_tile_f32_gather entry is
+//    bit-identical to dot_f32 on its (row, class) pair.
 #pragma once
 
 #include <cstddef>
@@ -60,30 +62,7 @@ struct Kernels {
   void (*mul_acc_f32)(const float* a, const float* b, float* acc,
                       std::size_t n);
 
-  /// Blocked similarity tile: raw dot products of a tile of encoded rows
-  /// against every class hypervector,
-  ///   out[r * num_classes + c] = dot(h + r * dims, classes + c * dims)
-  /// for r in [0, rows), c in [0, num_classes). `h` is a row-major
-  /// rows x dims tile, `classes` a row-major num_classes x dims block.
-  /// SIMD backends register-block over query rows so each class row is
-  /// loaded once per row block (class vectors stay cache-resident while the
-  /// tile streams), but every individual dot accumulates in exactly
-  /// dot_f32's order — each out entry is bit-identical to a per-pair
-  /// dot_f32 call on the same backend. The minibatch trainer and the
-  /// sign-projection encoder call it on their contiguous tiles; batch
-  /// scoring reads rows through the gather variant below.
-  void (*similarities_tile_f32)(const float* h, std::size_t rows,
-                                const float* classes, std::size_t num_classes,
-                                std::size_t dims, float* out);
-
-  /// Fused RBF encode over contiguous base rows:
-  ///   h[r] = cos(dot(bases + r * cols, x) + biases[r])   for r in [0, rows).
-  /// `bases` is a row-major rows x cols block.
-  void (*cos_rbf_rows)(const float* bases, std::size_t rows, std::size_t cols,
-                       const float* x, const float* biases, float* h);
-
-  /// Multi-flow fused RBF encode tile — the GEMM-shaped batched form of
-  /// cos_rbf_rows:
+  /// Multi-flow fused RBF encode tile:
   ///   h[f * h_stride + r] =
   ///       cos(dot(bases + r * cols, x + f * x_stride) + biases[r])
   /// for f in [0, num_x), r in [0, rows). `bases` is a row-major
@@ -95,7 +74,9 @@ struct Kernels {
   /// L2/L3 is reused once per flow in the block, but every (base, flow)
   /// dot accumulates in exactly dot_f32's order and the cosine epilogue
   /// is lane-independent — so each h entry is bit-identical to a
-  /// cos_rbf_rows call over the same flow on the same backend.
+  /// one-base, one-flow call over the same pair on the same backend. The
+  /// per-sample encode (num_x = 1) and the per-dimension refresh
+  /// (rows = num_x = 1) are this kernel's smallest shapes.
   void (*cos_rbf_tile_f32)(const float* bases, std::size_t rows,
                            std::size_t cols, const float* x,
                            std::size_t num_x, std::size_t x_stride,
@@ -120,10 +101,16 @@ struct Kernels {
   // h_rows[r] points at query row r (rows need not be contiguous or
   // ordered); `classes` is a row-major num_classes block.
 
-  /// similarities_tile_f32 over a row-pointer table. Each backend shares
-  /// its contiguous tile's register-blocked inner body (only the row
-  /// pointer derivation differs), so every out entry is bit-identical to
-  /// the contiguous kernel over the same row bytes.
+  /// Blocked float similarity tile: raw dot products of the query rows
+  /// against every class hypervector,
+  ///   out[r * num_classes + c] = dot(h_rows[r], classes + c * dims)
+  /// for r in [0, rows), c in [0, num_classes). SIMD backends
+  /// register-block over query rows so each class row is loaded once per
+  /// row block (class vectors stay cache-resident while the rows stream),
+  /// but every individual dot accumulates in exactly dot_f32's order —
+  /// each out entry is bit-identical to a per-pair dot_f32 call on the
+  /// same backend. The float batch scorer (serving and the minibatch
+  /// trainer) and the sign-projection encoder's tile run on it.
   void (*similarities_tile_f32_gather)(const float* const* h_rows,
                                        std::size_t rows, const float* classes,
                                        std::size_t num_classes,

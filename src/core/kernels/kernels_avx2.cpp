@@ -11,8 +11,9 @@
 // accurate to a couple of float ulps for |angle| < 8192; lanes beyond that
 // range fall back to libm per lane, so results stay sane even for
 // degenerate lengthscales. Every lane is computed independently of its
-// neighbours, which keeps cos_rbf_rows(rows=N) bit-identical to N rows=1
-// calls — the consistency encode()/encode_dims() relies on.
+// neighbours, which keeps every entry of a cos_rbf_tile_f32 call
+// bit-identical to a one-base, one-flow call — the consistency
+// encode()/encode_dims() relies on.
 #include "core/kernels/kernels.hpp"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -61,13 +62,9 @@ CYBERHD_AVX2 float dot_f32_avx2(const float* a, const float* b,
 // one class row, so each class load is amortized across 4 dots. Every dot
 // keeps its own (acc0, acc1) pair and walks dims in exactly dot_f32_avx2's
 // order — the out entries are bit-identical to per-pair dot_f32 calls,
-// which is the contract every float batch scorer relies on.
-//
-// The 4-row inner body is factored out over explicit row pointers so the
-// contiguous tile (the trainer's) and its gather (row-pointer-table)
-// variant (the batch scorers') share the IDENTICAL instruction sequence —
-// bit-identity between the two is by construction, not by parallel
-// maintenance.
+// which is the contract every float batch scorer relies on. The 4-row
+// body takes explicit row pointers, so the tile reads its rows through
+// any pointer table.
 CYBERHD_AVX2 inline void sim_tile_f32_block4_avx2(
     const float* h0, const float* h1, const float* h2, const float* h3,
     const float* classes, std::size_t num_classes, std::size_t dims,
@@ -113,24 +110,6 @@ CYBERHD_AVX2 inline void sim_tile_f32_block4_avx2(
     out_block[1 * num_classes + c] = s1;
     out_block[2 * num_classes + c] = s2;
     out_block[3 * num_classes + c] = s3;
-  }
-}
-
-CYBERHD_AVX2 void similarities_tile_f32_avx2(const float* h, std::size_t rows,
-                                             const float* classes,
-                                             std::size_t num_classes,
-                                             std::size_t dims, float* out) {
-  std::size_t r = 0;
-  for (; r + 4 <= rows; r += 4) {
-    sim_tile_f32_block4_avx2(h + (r + 0) * dims, h + (r + 1) * dims,
-                             h + (r + 2) * dims, h + (r + 3) * dims, classes,
-                             num_classes, dims, out + r * num_classes);
-  }
-  for (; r < rows; ++r) {
-    for (std::size_t c = 0; c < num_classes; ++c) {
-      out[r * num_classes + c] =
-          dot_f32_avx2(h + r * dims, classes + c * dims, dims);
-    }
   }
 }
 
@@ -227,42 +206,16 @@ CYBERHD_AVX2 inline __m256 cos8(__m256 x) {
   return _mm256_xor_ps(r, sign);
 }
 
-CYBERHD_AVX2 void cos_rbf_rows_avx2(const float* bases, std::size_t rows,
-                                    std::size_t cols, const float* x,
-                                    const float* biases, float* h) {
-  // Beyond this the 3-part reduction in cos8 loses the argument; those
-  // (pathological-lengthscale) lanes take libm instead.
-  const __m256 range = _mm256_set1_ps(8192.0f);
-  const __m256 abs_mask =
-      _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
-  alignas(32) float angle[8];
-  alignas(32) float value[8];
-  for (std::size_t r = 0; r < rows; r += 8) {
-    const std::size_t m = std::min<std::size_t>(8, rows - r);
-    for (std::size_t k = 0; k < m; ++k) {
-      angle[k] = dot_f32_avx2(bases + (r + k) * cols, x, cols) + biases[r + k];
-    }
-    for (std::size_t k = m; k < 8; ++k) angle[k] = 0.0f;
-    const __m256 t = _mm256_load_ps(angle);
-    _mm256_store_ps(value, cos8(t));
-    const int out_of_range = _mm256_movemask_ps(
-        _mm256_cmp_ps(_mm256_and_ps(t, abs_mask), range, _CMP_GE_OQ));
-    for (std::size_t k = 0; k < m; ++k) {
-      h[r + k] =
-          (out_of_range >> k) & 1 ? std::cos(angle[k]) : value[k];
-    }
-  }
-}
-
 // Multi-flow fused RBF encode tile. Two phases:
 //
 //  1. Angles: 4 flow rows advance together against one base row, so each
 //     base row loaded from L2/L3 is amortized across 4 dots — the same
-//     register blocking as similarities_tile_f32_avx2 with flows in the
-//     role of query rows and bases in the role of classes. Every dot keeps
-//     its own (acc0, acc1) pair and walks cols in exactly dot_f32_avx2's
-//     order, so each angle is bit-identical to the one cos_rbf_rows_avx2
-//     computes for that (flow, base) pair. Angles (dot + bias) are staged
+//     register blocking as similarities_tile_f32_gather_avx2 with flows in
+//     the role of query rows and bases in the role of classes. Every dot
+//     keeps its own (acc0, acc1) pair and walks cols in exactly
+//     dot_f32_avx2's order, so each angle is bit-identical to
+//     dot_f32_avx2 + bias on that (flow, base) pair — whichever of the
+//     paths below a call's shape selects. Angles (dot + bias) are staged
 //     straight into the output rows.
 //
 //     When cols is a small multiple of 8 (the NIDS feature widths), the
@@ -274,14 +227,13 @@ CYBERHD_AVX2 void cos_rbf_rows_avx2(const float* bases, std::size_t rows,
 //     ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)) — per-lane float adds in the
 //     same order, so every angle is still bit-identical, and the 8 results
 //     land as one contiguous vector store instead of 8 scalar hsums.
-//  2. Cosine epilogue: each flow's angle row is passed through cos8 with
-//     the same range mask and libm fallback as cos_rbf_rows_avx2. cos8 is
-//     lane-independent, so the different grouping of angles into vectors
-//     cannot change any lane — the tile output is bit-identical per
-//     backend to per-flow cos_rbf_rows calls. Four 8-angle groups advance
-//     per iteration so their cos8 dependency chains overlap (the per-row
-//     path is latency-bound on one chain at a time), and in-range groups
-//     load and store the row directly instead of staging through scalars.
+//  2. Cosine epilogue: each flow's angle row is passed through cos8, with
+//     lanes at |angle| >= 8192 re-done by libm. cos8 is lane-independent,
+//     so the grouping of angles into vectors cannot change any lane — the
+//     tile output is bit-identical per backend to one-base, one-flow
+//     calls. Four 8-angle groups advance per iteration so their cos8
+//     dependency chains overlap, and in-range groups load and store the
+//     row directly instead of staging through scalars.
 CYBERHD_AVX2 void cos_rbf_tile_f32_avx2(const float* bases, std::size_t rows,
                                         std::size_t cols, const float* x,
                                         std::size_t num_x,
@@ -412,8 +364,9 @@ CYBERHD_AVX2 void cos_rbf_tile_f32_avx2(const float* bases, std::size_t rows,
       hf[r] = dot_f32_avx2(bases + r * cols, xf, cols) + biases[r];
     }
   }
-  // Cosine epilogue over the staged angles — cos_rbf_rows_avx2's exact
-  // cos pass, run per flow row.
+  // Cosine epilogue over the staged angles, run per flow row. Beyond
+  // |angle| >= 8192 the 3-part reduction in cos8 loses the argument; those
+  // (pathological-lengthscale) lanes take libm instead.
   const __m256 range = _mm256_set1_ps(8192.0f);
   const __m256 abs_mask =
       _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
@@ -436,8 +389,8 @@ CYBERHD_AVX2 void cos_rbf_tile_f32_avx2(const float* bases, std::size_t rows,
         for (int g = 0; g < 4; ++g) _mm256_storeu_ps(hf + r + 8 * g, c[g]);
       } else {
         // Pathological lengthscales only: spill the offending groups and
-        // route their flagged lanes through libm, exactly as the per-row
-        // path does.
+        // route their flagged lanes through libm, exactly as the 8-lane
+        // tail below does.
         for (int g = 0; g < 4; ++g) {
           _mm256_store_ps(angle, t[g]);
           _mm256_store_ps(value, c[g]);
@@ -655,8 +608,6 @@ constexpr Kernels kAvx2Kernels = {
     .dot_f32 = dot_f32_avx2,
     .axpy_f32 = axpy_f32_avx2,
     .mul_acc_f32 = mul_acc_f32_avx2,
-    .similarities_tile_f32 = similarities_tile_f32_avx2,
-    .cos_rbf_rows = cos_rbf_rows_avx2,
     .cos_rbf_tile_f32 = cos_rbf_tile_f32_avx2,
     .xor_popcount_words = xor_popcount_words_avx2,
     .quantized_dot_i8 = quantized_dot_i8_avx2,

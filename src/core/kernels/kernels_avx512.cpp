@@ -18,7 +18,7 @@
 // Note on numerics: dot_f32 here reduces two 16-lane accumulators with
 // _mm512_reduce_add_ps, so float sums associate differently from both the
 // scalar and avx2 backends (tests bound the difference). Within this
-// backend, the float similarity tiles reproduce dot_f32's accumulation
+// backend, the float similarity tile reproduces dot_f32's accumulation
 // order exactly — the bit-identical tile contract of kernels.hpp holds per
 // backend, as elsewhere.
 #include "core/kernels/kernels.hpp"
@@ -94,12 +94,8 @@ CYBERHD_AVX512 void mul_acc_f32_avx512(const float* a, const float* b,
 // Register-blocked similarity tile, the AVX-512 sibling of the avx2
 // version: 4 query rows share each class-row load, and every dot keeps its
 // own (acc0, acc1) pair walking dims in dot_f32_avx512's exact order so
-// the per-pair bit-identity contract holds.
-//
-// As in the avx2 backend, the 4-row inner body is factored over explicit
-// row pointers so the contiguous tile (the trainer's) and the gather
-// (row-pointer-table) variant (the batch scorers') share the identical
-// instruction sequence.
+// the per-pair bit-identity contract holds. As in the avx2 backend, the
+// 4-row body takes explicit row pointers from the tile's pointer table.
 CYBERHD_AVX512 inline void sim_tile_f32_block4_avx512(
     const float* h0, const float* h1, const float* h2, const float* h3,
     const float* classes, std::size_t num_classes, std::size_t dims,
@@ -145,24 +141,6 @@ CYBERHD_AVX512 inline void sim_tile_f32_block4_avx512(
     out_block[1 * num_classes + c] = s1;
     out_block[2 * num_classes + c] = s2;
     out_block[3 * num_classes + c] = s3;
-  }
-}
-
-CYBERHD_AVX512 void similarities_tile_f32_avx512(
-    const float* h, std::size_t rows, const float* classes,
-    std::size_t num_classes, std::size_t dims, float* out) {
-  std::size_t r = 0;
-  for (; r + 4 <= rows; r += 4) {
-    sim_tile_f32_block4_avx512(h + (r + 0) * dims, h + (r + 1) * dims,
-                               h + (r + 2) * dims, h + (r + 3) * dims,
-                               classes, num_classes, dims,
-                               out + r * num_classes);
-  }
-  for (; r < rows; ++r) {
-    for (std::size_t c = 0; c < num_classes; ++c) {
-      out[r * num_classes + c] =
-          dot_f32_avx512(h + r * dims, classes + c * dims, dims);
-    }
   }
 }
 
@@ -333,15 +311,13 @@ CYBERHD_AVX512_VNNI void similarities_tile_i8_gather_avx512vnni(
 const Kernels make_avx512_table() noexcept {
   Kernels k = *avx2_kernels();
   k.name = "avx512";
-  // cos_rbf_rows AND cos_rbf_tile_f32 stay inherited from avx2: the
-  // avx512 backend has always encoded through the avx2 cosine path, and a
-  // 512-bit tile would change the per-dot accumulation order — breaking
-  // the tile's bit-identity with this backend's cos_rbf_rows and with
-  // every pre-tile golden output.
+  // cos_rbf_tile_f32 stays inherited from avx2: the avx512 backend has
+  // always encoded through the avx2 cosine path, and a 512-bit tile would
+  // change the per-dot accumulation order, and with it every encoding
+  // this backend has produced.
   k.dot_f32 = dot_f32_avx512;
   k.axpy_f32 = axpy_f32_avx512;
   k.mul_acc_f32 = mul_acc_f32_avx512;
-  k.similarities_tile_f32 = similarities_tile_f32_avx512;
   k.similarities_tile_f32_gather = similarities_tile_f32_gather_avx512;
   if (cpu_supports_avx512_vpopcntdq()) {
     k.xor_popcount_words = xor_popcount_words_avx512;

@@ -34,37 +34,14 @@ void mul_acc_f32_scalar(const float* a, const float* b, float* acc,
   for (std::size_t i = 0; i < n; ++i) acc[i] += a[i] * b[i];
 }
 
-void similarities_tile_f32_scalar(const float* h, std::size_t rows,
-                                  const float* classes,
-                                  std::size_t num_classes, std::size_t dims,
-                                  float* out) {
-  // Reference semantics: one dot per (row, class) pair, each in dot_f32's
-  // accumulation order. SIMD backends block over rows for locality but
-  // must reproduce exactly these per-pair values.
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < num_classes; ++c) {
-      out[r * num_classes + c] =
-          dot_f32_scalar(h + r * dims, classes + c * dims, dims);
-    }
-  }
-}
-
-void cos_rbf_rows_scalar(const float* bases, std::size_t rows,
-                         std::size_t cols, const float* x, const float* biases,
-                         float* h) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    h[r] = std::cos(dot_f32_scalar(bases + r * cols, x, cols) + biases[r]);
-  }
-}
-
 void cos_rbf_tile_f32_scalar(const float* bases, std::size_t rows,
                              std::size_t cols, const float* x,
                              std::size_t num_x, std::size_t x_stride,
                              const float* biases, float* h,
                              std::size_t h_stride) {
-  // Reference semantics: per (flow, base) pair exactly the cos_rbf_rows
-  // expression. SIMD backends block over flows for base-row reuse but must
-  // reproduce exactly these per-pair values.
+  // Reference semantics: per (flow, base) pair one cos of dot_f32 + bias.
+  // SIMD backends block over flows for base-row reuse but must reproduce
+  // exactly these per-pair values.
   for (std::size_t f = 0; f < num_x; ++f) {
     const float* xf = x + f * x_stride;
     float* hf = h + f * h_stride;
@@ -94,11 +71,11 @@ std::int64_t quantized_dot_i8_scalar(const std::int8_t* a,
 }
 
 // Gather tiles: one dot per (row, class) pair, row r read through
-// h_rows[r]. The float tile's dot is the contiguous tile's, so each out
-// entry is bit-identical to it over the same row bytes; the integer tiles
-// are the exact reference every SIMD backend must reproduce (integer sums
-// are order-independent, so SIMD backends may block and reassociate
-// freely).
+// h_rows[r]. The float tile's entries are dot_f32's, which SIMD backends
+// block over rows for locality but must reproduce exactly; the integer
+// tiles are the exact reference every SIMD backend must reproduce
+// (integer sums are order-independent, so SIMD backends may block and
+// reassociate freely).
 void similarities_tile_f32_gather_scalar(const float* const* h_rows,
                                          std::size_t rows,
                                          const float* classes,
@@ -143,8 +120,6 @@ constexpr Kernels kScalarKernels = {
     .dot_f32 = dot_f32_scalar,
     .axpy_f32 = axpy_f32_scalar,
     .mul_acc_f32 = mul_acc_f32_scalar,
-    .similarities_tile_f32 = similarities_tile_f32_scalar,
-    .cos_rbf_rows = cos_rbf_rows_scalar,
     .cos_rbf_tile_f32 = cos_rbf_tile_f32_scalar,
     .xor_popcount_words = xor_popcount_words_scalar,
     .quantized_dot_i8 = quantized_dot_i8_scalar,

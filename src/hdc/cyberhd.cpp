@@ -23,9 +23,18 @@ CyberHdClassifier::CyberHdClassifier(CyberHdConfig config)
 
 void CyberHdClassifier::fit(const core::Matrix& x, std::span<const int> y,
                             std::size_t num_classes) {
-  assert(x.rows() == y.size());
+  // Checked before any member changes: a label outside the class range
+  // would index past the class matrix in every training phase.
+  if (y.size() != x.rows()) {
+    throw std::invalid_argument("fit() requires one label per sample");
+  }
   if (x.rows() == 0) {
     throw std::invalid_argument("fit() requires at least one sample");
+  }
+  if (std::any_of(y.begin(), y.end(), [&](int label) {
+        return label < 0 || static_cast<std::size_t>(label) >= num_classes;
+      })) {
+    throw std::invalid_argument("fit() labels must lie in [0, num_classes)");
   }
   num_classes_ = num_classes;
   report_ = {};
@@ -124,33 +133,21 @@ void CyberHdClassifier::fit_streamed(const core::Matrix& x,
   core::Matrix enc_tile(tile, config_.dims);
   std::vector<int> tile_labels(tile);
 
-  // Run `op(i)` for i in [0, m), split across the context's pool. Per-row
-  // encodes are independent, so results never depend on the thread count.
-  const auto for_rows = [&, this](std::size_t m, auto&& op) {
-    exec_ctx.parallel_for(
-        m,
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) op(i);
-        },
-        /*grain=*/16);
-  };
-  // Both encode phases ride the GEMM-shaped tile path (bit-identical to
-  // per-row encodes): the bundle phase tiles contiguous ranges of x
-  // directly; the shuffled epoch phase gathers its picks' raw F-float
-  // rows into one contiguous block first — the gather is tiny next to
-  // the D x F encode it batches.
+  // Every encode phase rides a batched path (bit-identical to per-row
+  // encodes): the bundle phase tiles contiguous ranges of x directly; the
+  // shuffled epoch phase and the regeneration refresh first gather their
+  // picks' raw F-float rows into one contiguous block — the gather is tiny
+  // next to the D x F encode it batches.
   core::Matrix raw_tile(tile, x.cols());
   const auto encode_range = [&](std::size_t t, std::size_t m) {
     encoder_->encode_tile(x, t, t + m, enc_tile.data(), config_.dims,
                           exec_ctx);
   };
-  const auto encode_gathered = [&](std::size_t m, auto&& pick) {
+  const auto gather_raw = [&](std::size_t m, auto&& pick) {
     for (std::size_t i = 0; i < m; ++i) {
       const auto src = x.row(pick(i));
       std::copy(src.begin(), src.end(), raw_tile.row(i).begin());
     }
-    encoder_->encode_tile(raw_tile, 0, m, enc_tile.data(), config_.dims,
-                          exec_ctx);
   };
 
   SchedulePhases phases;
@@ -177,7 +174,9 @@ void CyberHdClassifier::fit_streamed(const core::Matrix& x,
     stats.samples = n;
     for (std::size_t t = 0; t < n; t += tile) {
       const std::size_t m = std::min(tile, n - t);
-      encode_gathered(m, [&](std::size_t i) { return order[t + i]; });
+      gather_raw(m, [&](std::size_t i) { return order[t + i]; });
+      encoder_->encode_tile(raw_tile, 0, m, enc_tile.data(), config_.dims,
+                            exec_ctx);
       for (std::size_t i = 0; i < m; ++i) {
         tile_labels[i] = y[order[t + i]];
       }
@@ -188,15 +187,16 @@ void CyberHdClassifier::fit_streamed(const core::Matrix& x,
   phases.refresh_dims = [&](std::span<const std::size_t> dims) {
     // Streamed centered re-bundle: recompute only the touched columns
     // tile by tile (the next epochs would see them anyway — there is no
-    // cached encoded matrix to refresh) and feed the shared RegenRebundle
-    // in the same row order as the in-memory path.
+    // cached encoded matrix to refresh) through encode_batch_dims, as the
+    // in-memory path does, and feed the shared RegenRebundle in the same
+    // row order. Past a partial last tile, raw_tile keeps an earlier
+    // tile's rows; their refreshed columns are never read.
     if (!config_.rebundle_after_regen) return;
     RegenRebundle rebundle(num_classes, dims);
     for (std::size_t t = 0; t < n; t += tile) {
       const std::size_t m = std::min(tile, n - t);
-      for_rows(m, [&](std::size_t i) {
-        encoder_->encode_dims(x.row(t + i), dims, enc_tile.row(i));
-      });
+      gather_raw(m, [&](std::size_t i) { return t + i; });
+      encoder_->encode_batch_dims(raw_tile, dims, enc_tile, exec_ctx);
       for (std::size_t i = 0; i < m; ++i) {
         rebundle.add_row(enc_tile.row(i),
                          static_cast<std::size_t>(y[t + i]));

@@ -123,6 +123,9 @@ class CyberHdClassifier final : public core::Classifier {
   }
 
   // core::Classifier ---------------------------------------------------------
+  /// Throws std::invalid_argument, leaving the classifier unchanged, when
+  /// x has no rows, y.size() != x.rows(), or a label lies outside
+  /// [0, num_classes).
   void fit(const core::Matrix& x, std::span<const int> y,
            std::size_t num_classes) override;
   std::size_t num_classes() const noexcept override { return num_classes_; }
@@ -145,7 +148,8 @@ class CyberHdClassifier final : public core::Classifier {
   // predict_batch rides the same path.
 
   /// Sub-batch size of the staged driver: the execution context's serving
-  /// plan (per-L3-domain blocks of serving_block_rows).
+  /// plan (ExecutionContext::plan_serving: one L3-resident block per
+  /// shared-L3 domain).
   std::size_t preferred_batch_rows(const core::Matrix& x) const override;
 
   /// Stage 1 + stage 2 over one planned block (see class comment).

@@ -90,10 +90,11 @@ void RbfEncoder::sample_row(std::size_t d, core::Rng& rng) {
 void RbfEncoder::encode(std::span<const float> x, std::span<float> h) const {
   assert(x.size() == input_dim());
   assert(h.size() == output_dim());
-  // One fused kernel call over the whole contiguous D x F base block.
-  core::active_kernels().cos_rbf_rows(bases_.data(), output_dim(),
-                                      input_dim(), x.data(), biases_.data(),
-                                      h.data());
+  // One fused one-flow tile call over the whole contiguous D x F base
+  // block.
+  core::active_kernels().cos_rbf_tile_f32(
+      bases_.data(), output_dim(), input_dim(), x.data(), 1, input_dim(),
+      biases_.data(), h.data(), output_dim());
 }
 
 void RbfEncoder::encode_dims(std::span<const float> x,
@@ -104,10 +105,11 @@ void RbfEncoder::encode_dims(std::span<const float> x,
   const core::Kernels& k = core::active_kernels();
   for (std::size_t d : dims) {
     assert(d < output_dim());
-    // rows = 1 calls are guaranteed bit-identical to the fused full-encode
-    // (kernels.hpp contract), so regenerated columns match a fresh encode.
-    k.cos_rbf_rows(bases_.row(d).data(), 1, input_dim(), x.data(),
-                   &biases_[d], &h[d]);
+    // A one-base, one-flow call is bit-identical to the same entry of the
+    // full encode (kernels.hpp contract), so regenerated columns match a
+    // fresh encode.
+    k.cos_rbf_tile_f32(bases_.row(d).data(), 1, input_dim(), x.data(), 1,
+                       input_dim(), &biases_[d], &h[d], 1);
   }
 }
 
@@ -142,8 +144,8 @@ void RbfEncoder::encode_batch_dims(const core::Matrix& x,
   if (dims.empty() || x.rows() == 0) return;
   // Gather the touched dimensions' private state once: a contiguous
   // |dims| x F base block plus a bias vector. Each sample then refreshes
-  // in one fused kernel pass; cos_rbf_rows' rows=N == N x rows=1 contract
-  // keeps every value bit-identical to the per-dimension default.
+  // in one fused one-flow tile call; the tile's per-entry contract keeps
+  // every value bit-identical to the per-dimension default.
   const std::size_t nd = dims.size();
   const std::size_t features = input_dim();
   core::Matrix gathered_bases(nd, features);
@@ -160,9 +162,9 @@ void RbfEncoder::encode_batch_dims(const core::Matrix& x,
       [&](std::size_t begin, std::size_t end) {
         std::vector<float> fresh(nd);
         for (std::size_t i = begin; i < end; ++i) {
-          k.cos_rbf_rows(gathered_bases.data(), nd, features,
-                         x.row(i).data(), gathered_biases.data(),
-                         fresh.data());
+          k.cos_rbf_tile_f32(gathered_bases.data(), nd, features,
+                             x.row(i).data(), 1, features,
+                             gathered_biases.data(), fresh.data(), nd);
           auto row = h.row(i);
           for (std::size_t j = 0; j < nd; ++j) row[dims[j]] = fresh[j];
         }
@@ -218,12 +220,14 @@ void SignProjectionEncoder::encode_tile_block(
   // signs (flows as query rows, a base panel as the class block), with
   // per-pair values bit-identical to encode()'s dot_f32 calls. The sign
   // epilogue scatters the pr-stride panel into the out rows.
+  std::vector<const float*> rows(m);
+  for (std::size_t i = 0; i < m; ++i) rows[i] = x.row(begin + i).data();
   std::vector<float> dots(m * std::min<std::size_t>(plan.panel_rows, dims));
   for (std::size_t p = 0; p < dims; p += plan.panel_rows) {
     const std::size_t pr = std::min(plan.panel_rows, dims - p);
-    k.similarities_tile_f32(x.row(begin).data(), m,
-                            bases_.data() + p * features, pr, features,
-                            dots.data());
+    k.similarities_tile_f32_gather(rows.data(), m,
+                                   bases_.data() + p * features, pr,
+                                   features, dots.data());
     for (std::size_t i = 0; i < m; ++i) {
       float* dst = out + i * out_stride + p;
       const float* src = dots.data() + i * pr;

@@ -140,8 +140,8 @@ class RbfEncoder final : public Encoder {
                          const core::ExecutionContext& exec) const override;
   /// Regeneration-refresh fast path: gathers the listed dimensions' bases
   /// and biases into one contiguous block once, then fuses each sample's
-  /// refresh into a single cos_rbf_rows call (the default would issue
-  /// |dims| single-row kernel calls per sample).
+  /// refresh into a single one-flow cos_rbf_tile_f32 call (the default
+  /// would issue |dims| one-base kernel calls per sample).
   void encode_batch_dims(const core::Matrix& x,
                          std::span<const std::size_t> dims, core::Matrix& h,
                          const core::ExecutionContext& exec =
@@ -183,9 +183,10 @@ class SignProjectionEncoder final : public Encoder {
   void encode_dims(std::span<const float> x,
                    std::span<const std::size_t> dims,
                    std::span<float> h) const override;
-  /// Batched encode through the existing similarities_tile_f32 kernel
-  /// (flows in the role of query rows, base panels in the role of class
-  /// blocks) with a trivial sign epilogue — the tile's per-pair dots are
+  /// Batched encode through the float scoring tile
+  /// (similarities_tile_f32_gather over a table of the block's rows: flows
+  /// in the role of query rows, base panels in the role of class blocks)
+  /// with a trivial sign epilogue — the tile's per-pair dots are
   /// bit-identical to encode()'s dot_f32 calls on the same backend.
   void encode_tile_block(const core::Matrix& x, std::size_t begin,
                          std::size_t end, float* out,

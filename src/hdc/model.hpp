@@ -20,10 +20,11 @@ namespace cyberhd::hdc {
 /// Class-hypervector matrix (num_classes x dims) with cosine scoring.
 class HdcModel {
  public:
-  /// The one cosine-normalization expression every scoring path shares —
-  /// per-sample similarities(), the batched tile path, and the trainer's
-  /// minibatch scoring. Sharing it is what keeps their bit-identical
-  /// contract (and the zero-norm convention) in exactly one place.
+  /// The one cosine-normalization expression both scoring paths share —
+  /// per-sample similarities() and the batch scorer similarities_into
+  /// (serving and the minibatch trainer). Sharing it is what keeps their
+  /// bit-identical contract (and the zero-norm convention) in exactly one
+  /// place.
   static float cosine_from_dot(float dot, float query_norm,
                                float class_norm) noexcept {
     return (query_norm == 0.0f || class_norm == 0.0f)
@@ -67,7 +68,8 @@ class HdcModel {
                           const core::ExecutionContext& exec =
                               core::ExecutionContext::serial()) const;
 
-  /// The batch scorer (stage 2 of the serving pipeline): writes
+  /// The batch scorer (stage 2 of the serving pipeline, and the
+  /// minibatch trainer's frozen-model scoring): writes
   /// h.rows() x num_classes() floats row-major at `out`, caller-owned
   /// storage, so the staged scores_batch paths score one sub-batch
   /// straight into its row range of the full output matrix. Rows are read

@@ -104,14 +104,12 @@ void InitAccumulator::finish(HdcModel& model, const TrainerConfig& config) {
 
 // ---- UpdateAccumulator ------------------------------------------------------
 
-void UpdateAccumulator::collect(const float* tile, std::size_t rows,
-                                const int* labels,
+void UpdateAccumulator::collect(const EncodedRows& tile, const int* labels,
                                 std::span<const float> scores,
-                                std::size_t num_classes, std::size_t dims,
-                                EpochStats& stats) {
+                                std::size_t num_classes, EpochStats& stats) {
+  const std::size_t rows = tile.rows();
   assert(scores.size() >= rows * num_classes);
   tile_ = tile;
-  dims_ = dims;
   updates_.clear();
   const auto step_weight = [&](float score) {
     return config_.similarity_weighted
@@ -143,25 +141,24 @@ void UpdateAccumulator::collect(const float* tile, std::size_t rows,
 }
 
 void UpdateAccumulator::apply(HdcModel& model,
-                              const core::ExecutionContext& exec,
-                              bool parallel) const {
+                              const core::ExecutionContext& exec) const {
   if (updates_.empty()) return;
-  assert(model.dims() == dims_);
-  const std::size_t dims = dims_;
+  assert(model.dims() == tile_.dims());
+  const std::size_t dims = tile_.dims();
   const core::Kernels& k = exec.kernels();
   // Replay the whole update list restricted to columns [d0, d1): every
   // class's updates land in visit order, and the 16-float boundary keeps
   // each element's axpy arithmetic identical to a full-row call.
   const auto replay = [&](std::size_t d0, std::size_t d1) {
     for (const Update& u : updates_) {
-      k.axpy_f32(u.weight, tile_ + u.row * dims + d0,
+      k.axpy_f32(u.weight, tile_.row(u.row).data() + d0,
                  model.class_vector(u.cls).data() + d0, d1 - d0);
     }
   };
   const std::size_t stripes =
       std::min(exec.workers(),
                std::max<std::size_t>(1, dims / kUpdateMinStripeCols));
-  if (!parallel || exec.pool() == nullptr || stripes <= 1) {
+  if (exec.pool() == nullptr || stripes <= 1) {
     replay(0, dims);
     return;
   }
@@ -209,53 +206,30 @@ std::vector<std::size_t> Trainer::epoch_order(std::size_t n, core::Rng& rng,
   return order;
 }
 
-void Trainer::update_tile(HdcModel& model, const float* tile,
-                          std::size_t rows, const int* labels,
-                          EpochStats& stats, std::span<float> scores,
-                          std::span<float> class_norms,
-                          UpdateAccumulator& acc, bool parallel) const {
-  const std::size_t num_classes = model.num_classes();
-  const std::size_t dims = model.dims();
-  assert(scores.size() >= rows * num_classes);
-  assert(class_norms.size() == num_classes);
-  const core::Kernels& k = exec_.kernels();
-  // Class norms once per tile — exactly the per-sample cadence when
-  // batch_size == 1, where this runs once per sample as similarities() did.
-  for (std::size_t c = 0; c < num_classes; ++c) {
-    class_norms[c] = core::norm2(model.class_vector(c));
+void Trainer::update_tile(HdcModel& model, const EncodedRows& rows,
+                          const int* labels, EpochStats& stats) const {
+  const std::size_t n = rows.rows();
+  if (n == 0) return;
+  const std::size_t batch = std::min(resolved_batch_size(rows.dims()), n);
+  // A one-row tile gains nothing from the pool: score and replay it on a
+  // pool-less copy of the context (same kernels and cache model, so an
+  // injected backend still applies).
+  const core::ExecutionContext serial(nullptr, &exec_.kernels(),
+                                      exec_.cache());
+  const core::ExecutionContext& ctx = batch > 1 ? exec_ : serial;
+  std::vector<float> scores(batch * model.num_classes());
+  UpdateAccumulator acc(config_);
+  for (std::size_t t = 0; t < n; t += batch) {
+    const EncodedRows tile(rows.row_ptrs() + t, std::min(batch, n - t),
+                           rows.dims());
+    // Frozen-model scoring through the batch scorer: each row's cosines
+    // are bit-identical to similarities() on it, for any split. Then the
+    // serial decision sweep and the striped replay — deterministic for
+    // every worker count.
+    model.similarities_into(tile, scores.data(), ctx);
+    acc.collect(tile, labels + t, scores, model.num_classes(), stats);
+    acc.apply(model, ctx);
   }
-  const float* classes = model.weights().data();
-  // Frozen-model scoring: every row's cosines depend only on the tile and
-  // the pre-update model, so the row range splits freely across workers;
-  // the per-dot kernel contract keeps results identical for any split.
-  // Sub-blocking keeps the block's rows L2-resident across the kernel pass
-  // and the immediately following norm pass (one cold read per row, not
-  // two); the block size is cache-derived, not hand-tuned.
-  const std::size_t score_block = exec_.score_block_rows(dims);
-  const auto score_rows = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t b = begin; b < end; b += score_block) {
-      const std::size_t block = std::min(score_block, end - b);
-      k.similarities_tile_f32(tile + b * dims, block, classes, num_classes,
-                              dims, scores.data() + b * num_classes);
-      for (std::size_t r = b; r < b + block; ++r) {
-        const float hn = core::norm2({tile + r * dims, dims});
-        float* row_scores = scores.data() + r * num_classes;
-        for (std::size_t c = 0; c < num_classes; ++c) {
-          row_scores[c] =
-              HdcModel::cosine_from_dot(row_scores[c], hn, class_norms[c]);
-        }
-      }
-    }
-  };
-  if (parallel && rows > 1) {
-    exec_.parallel_for(rows, score_rows, /*grain=*/8);
-  } else {
-    score_rows(0, rows);
-  }
-  // Update pass: serial decision sweep over the frozen scores, then the
-  // striped replay — thread-parallel, deterministic for every worker count.
-  acc.collect(tile, rows, labels, scores, num_classes, dims, stats);
-  acc.apply(model, exec_, parallel);
 }
 
 EpochStats Trainer::train_epoch(HdcModel& model, const core::Matrix& encoded,
@@ -264,45 +238,20 @@ EpochStats Trainer::train_epoch(HdcModel& model, const core::Matrix& encoded,
   assert(encoded.rows() == labels.size());
   assert(encoded.cols() == model.dims());
   const std::size_t n = encoded.rows();
-  const std::size_t num_classes = model.num_classes();
-  const std::size_t dims = encoded.cols();
   const std::vector<std::size_t> order =
       epoch_order(n, rng, config_.shuffle);
-
+  // One row-pointer table and label array over the visit order: every
+  // tile is a window of them, and no encoded row is copied.
+  std::vector<const float*> rows(n);
+  std::vector<int> visit_labels(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    rows[j] = encoded.row(order[j]).data();
+    visit_labels[j] = labels[order[j]];
+  }
   EpochStats stats;
   stats.samples = n;
-  if (n == 0) return stats;
-  // Clamp the tile to the data so scratch stays O(min(batch, n) x D).
-  const std::size_t batch = std::min(resolved_batch_size(dims), n);
-  std::vector<float> class_norms(num_classes);
-  std::vector<float> scores(batch * num_classes);
-  UpdateAccumulator acc(config_);
-  core::Matrix gathered;
-  std::vector<int> gathered_labels;
-  if (batch > 1) {
-    gathered.resize(batch, dims);
-    gathered_labels.resize(batch);
-  }
-  for (std::size_t t = 0; t < n; t += batch) {
-    const std::size_t m = std::min(batch, n - t);
-    if (batch == 1) {
-      // No gather: score the encoded row in place. One row through the
-      // tile kernel is the classic sequential rule, bit-exactly.
-      const std::size_t idx = order[t];
-      update_tile(model, encoded.row(idx).data(), 1, &labels[idx], stats,
-                  scores, class_norms, acc, /*parallel=*/false);
-    } else {
-      // Shuffled rows are scattered; gather the tile so the kernel streams
-      // one contiguous block (and the update pass reuses the hot copy).
-      for (std::size_t j = 0; j < m; ++j) {
-        const std::size_t idx = order[t + j];
-        std::copy_n(encoded.row(idx).data(), dims, gathered.row(j).data());
-        gathered_labels[j] = labels[idx];
-      }
-      update_tile(model, gathered.data(), m, gathered_labels.data(), stats,
-                  scores, class_norms, acc, /*parallel=*/true);
-    }
-  }
+  update_tile(model, EncodedRows(rows.data(), n, encoded.cols()),
+              visit_labels.data(), stats);
   return stats;
 }
 
@@ -312,17 +261,10 @@ void Trainer::train_tile(HdcModel& model, const core::Matrix& tile,
   const std::size_t n = labels.size();
   assert(tile.rows() >= n);
   assert(tile.cols() == model.dims());
-  if (n == 0) return;
-  const std::size_t num_classes = model.num_classes();
-  const std::size_t batch = std::min(resolved_batch_size(tile.cols()), n);
-  std::vector<float> class_norms(num_classes);
-  std::vector<float> scores(batch * num_classes);
-  UpdateAccumulator acc(config_);
-  for (std::size_t t = 0; t < n; t += batch) {
-    const std::size_t m = std::min(batch, n - t);
-    update_tile(model, tile.row(t).data(), m, labels.data() + t, stats,
-                scores, class_norms, acc, /*parallel=*/m > 1);
-  }
+  std::vector<const float*> rows(n);
+  for (std::size_t i = 0; i < n; ++i) rows[i] = tile.row(i).data();
+  update_tile(model, EncodedRows(rows.data(), n, tile.cols()), labels.data(),
+              stats);
 }
 
 EpochStats Trainer::train(HdcModel& model, const core::Matrix& encoded,

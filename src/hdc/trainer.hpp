@@ -14,19 +14,21 @@
 // core::ExecutionContext instead of scattered pool pointers and hand-tuned
 // constants:
 //  * Adaptive epochs run in minibatch tiles (TrainerConfig::batch_size;
-//    0 = auto, derived from the machine's L2 by the context): one
-//    register-blocked similarities_tile_f32 call scores a whole tile of
-//    shuffled samples against the frozen model — split across the context's
-//    pool — then the (1 - delta)-weighted updates replay through the
-//    UpdateAccumulator, also thread-parallel yet bit-identical for every
-//    worker count. batch_size = 1 reproduces the classic sample-at-a-time
-//    rule bit-exactly; larger tiles are the OnlineHD-style minibatch
+//    0 = auto, derived from the machine's L2 by the context): the model's
+//    batch scorer (HdcModel::similarities_into, the one serving uses)
+//    scores a whole tile of shuffled samples against the frozen model —
+//    split across the context's pool — then the (1 - delta)-weighted
+//    updates replay through the UpdateAccumulator, also thread-parallel
+//    yet bit-identical for every worker count. The tile is a window of one
+//    row-pointer table over the epoch's visit order, so no sample is
+//    copied. batch_size = 1 reproduces the classic sample-at-a-time rule
+//    bit-exactly; larger tiles are the OnlineHD-style minibatch
 //    approximation (scores lag the updates by at most one tile).
 //  * One-shot initialize() bundles through fixed row stripes (a function of
 //    the row count only), each accumulated independently and merged in
 //    stripe order — so any thread count, and the streamed fit() path
 //    feeding tiles through InitAccumulator, produce bit-identical models.
-//  * evaluate() rides HdcModel::similarities_batch (the same tile kernel).
+//  * evaluate() rides HdcModel::similarities_batch (the same batch scorer).
 #pragma once
 
 #include <cstddef>
@@ -38,6 +40,7 @@
 #include "core/exec/execution_context.hpp"
 #include "core/matrix.hpp"
 #include "core/rng.hpp"
+#include "hdc/encoded_batch.hpp"
 #include "hdc/model.hpp"
 
 namespace cyberhd::hdc {
@@ -69,7 +72,7 @@ struct TrainerConfig {
   /// bounded score lag for tile-kernel throughput and thread-parallel
   /// scoring and updates. 0 = auto: the execution context derives the
   /// L2-resident sweet spot from the cache topology
-  /// (ExecutionContext::train_batch_rows).
+  /// (ExecutionContext::score_block_rows).
   std::size_t batch_size = 1;
 };
 
@@ -146,21 +149,19 @@ class UpdateAccumulator {
   explicit UpdateAccumulator(const TrainerConfig& config)
       : config_(config) {}
 
-  /// Decision pass over one scored tile: `tile` holds `rows` encoded
-  /// samples (row-major rows x dims), `scores` their frozen cosine rows
-  /// (rows x num_classes). Mispredictions accumulate into `stats`; the
-  /// recorded update list replaces any previous one.
-  void collect(const float* tile, std::size_t rows, const int* labels,
+  /// Decision pass over one scored tile: `tile` views its encoded
+  /// samples, `scores` their frozen cosine rows (tile.rows() x
+  /// num_classes). Mispredictions accumulate into `stats`; the recorded
+  /// update list replaces any previous one. apply() reads the rows through
+  /// the view, so its pointer table must outlive the replay.
+  void collect(const EncodedRows& tile, const int* labels,
                std::span<const float> scores, std::size_t num_classes,
-               std::size_t dims, EpochStats& stats);
+               EpochStats& stats);
 
   /// Replay the recorded updates onto `model`, columns striped across the
-  /// context's pool. Bit-identical to applying them serially in visit
-  /// order, for any worker count. `parallel = false` forces the serial
-  /// replay without the caller having to materialize a pool-less context
-  /// (the batch_size = 1 hot path takes it once per sample).
-  void apply(HdcModel& model, const core::ExecutionContext& exec,
-             bool parallel = true) const;
+  /// context's pool (serially when it has none). Bit-identical to applying
+  /// them serially in visit order, for any worker count.
+  void apply(HdcModel& model, const core::ExecutionContext& exec) const;
 
   std::size_t num_updates() const noexcept { return updates_.size(); }
 
@@ -173,8 +174,7 @@ class UpdateAccumulator {
   };
 
   TrainerConfig config_;
-  const float* tile_ = nullptr;
-  std::size_t dims_ = 0;
+  EncodedRows tile_;
   std::vector<Update> updates_;
 };
 
@@ -193,11 +193,12 @@ class Trainer {
 
   /// The minibatch size one epoch over `dims`-wide data actually uses:
   /// config().batch_size, or the context's cache-derived
-  /// train_batch_rows(dims) when batch_size == 0 (auto). Benches report
-  /// this so CSV rows from different hosts stay comparable.
+  /// score_block_rows(dims) when batch_size == 0 (auto) — the L2 sweet
+  /// spot is the block the scorer streams. Benches report this so CSV
+  /// rows from different hosts stay comparable.
   std::size_t resolved_batch_size(std::size_t dims) const noexcept {
     return config_.batch_size != 0 ? config_.batch_size
-                                   : exec_.train_batch_rows(dims);
+                                   : exec_.score_block_rows(dims);
   }
 
   /// One-shot initialization: bundle every encoded sample into its class
@@ -221,11 +222,12 @@ class Trainer {
 
   /// Apply the adaptive rule to one pre-encoded, pre-gathered tile (the
   /// first `labels.size()` rows of `tile`), processed in sub-batches of
-  /// resolved_batch_size(). Misprediction counts accumulate into `stats`
-  /// (`stats.samples` is the caller's bookkeeping). This is the streamed
-  /// fit() entry point: feeding a whole epoch through tiles whose rows
-  /// follow the epoch_order() sequence reproduces train_epoch bit-exactly
-  /// when the tile size is a multiple of the batch size.
+  /// resolved_batch_size() exactly as train_epoch walks its visit order.
+  /// Misprediction counts accumulate into `stats` (`stats.samples` is the
+  /// caller's bookkeeping). This is the streamed fit() entry point:
+  /// feeding a whole epoch through tiles whose rows follow the
+  /// epoch_order() sequence reproduces train_epoch bit-exactly when the
+  /// tile size is a multiple of the batch size.
   void train_tile(HdcModel& model, const core::Matrix& tile,
                   std::span<const int> labels, EpochStats& stats) const;
 
@@ -244,14 +246,13 @@ class Trainer {
                              core::ExecutionContext::serial());
 
  private:
-  /// Score `rows` samples starting at `tile` (row-major rows x dims)
-  /// against the frozen model with one tile-kernel pass, then replay the
-  /// adaptive updates through the accumulator — both split across the
-  /// context's pool when `parallel`.
-  void update_tile(HdcModel& model, const float* tile, std::size_t rows,
-                   const int* labels, EpochStats& stats,
-                   std::span<float> scores, std::span<float> class_norms,
-                   UpdateAccumulator& acc, bool parallel) const;
+  /// The one epoch path: walk `rows` (samples in visit order, `labels`
+  /// alongside) in resolved_batch_size() tiles. Each tile is scored
+  /// against the frozen model by HdcModel::similarities_into, then its
+  /// adaptive updates replay through the accumulator — both split across
+  /// the context's pool when the batch is larger than one row.
+  void update_tile(HdcModel& model, const EncodedRows& rows,
+                   const int* labels, EpochStats& stats) const;
 
   TrainerConfig config_;
   core::ExecutionContext exec_;

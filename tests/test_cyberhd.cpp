@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -67,6 +68,32 @@ TEST(CyberHdClassifier, FitRejectsEmptyData) {
   CyberHdClassifier model(small_config());
   core::Matrix empty(0, 4);
   EXPECT_THROW(model.fit(empty, {}, 2), std::invalid_argument);
+}
+
+TEST(CyberHdClassifier, FitRejectsLabelsOutsideTheClassRange) {
+  const Blobs data(20);
+  CyberHdClassifier model(small_config());
+  model.fit(data.x, data.y, 3);
+  std::vector<float> before(3);
+  model.scores(data.x.row(0), before);
+
+  std::vector<int> too_big = data.y;
+  too_big[7] = 3;
+  EXPECT_THROW(model.fit(data.x, too_big, 3), std::invalid_argument);
+  std::vector<int> negative = data.y;
+  negative.back() = -1;
+  EXPECT_THROW(model.fit(data.x, negative, 3), std::invalid_argument);
+  const std::span<const int> short_labels(data.y.data(), data.y.size() - 1);
+  EXPECT_THROW(model.fit(data.x, short_labels, 3), std::invalid_argument);
+  // No class range at all: every label is outside it.
+  EXPECT_THROW(model.fit(data.x, data.y, 0), std::invalid_argument);
+
+  // Each rejection came before any member changed: the earlier fit still
+  // serves, unchanged.
+  EXPECT_EQ(model.num_classes(), 3u);
+  std::vector<float> after(3);
+  model.scores(data.x.row(0), after);
+  EXPECT_EQ(after, before);
 }
 
 TEST(CyberHdClassifier, LearnsBlobs) {

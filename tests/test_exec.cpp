@@ -149,13 +149,6 @@ TEST(ExecutionContext, ScoreBlockRowsIsMonotonicInDims) {
   }
 }
 
-TEST(ExecutionContext, TrainBatchRowsMatchesScoreBlock) {
-  const ExecutionContext ctx;
-  for (std::size_t dims : {512u, 4096u, 10240u}) {
-    EXPECT_EQ(ctx.train_batch_rows(dims), ctx.score_block_rows(dims));
-  }
-}
-
 TEST(ExecutionContext, ServingBlockRowsDerivesFromL3) {
   // A 32 MiB shared L3 at D = 10240 derives a 256-row sub-batch
   // (32 MiB / 3 / 40 KiB ~ 273 -> pow2 256), the exact analogue of the
@@ -166,23 +159,24 @@ TEST(ExecutionContext, ServingBlockRowsDerivesFromL3) {
                            .l3_bytes = 32 * 1024 * 1024,
                            .l3_domains = 1};
   const ExecutionContext ctx(nullptr, nullptr, topo);
-  EXPECT_EQ(ctx.serving_block_rows(10240), 256u);
+  EXPECT_EQ(ctx.plan_serving(10240).block_rows, 256u);
   // Small hypervectors hit the 4096-row cap.
-  EXPECT_EQ(ctx.serving_block_rows(512), 4096u);
+  EXPECT_EQ(ctx.plan_serving(512).block_rows, 4096u);
   // Huge hypervectors degrade to the L2 scoring tile, never to zero.
-  EXPECT_EQ(ctx.serving_block_rows(100'000'000), 1u);
+  EXPECT_EQ(ctx.plan_serving(100'000'000).block_rows, 1u);
   // A smaller L3 derives a smaller sub-batch.
   CacheTopology small = topo;
   small.l3_bytes = 8 * 1024 * 1024;
   EXPECT_EQ(ExecutionContext(nullptr, nullptr, small)
-                .serving_block_rows(10240),
+                .plan_serving(10240)
+                .block_rows,
             64u);
   // The sub-batch never drops below the L2 scoring block it feeds, even
   // when a (mis)detected L3 is no bigger than L2.
   CacheTopology tiny = topo;
   tiny.l3_bytes = 2 * 1024 * 1024;
   const ExecutionContext tiny_ctx(nullptr, nullptr, tiny);
-  EXPECT_GE(tiny_ctx.serving_block_rows(10240),
+  EXPECT_GE(tiny_ctx.plan_serving(10240).block_rows,
             tiny_ctx.score_block_rows(10240));
 }
 

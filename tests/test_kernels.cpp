@@ -2,8 +2,10 @@
 //  * scalar and AVX2 backends agree bit-exactly on the integer kernels
 //    (XOR/popcount, int8 dot) and to rounding tolerance on the float
 //    kernels, on randomized inputs including non-multiple-of-64/8 tails;
-//  * the fused cos_rbf_rows is self-consistent (rows=N vs N rows=1 calls),
-//    which is what keeps encode() and encode_dims() coherent;
+//  * the float tiles reproduce their per-pair reference bit-exactly per
+//    backend: each similarities_tile_f32_gather entry is dot_f32 on its
+//    pair, and each cos_rbf_tile_f32 entry a one-base, one-flow call (what
+//    keeps encode() and encode_dims() coherent);
 //  * predict/scores agree bit-exactly with predict_batch/scores_batch for
 //    CyberHD and its quantized snapshots;
 //  * concurrent const predict() calls are safe and deterministic (the
@@ -54,8 +56,6 @@ TEST(KernelDispatch, ActiveBackendIsAlwaysValid) {
   ASSERT_NE(k.dot_f32, nullptr);
   ASSERT_NE(k.axpy_f32, nullptr);
   ASSERT_NE(k.mul_acc_f32, nullptr);
-  ASSERT_NE(k.similarities_tile_f32, nullptr);
-  ASSERT_NE(k.cos_rbf_rows, nullptr);
   ASSERT_NE(k.cos_rbf_tile_f32, nullptr);
   ASSERT_NE(k.xor_popcount_words, nullptr);
   ASSERT_NE(k.quantized_dot_i8, nullptr);
@@ -181,35 +181,34 @@ std::vector<const core::Kernels*> gather_backends() {
   return backends;
 }
 
-/// Each backend's float gather tile shares its contiguous sibling's
-/// register-blocked inner body, so over the same row bytes the outputs
-/// must be BIT-identical — compared against the contiguous kernel run on
-/// an equally shuffled contiguous copy.
-TEST(KernelGather, SimilaritiesTileF32GatherBitIdenticalToContiguous) {
+/// Every backend's float gather tile must reproduce its own dot_f32 per
+/// (row, class) pair bit-for-bit — the contract the batch scorer (serving
+/// and the minibatch trainer) and the sign-projection encoder build their
+/// "batching never changes results" guarantee on. Rows straddle the 4-row
+/// register block, dims the SIMD widths and tails.
+TEST(KernelGather, SimilaritiesTileF32GatherMatchesPerPairDotBitExactly) {
   for (const core::Kernels* k : gather_backends()) {
     for (std::size_t rows : {1u, 3u, 4u, 5u, 8u, 17u}) {
       for (std::size_t classes : {1u, 2u, 3u, 10u}) {
-        for (std::size_t dims : {1u, 7u, 16u, 65u, 130u}) {
+        for (std::size_t dims : {1u, 7u, 8u, 16u, 17u, 31u, 65u, 100u, 118u,
+                                 130u, 512u}) {
           const auto h = gaussian_vec(rows * dims, 9000 + rows + dims);
           const auto cls =
               gaussian_vec(classes * dims, 9500 + classes + dims);
           std::vector<const float*> tbl(rows);
-          std::vector<float> shuffled(rows * dims);
           for (std::size_t r = 0; r < rows; ++r) {
-            const std::size_t src = (r * 7 + 3) % rows;
-            tbl[r] = h.data() + src * dims;
-            std::copy(tbl[r], tbl[r] + dims,
-                      shuffled.data() + r * dims);
+            tbl[r] = h.data() + ((r * 7 + 3) % rows) * dims;
           }
-          std::vector<float> want(rows * classes), got(rows * classes);
-          k->similarities_tile_f32(shuffled.data(), rows, cls.data(),
-                                   classes, dims, want.data());
+          std::vector<float> out(rows * classes, -1.0f);
           k->similarities_tile_f32_gather(tbl.data(), rows, cls.data(),
-                                          classes, dims, got.data());
-          for (std::size_t i = 0; i < want.size(); ++i) {
-            EXPECT_EQ(want[i], got[i])
-                << k->name << " rows=" << rows << " classes=" << classes
-                << " dims=" << dims << " i=" << i;
+                                          classes, dims, out.data());
+          for (std::size_t r = 0; r < rows; ++r) {
+            for (std::size_t c = 0; c < classes; ++c) {
+              EXPECT_EQ(out[r * classes + c],
+                        k->dot_f32(tbl[r], cls.data() + c * dims, dims))
+                  << k->name << " rows=" << rows << " classes=" << classes
+                  << " dims=" << dims << " r=" << r << " c=" << c;
+            }
           }
         }
       }
@@ -377,44 +376,10 @@ TEST(KernelParity, Avx512XorPopcountBitExact) {
   }
 }
 
-// ---- the blocked similarity tile -------------------------------------------
-
-/// Every backend's tile kernel must reproduce its own dot_f32 per (row,
-/// class) pair bit-for-bit — the contract the batch scorers (through the
-/// gather variant, bit-identical to this tile) and the minibatch trainer
-/// build their "batching never changes results" guarantee on. Row counts
-/// straddle the 4-row register block, dims the SIMD widths and tails.
-TEST(KernelTile, MatchesPerPairDotBitExactly) {
-  std::vector<const core::Kernels*> backends = {&core::scalar_kernels()};
-  if (const core::Kernels* avx2 = runnable_avx2()) backends.push_back(avx2);
-  if (const core::Kernels* avx512 = runnable_avx512()) {
-    backends.push_back(avx512);
-  }
-  for (const core::Kernels* k : backends) {
-    for (std::size_t rows : {1u, 3u, 4u, 5u, 8u, 17u}) {
-      for (std::size_t classes : {1u, 2u, 3u, 10u}) {
-        for (std::size_t dims : {1u, 8u, 16u, 17u, 31u, 100u, 118u, 512u}) {
-          const auto h = gaussian_vec(rows * dims, 40 + rows * dims);
-          const auto cls = gaussian_vec(classes * dims, 50 + classes * dims);
-          std::vector<float> out(rows * classes, -1.0f);
-          k->similarities_tile_f32(h.data(), rows, cls.data(), classes, dims,
-                                   out.data());
-          for (std::size_t r = 0; r < rows; ++r) {
-            for (std::size_t c = 0; c < classes; ++c) {
-              EXPECT_EQ(out[r * classes + c],
-                        k->dot_f32(h.data() + r * dims,
-                                   cls.data() + c * dims, dims))
-                  << k->name << " rows=" << rows << " classes=" << classes
-                  << " dims=" << dims << " r=" << r << " c=" << c;
-            }
-          }
-        }
-      }
-    }
-  }
-}
+// ---- the fused RBF encode tile ----------------------------------------------
 
 TEST(KernelParity, CosRbfRows) {
+  // One flow against a block of base rows (the per-sample encode's shape).
   const core::Kernels* avx2 = runnable_avx2();
   if (avx2 == nullptr) GTEST_SKIP() << "AVX2 unavailable on this host";
   const core::Kernels& scalar = core::scalar_kernels();
@@ -424,22 +389,15 @@ TEST(KernelParity, CosRbfRows) {
       const auto x = gaussian_vec(cols, 2000 + cols);
       auto biases = gaussian_vec(rows, 3000 + rows);
       for (auto& v : biases) v *= 3.0f;
-      std::vector<float> h_scalar(rows), h_avx2(rows), h_rowwise(rows);
-      scalar.cos_rbf_rows(bases.data(), rows, cols, x.data(), biases.data(),
-                          h_scalar.data());
-      avx2->cos_rbf_rows(bases.data(), rows, cols, x.data(), biases.data(),
-                         h_avx2.data());
-      for (std::size_t r = 0; r < rows; ++r) {
-        avx2->cos_rbf_rows(bases.data() + r * cols, 1, cols, x.data(),
-                           &biases[r], &h_rowwise[r]);
-      }
+      std::vector<float> h_scalar(rows), h_avx2(rows);
+      scalar.cos_rbf_tile_f32(bases.data(), rows, cols, x.data(), 1, cols,
+                              biases.data(), h_scalar.data(), rows);
+      avx2->cos_rbf_tile_f32(bases.data(), rows, cols, x.data(), 1, cols,
+                             biases.data(), h_avx2.data(), rows);
       for (std::size_t r = 0; r < rows; ++r) {
         // Scalar libm vs the AVX2 polynomial cosine plus dot reassociation:
         // a few float ulps on an output bounded to [-1, 1].
         EXPECT_NEAR(h_scalar[r], h_avx2[r], 5e-5)
-            << "rows=" << rows << " cols=" << cols << " r=" << r;
-        // Within one backend, batched and row-at-a-time must be identical.
-        EXPECT_EQ(h_avx2[r], h_rowwise[r])
             << "rows=" << rows << " cols=" << cols << " r=" << r;
       }
     }
@@ -452,24 +410,34 @@ TEST(KernelParity, CosRbfRowsHugeAngleFallsBackToLibm) {
   // An angle far outside the polynomial's reduction range must still come
   // back accurate (the backend re-does those lanes with std::cos).
   const float base[] = {30000.0f, 1.0f};
-  const float x[] = {1.0f, 0.0f};
+  const float x[] = {1.0f};
   const float bias[] = {0.25f, 0.0f};
   float h[2] = {0.0f, 0.0f};
-  avx2->cos_rbf_rows(base, 2, 1, x, bias, h);
+  avx2->cos_rbf_tile_f32(base, 2, 1, x, 1, 1, bias, h, 2);
   EXPECT_NEAR(h[0], std::cos(30000.0f + 0.25f), 1e-5);
   EXPECT_NEAR(h[1], std::cos(1.0f), 1e-6);
 }
 
 // ---- the multi-flow RBF encode tile ----------------------------------------
 
-/// Every backend's encode tile must reproduce its own per-flow
-/// cos_rbf_rows bit-for-bit — the contract the batched encode path (cache
-/// miss batches, encode_batch, the streamed trainer) builds its
+/// One base row: the per-dimension refresh's shape (encode_dims).
+float cos_rbf_one(const core::Kernels& k, const float* base, std::size_t cols,
+                  const float* x, float bias) {
+  float h = 0.0f;
+  k.cos_rbf_tile_f32(base, 1, cols, x, 1, cols, &bias, &h, 1);
+  return h;
+}
+
+/// Every backend's encode tile must reproduce, per (flow, base) entry, its
+/// own one-base, one-flow call bit-for-bit — the contract the batched
+/// encode path (cache miss batches, encode_batch, the streamed trainer),
+/// the one-flow encode() and the per-dimension encode_dims() build their
 /// "tiling never changes encodings" guarantee on. Flow counts straddle the
-/// 4-flow register block, base-row counts the 8-lane cosine epilogue
-/// groups, cols the dot kernel's 16/8-lane chunks and scalar tail. The
-/// output is written at h_stride > rows — the interior-panel shape — and
-/// the pad bytes between rows and h_stride must come back untouched.
+/// 4-flow register block, base-row counts the 8-row transpose and the
+/// 8/32-lane cosine epilogue groups, cols the dot kernel's 16/8-lane
+/// chunks and scalar tail. The output is written at h_stride > rows — the
+/// interior-panel shape — and the pad bytes between rows and h_stride must
+/// come back untouched.
 TEST(KernelTile, CosRbfTileMatchesPerFlowRowsBitExactly) {
   std::vector<const core::Kernels*> backends = {&core::scalar_kernels()};
   if (const core::Kernels* avx2 = runnable_avx2()) backends.push_back(avx2);
@@ -478,7 +446,7 @@ TEST(KernelTile, CosRbfTileMatchesPerFlowRowsBitExactly) {
   }
   for (const core::Kernels* k : backends) {
     for (std::size_t flows : {1u, 3u, 4u, 5u, 7u, 8u, 9u, 17u}) {
-      for (std::size_t rows : {1u, 5u, 8u, 16u, 17u, 100u}) {
+      for (std::size_t rows : {1u, 5u, 8u, 9u, 16u, 17u, 64u, 100u}) {
         for (std::size_t cols : {1u, 3u, 24u, 118u}) {
           const auto bases = gaussian_vec(rows * cols, 5000 + rows * cols);
           const auto x = gaussian_vec(flows * cols, 6000 + flows * cols);
@@ -488,12 +456,11 @@ TEST(KernelTile, CosRbfTileMatchesPerFlowRowsBitExactly) {
           std::vector<float> h_tile(flows * h_stride, -2.0f);
           k->cos_rbf_tile_f32(bases.data(), rows, cols, x.data(), flows,
                               cols, biases.data(), h_tile.data(), h_stride);
-          std::vector<float> h_row(rows);
           for (std::size_t f = 0; f < flows; ++f) {
-            k->cos_rbf_rows(bases.data(), rows, cols, x.data() + f * cols,
-                            biases.data(), h_row.data());
             for (std::size_t r = 0; r < rows; ++r) {
-              EXPECT_EQ(h_tile[f * h_stride + r], h_row[r])
+              EXPECT_EQ(h_tile[f * h_stride + r],
+                        cos_rbf_one(*k, bases.data() + r * cols, cols,
+                                    x.data() + f * cols, biases[r]))
                   << k->name << " flows=" << flows << " rows=" << rows
                   << " cols=" << cols << " f=" << f << " r=" << r;
             }
@@ -569,8 +536,9 @@ TEST(KernelTile, CosRbfTileHonorsFlowStride) {
                         biases.data(), h_tile.data(), rows);
     std::vector<float> h_row(rows);
     for (std::size_t f = 0; f < flows; ++f) {
-      k->cos_rbf_rows(bases.data(), rows, cols, x.data() + f * x_stride,
-                      biases.data(), h_row.data());
+      // The same flow read on its own, out of the strided layout.
+      k->cos_rbf_tile_f32(bases.data(), rows, cols, x.data() + f * x_stride,
+                          1, cols, biases.data(), h_row.data(), rows);
       for (std::size_t r = 0; r < rows; ++r) {
         EXPECT_EQ(h_tile[f * rows + r], h_row[r])
             << k->name << " f=" << f << " r=" << r;

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <numeric>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/matrix.hpp"
@@ -21,9 +22,11 @@ namespace {
 struct BlobFixture {
   core::Matrix encoded;
   std::vector<int> labels;
-  std::size_t dims = 128;
+  std::size_t dims;
 
-  explicit BlobFixture(std::size_t n_per_class, std::uint64_t seed = 5) {
+  explicit BlobFixture(std::size_t n_per_class, std::uint64_t seed = 5,
+                       std::size_t dims_ = 128)
+      : dims(dims_) {
     core::Rng rng(seed);
     core::Matrix raw(2 * n_per_class, 2);
     labels.resize(2 * n_per_class);
@@ -207,70 +210,99 @@ TEST(Trainer, EvaluateEmptyIsZero) {
 
 // ---- tiled-engine regression suite -----------------------------------------
 
-/// The pre-refactor sequential adaptive epoch, kept verbatim as the golden
-/// reference: shuffle, then per sample score via model.similarities() and
-/// apply the (1 - delta)-weighted updates immediately. The tiled trainer
-/// with batch_size == 1 must reproduce it bit-for-bit.
+/// The adaptive epoch written out as the golden reference: shuffle, then
+/// for each tile of config.batch_size visit-order samples, score every row
+/// via model.similarities() against the model as it stood before the tile,
+/// then apply the tile's (1 - delta)-weighted updates in visit order.
+/// batch_size = 1 is the classic sequential rule, verbatim. The trainer
+/// must reproduce it bit-for-bit on any context.
 EpochStats golden_sequential_epoch(const TrainerConfig& config,
                                    HdcModel& model,
                                    const core::Matrix& encoded,
                                    std::span<const int> labels,
                                    core::Rng& rng) {
   const std::size_t n = encoded.rows();
+  const std::size_t batch = config.batch_size;
+  const std::size_t classes = model.num_classes();
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
   if (config.shuffle) rng.shuffle(order);
   EpochStats stats;
   stats.samples = n;
-  std::vector<float> scores(model.num_classes());
-  for (std::size_t idx : order) {
-    const auto h = encoded.row(idx);
-    const auto truth = static_cast<std::size_t>(labels[idx]);
-    model.similarities(h, scores);
-    const std::size_t pred = core::argmax(scores);
-    const auto step_weight = [&](float score) {
-      return config.similarity_weighted
-                 ? config.learning_rate * (1.0f - score)
-                 : config.learning_rate;
-    };
-    if (pred != truth) {
-      ++stats.mispredicted;
-      core::axpy(step_weight(scores[truth]), h, model.class_vector(truth));
-      core::axpy(-step_weight(scores[pred]), h, model.class_vector(pred));
-    } else if (config.reinforce_correct) {
-      core::axpy(step_weight(scores[truth]), h, model.class_vector(truth));
+  const auto step_weight = [&](float score) {
+    return config.similarity_weighted ? config.learning_rate * (1.0f - score)
+                                      : config.learning_rate;
+  };
+  std::vector<float> scores(batch * classes);
+  for (std::size_t t = 0; t < n; t += batch) {
+    const std::size_t m = std::min(batch, n - t);
+    for (std::size_t j = 0; j < m; ++j) {
+      model.similarities(encoded.row(order[t + j]),
+                         {scores.data() + j * classes, classes});
+    }
+    for (std::size_t j = 0; j < m; ++j) {
+      const std::size_t idx = order[t + j];
+      const auto h = encoded.row(idx);
+      const auto truth = static_cast<std::size_t>(labels[idx]);
+      const std::span<const float> row_scores{scores.data() + j * classes,
+                                              classes};
+      const std::size_t pred = core::argmax(row_scores);
+      if (pred != truth) {
+        ++stats.mispredicted;
+        core::axpy(step_weight(row_scores[truth]), h,
+                   model.class_vector(truth));
+        core::axpy(-step_weight(row_scores[pred]), h,
+                   model.class_vector(pred));
+      } else if (config.reinforce_correct) {
+        core::axpy(step_weight(row_scores[truth]), h,
+                   model.class_vector(truth));
+      }
     }
   }
   return stats;
 }
 
-TEST(TrainerTiled, BatchSizeOneIsBitExactToSequentialRule) {
-  BlobFixture fixture(120, /*seed=*/43);
-  for (const bool weighted : {true, false}) {
-    for (const bool reinforce : {false, true}) {
-      TrainerConfig cfg;
-      cfg.learning_rate = 0.3f;
-      cfg.similarity_weighted = weighted;
-      cfg.reinforce_correct = reinforce;
-      Trainer trainer(cfg);
-      HdcModel tiled(2, fixture.dims), golden(2, fixture.dims);
-      trainer.initialize(tiled, fixture.encoded, fixture.labels);
-      trainer.initialize(golden, fixture.encoded, fixture.labels);
-      ASSERT_EQ(tiled.weights(), golden.weights());
-      core::Rng rng_tiled(47), rng_golden(47);
-      for (int e = 0; e < 3; ++e) {
-        const EpochStats t = trainer.train_epoch(tiled, fixture.encoded,
-                                                 fixture.labels, rng_tiled);
-        const EpochStats g = golden_sequential_epoch(
-            cfg, golden, fixture.encoded, fixture.labels, rng_golden);
-        EXPECT_EQ(t.samples, g.samples);
-        EXPECT_EQ(t.mispredicted, g.mispredicted)
-            << "weighted=" << weighted << " reinforce=" << reinforce
-            << " epoch " << e;
-        // Bit-exact: float-for-float identical class hypervectors.
-        ASSERT_EQ(tiled.weights(), golden.weights())
-            << "weighted=" << weighted << " reinforce=" << reinforce
-            << " epoch " << e;
+TEST(TrainerTiled, EpochIsBitExactToWrittenOutRuleAtEveryBatchAndPool) {
+  // 1024 dims: on the 4-worker pool the update replay splits the class
+  // matrix into column stripes, and 64-row tiles split their scoring.
+  BlobFixture fixture(120, /*seed=*/43, /*dims_=*/1024);
+  core::ThreadPool pool1(1), pool4(4);
+  const std::pair<const char*, core::ExecutionContext> contexts[] = {
+      {"serial", core::ExecutionContext::serial()},
+      {"pool(1)", core::ExecutionContext(&pool1)},
+      {"pool(4)", core::ExecutionContext(&pool4)}};
+  for (const std::size_t batch : {1u, 4u, 16u, 64u}) {
+    for (const auto& [ctx_name, ctx] : contexts) {
+      for (const bool weighted : {true, false}) {
+        for (const bool reinforce : {false, true}) {
+          TrainerConfig cfg;
+          cfg.learning_rate = 0.3f;
+          cfg.similarity_weighted = weighted;
+          cfg.reinforce_correct = reinforce;
+          cfg.batch_size = batch;
+          Trainer trainer(cfg, ctx);
+          HdcModel tiled(2, fixture.dims), golden(2, fixture.dims);
+          trainer.initialize(tiled, fixture.encoded, fixture.labels);
+          trainer.initialize(golden, fixture.encoded, fixture.labels);
+          ASSERT_EQ(tiled.weights(), golden.weights());
+          core::Rng rng_tiled(47), rng_golden(47);
+          for (int e = 0; e < 3; ++e) {
+            const EpochStats t = trainer.train_epoch(
+                tiled, fixture.encoded, fixture.labels, rng_tiled);
+            const EpochStats g = golden_sequential_epoch(
+                cfg, golden, fixture.encoded, fixture.labels, rng_golden);
+            EXPECT_EQ(t.samples, g.samples);
+            EXPECT_EQ(t.mispredicted, g.mispredicted)
+                << "batch=" << batch << " " << ctx_name
+                << " weighted=" << weighted << " reinforce=" << reinforce
+                << " epoch " << e;
+            // Bit-exact: float-for-float identical class hypervectors.
+            ASSERT_EQ(tiled.weights(), golden.weights())
+                << "batch=" << batch << " " << ctx_name
+                << " weighted=" << weighted << " reinforce=" << reinforce
+                << " epoch " << e;
+          }
+        }
       }
     }
   }
@@ -454,6 +486,7 @@ struct UpdateFixture {
   core::Matrix scores{kRows, kClasses};
   core::Matrix initial{kClasses, kDims};
   std::vector<int> labels = std::vector<int>(kRows);
+  std::vector<const float*> row_ptrs = std::vector<const float*>(kRows);
 
   UpdateFixture() {
     core::Rng rng(101);
@@ -461,7 +494,11 @@ struct UpdateFixture {
     core::fill_uniform(rng, scores.data(), scores.size(), -1.0f, 1.0f);
     core::fill_gaussian(rng, initial.data(), initial.size(), 0.0f, 1.0f);
     for (auto& y : labels) y = static_cast<int>(rng.next_below(kClasses));
+    for (std::size_t r = 0; r < kRows; ++r) row_ptrs[r] = tile.row(r).data();
   }
+
+  /// The tile as the trainer hands it over: a row-pointer view.
+  EncodedRows view() const { return {row_ptrs.data(), kRows, kDims}; }
 
   HdcModel fresh_model() const {
     HdcModel m(kClasses, kDims);
@@ -494,9 +531,9 @@ TEST(UpdateAccumulator, BitIdenticalAcrossWorkersAndVsSerialRule) {
         HdcModel model = f.fresh_model();
         EpochStats stats;
         UpdateAccumulator acc(cfg);
-        acc.collect(f.tile.data(), f.tile.rows(), f.labels.data(),
+        acc.collect(f.view(), f.labels.data(),
                     {f.scores.data(), f.scores.size()},
-                    UpdateFixture::kClasses, UpdateFixture::kDims, stats);
+                    UpdateFixture::kClasses, stats);
         acc.apply(model, ctx);
         EXPECT_EQ(stats.mispredicted, golden_stats.mispredicted)
             << workers << " workers";
@@ -515,9 +552,8 @@ TEST(UpdateAccumulator, SerialContextMatchesPooledContexts) {
   UpdateAccumulator acc(cfg);
   HdcModel serial_model = f.fresh_model();
   EpochStats stats;
-  acc.collect(f.tile.data(), f.tile.rows(), f.labels.data(),
-              {f.scores.data(), f.scores.size()}, UpdateFixture::kClasses,
-              UpdateFixture::kDims, stats);
+  acc.collect(f.view(), f.labels.data(), {f.scores.data(), f.scores.size()},
+              UpdateFixture::kClasses, stats);
   acc.apply(serial_model, core::ExecutionContext::serial());
   core::ThreadPool pool(4);
   HdcModel pooled_model = f.fresh_model();
@@ -563,7 +599,7 @@ TEST(UpdateAccumulator, AutoBatchResolvesFromContext) {
   cfg.batch_size = 0;  // auto
   const Trainer trainer(cfg, core::ExecutionContext::serial());
   EXPECT_EQ(trainer.resolved_batch_size(10240),
-            core::ExecutionContext::serial().train_batch_rows(10240));
+            core::ExecutionContext::serial().score_block_rows(10240));
   TrainerConfig pinned;
   pinned.batch_size = 7;
   EXPECT_EQ(Trainer(pinned).resolved_batch_size(10240), 7u);
