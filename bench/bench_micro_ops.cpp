@@ -11,6 +11,10 @@
 // on stdout stays parseable.
 #include <benchmark/benchmark.h>
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#endif
+
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -150,6 +154,7 @@ void BM_KernelRbfEncode(benchmark::State& state, const char* name) {
 }
 BENCHMARK_CAPTURE(BM_KernelRbfEncode, scalar, "scalar")->Arg(512)->Arg(4096);
 BENCHMARK_CAPTURE(BM_KernelRbfEncode, avx2, "avx2")->Arg(512)->Arg(4096);
+BENCHMARK_CAPTURE(BM_KernelRbfEncode, avx512, "avx512")->Arg(512)->Arg(4096);
 
 // The 64-flow encode tile against the one-flow call above: the same
 // D x F multiply-adds per flow, but a 64-flow block amortizes every base
@@ -179,6 +184,69 @@ void BM_EncodeTile(benchmark::State& state, const char* name) {
 }
 BENCHMARK_CAPTURE(BM_EncodeTile, scalar, "scalar")->Arg(512)->Arg(4096);
 BENCHMARK_CAPTURE(BM_EncodeTile, avx2, "avx2")->Arg(512)->Arg(4096);
+BENCHMARK_CAPTURE(BM_EncodeTile, avx512, "avx512")->Arg(512)->Arg(4096);
+
+// ---- roofline: this machine's FMA peak -------------------------------------
+//
+// kPeakChains independent FMA chains, each advanced once per step, so the
+// loop is bound by FMA throughput, not latency (12 chains cover a 4-cycle
+// FMA on two ports with room to spare, and fit the 16 ymm registers of a
+// non-AVX-512 build). items/s is multiply-adds per second — the ceiling
+// the encode tiles' MAC/s above are read against.
+constexpr int kPeakChains = 12;
+constexpr std::int64_t kPeakSteps = 4096;
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+__attribute__((target("avx2,fma"))) float peak_fma_avx2(float seed) {
+  __m256 acc[kPeakChains];
+  for (int c = 0; c < kPeakChains; ++c) {
+    acc[c] = _mm256_set1_ps(seed + static_cast<float>(c));
+  }
+  const __m256 a = _mm256_set1_ps(0.999999f);
+  const __m256 b = _mm256_set1_ps(1e-6f);
+  for (std::int64_t i = 0; i < kPeakSteps; ++i) {
+    for (int c = 0; c < kPeakChains; ++c) {
+      acc[c] = _mm256_fmadd_ps(acc[c], a, b);
+    }
+  }
+  float sum = 0.0f;
+  for (int c = 0; c < kPeakChains; ++c) sum += acc[c][0];
+  return sum;
+}
+
+__attribute__((target("avx512f"))) float peak_fma_avx512(float seed) {
+  __m512 acc[kPeakChains];
+  for (int c = 0; c < kPeakChains; ++c) {
+    acc[c] = _mm512_set1_ps(seed + static_cast<float>(c));
+  }
+  const __m512 a = _mm512_set1_ps(0.999999f);
+  const __m512 b = _mm512_set1_ps(1e-6f);
+  for (std::int64_t i = 0; i < kPeakSteps; ++i) {
+    for (int c = 0; c < kPeakChains; ++c) {
+      acc[c] = _mm512_fmadd_ps(acc[c], a, b);
+    }
+  }
+  float sum = 0.0f;
+  for (int c = 0; c < kPeakChains; ++c) sum += acc[c][0];
+  return sum;
+}
+
+void BM_PeakFmaF32(benchmark::State& state, const char* name) {
+  if (skip_unavailable(state, backend(name))) return;
+  const bool wide = std::strcmp(name, "avx512") == 0;
+  float seed = 1.0f;
+  for (auto _ : state) {
+    // An opaque seed per call, so the chains cannot be hoisted out.
+    benchmark::DoNotOptimize(seed);
+    benchmark::DoNotOptimize(wide ? peak_fma_avx512(seed)
+                                  : peak_fma_avx2(seed));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kPeakSteps * kPeakChains * (wide ? 16 : 8));
+}
+BENCHMARK_CAPTURE(BM_PeakFmaF32, avx2, "avx2");
+BENCHMARK_CAPTURE(BM_PeakFmaF32, avx512, "avx512");
+#endif
 
 void BM_KernelQuantizedDotI8(benchmark::State& state, const char* name) {
   const core::Kernels* k = backend(name);

@@ -60,9 +60,28 @@ inline void write_f32_array(std::ostream& out, std::span<const float> v) {
             static_cast<std::streamsize>(v.size() * sizeof(float)));
 }
 
+/// Bytes left between a seekable stream's read position and its end
+/// (0 when the seek fails), or UINT64_MAX for a stream that cannot seek.
+/// Loaders bound an untrusted length word by it before allocating, so a
+/// corrupt or hostile length never turns into a multi-GiB allocation on a
+/// file or stringstream; non-seekable streams fall back to the
+/// plausibility caps.
+inline std::uint64_t bytes_remaining(std::istream& in) {
+  const std::istream::pos_type here = in.tellg();
+  if (here == std::istream::pos_type(-1)) return UINT64_MAX;
+  in.seekg(0, std::ios::end);
+  const std::istream::pos_type end = in.tellg();
+  in.seekg(here);
+  if (!in || end < here) return 0;
+  return static_cast<std::uint64_t>(end - here);
+}
+
 inline std::vector<float> read_f32_array(std::istream& in) {
   const std::uint64_t n = read_u64(in);
   if (n > (1ULL << 32)) throw std::runtime_error("implausible array size");
+  if (n * sizeof(float) > bytes_remaining(in)) {
+    throw std::runtime_error("truncated stream (f32 array)");
+  }
   std::vector<float> v(n);
   in.read(reinterpret_cast<char*>(v.data()),
           static_cast<std::streamsize>(n * sizeof(float)));
@@ -143,15 +162,8 @@ inline std::string read_section_body(std::istream& in,
   // actually supply (seekable streams — files and stringstreams, i.e.
   // every loader path) so a corrupt size never triggers a multi-GiB
   // allocation. Non-seekable streams fall back to the plausibility cap.
-  const std::istream::pos_type here = in.tellg();
-  if (here != std::istream::pos_type(-1)) {
-    in.seekg(0, std::ios::end);
-    const std::istream::pos_type stream_end = in.tellg();
-    in.seekg(here);
-    if (!in || stream_end < here ||
-        size > static_cast<std::uint64_t>(stream_end - here)) {
-      throw std::runtime_error(std::string("truncated section ") + tag);
-    }
+  if (size > bytes_remaining(in)) {
+    throw std::runtime_error(std::string("truncated section ") + tag);
   }
   if (size > (1ULL << 33)) {
     throw std::runtime_error(std::string("implausible size for section ") +
@@ -249,16 +261,8 @@ class ChunkedSectionReader final : public std::streambuf {
     }
     // Bound the chunk buffer by what the stream can actually supply, so a
     // corrupt chunk-size header never allocates past the file itself.
-    const std::istream::pos_type here = in_.tellg();
-    if (here != std::istream::pos_type(-1)) {
-      in_.seekg(0, std::ios::end);
-      const std::istream::pos_type end = in_.tellg();
-      in_.seekg(here);
-      if (in_ && end >= here) {
-        chunk_bytes = std::min<std::size_t>(
-            chunk_bytes, static_cast<std::size_t>(end - here));
-      }
-    }
+    chunk_bytes = static_cast<std::size_t>(
+        std::min<std::uint64_t>(chunk_bytes, bytes_remaining(in_)));
     buf_.resize(std::max<std::size_t>(1, chunk_bytes));
   }
   ChunkedSectionReader(const ChunkedSectionReader&) = delete;

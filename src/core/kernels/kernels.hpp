@@ -13,9 +13,11 @@
 //    vpmaddwd int8 dot, and an 8-lane polynomial cosine for the fused RBF
 //    encode.
 //  * avx512 — AVX-512F 32-lane float kernels (dot, axpy, the blocked
-//    similarity tile) plus a VPOPCNTDQ popcount when the CPU has it;
-//    everything else (the polynomial cosine, the int8 dot) is inherited
-//    from the avx2 table, which any AVX-512 machine also runs.
+//    similarity tile), a 16-lane fused RBF encode tile that reproduces the
+//    avx2 tile per (flow, base) pair, a VPOPCNTDQ popcount and a VNNI int8
+//    tile when the CPU has them; the int8 dot (and, without those
+//    extensions, the popcount and int8 tile) is inherited from the avx2
+//    table, which any AVX-512 machine also runs.
 //
 // Selection happens exactly once (first call to active_kernels()): the
 // best table the CPUID feature bits allow — avx512, then avx2, then
@@ -34,7 +36,8 @@
 //    (tests pin the tolerance);
 //  * within one backend, every (flow, base) entry of a cos_rbf_tile_f32
 //    call is bit-identical to a one-base, one-flow call on the same pair —
-//    encode() and encode_dims() stay consistent after regeneration;
+//    encode() and encode_dims() stay consistent after regeneration — and
+//    the avx512 tile is bit-identical to the avx2 tile on every pair;
 //  * within one backend, every similarities_tile_f32_gather entry is
 //    bit-identical to dot_f32 on its (row, class) pair.
 #pragma once
@@ -70,13 +73,18 @@ struct Kernels {
   /// floats, and `h` receives each flow's encodings at stride `h_stride`
   /// floats (callers pass bases + p0 * cols, biases + p0, and
   /// h + p0 to fill an interior base panel [p0, p0 + rows)). SIMD
-  /// backends register-block over FLOWS so each base row loaded from
-  /// L2/L3 is reused once per flow in the block, but every (base, flow)
-  /// dot accumulates in exactly dot_f32's order and the cosine epilogue
-  /// is lane-independent — so each h entry is bit-identical to a
-  /// one-base, one-flow call over the same pair on the same backend. The
-  /// per-sample encode (num_x = 1) and the per-dimension refresh
-  /// (rows = num_x = 1) are this kernel's smallest shapes.
+  /// backends register-block over flows and base rows so each base row
+  /// loaded from L2/L3 is reused across the block, but every (base, flow)
+  /// dot accumulates in one fixed order and the cosine epilogue is
+  /// lane-independent — so each h entry is bit-identical to a one-base,
+  /// one-flow call over the same pair on the same backend. The avx2 and
+  /// avx512 tiles share that order: dot_f32_avx2's 16/8-float chunks and
+  /// hsum8 tree, then the cols mod 8 tail products, of which the first
+  /// 4 * floor(t / 4) are rounded and added in order and the remaining
+  /// t mod 4 fused (the tail rule, written out rather than left to the
+  /// compiler) — so the two backends encode identically. The per-sample
+  /// encode (num_x = 1) and the per-dimension refresh (rows = num_x = 1)
+  /// are this kernel's smallest shapes.
   void (*cos_rbf_tile_f32)(const float* bases, std::size_t rows,
                            std::size_t cols, const float* x,
                            std::size_t num_x, std::size_t x_stride,
@@ -152,8 +160,9 @@ const Kernels& scalar_kernels() noexcept;
 /// CPU can run it — check cpu_supports_avx2() before calling it directly.
 const Kernels* avx2_kernels() noexcept;
 
-/// The AVX-512 backend (32-lane float kernels layered over the avx2 table,
-/// VPOPCNTDQ popcount when the CPU reports it), or nullptr when this binary
+/// The AVX-512 backend (32-lane float kernels and a 16-lane encode tile
+/// layered over the avx2 table, VPOPCNTDQ popcount and VNNI int8 tile when
+/// the CPU reports them), or nullptr when this binary
 /// was built for a non-x86 target. As with avx2_kernels(), a non-null
 /// return says the code exists — check cpu_supports_avx512() before
 /// calling it directly.

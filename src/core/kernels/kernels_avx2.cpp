@@ -206,6 +206,47 @@ CYBERHD_AVX2 inline __m256 cos8(__m256 x) {
   return _mm256_xor_ps(r, sign);
 }
 
+// The encode tile's scalar tail, written out: s plus base[i] * x[i] for i
+// in [i, n), where the first 4 * floor((n - i) / 4) products are rounded
+// on their own and added in order and the remaining (n - i) mod 4 are
+// fused. That is the rule g++ 12 compiles dot_f32_avx2's tail loop into (a
+// 4-lane vectorized epilogue of rounded products, then scalar FMAs), and
+// the AVX-512 tile follows it lane for lane; spelling it out keeps both
+// tables off the compiler's vectorizer choices. The empty asm hides the
+// product from -ffp-contract=fast, which would otherwise fuse it into the
+// add.
+CYBERHD_AVX2 inline float rbf_tail_avx2(float s, const float* base,
+                                        const float* x, std::size_t i,
+                                        std::size_t n) {
+  for (const std::size_t rounded = i + (n - i) / 4 * 4; i < rounded; ++i) {
+    float p = base[i] * x[i];
+    __asm__("" : "+x"(p));
+    s += p;
+  }
+  for (; i < n; ++i) s = std::fma(base[i], x[i], s);
+  return s;
+}
+
+// dot_f32_avx2's accumulation order with rbf_tail_avx2's tail: the encode
+// tile's one-pair dot.
+CYBERHD_AVX2 inline float rbf_dot_avx2(const float* base, const float* x,
+                                       std::size_t n) {
+  __m256 acc0 = _mm256_setzero_ps();
+  __m256 acc1 = _mm256_setzero_ps();
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(base + i), _mm256_loadu_ps(x + i),
+                           acc0);
+    acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(base + i + 8),
+                           _mm256_loadu_ps(x + i + 8), acc1);
+  }
+  for (; i + 8 <= n; i += 8) {
+    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(base + i), _mm256_loadu_ps(x + i),
+                           acc0);
+  }
+  return rbf_tail_avx2(hsum8(_mm256_add_ps(acc0, acc1)), base, x, i, n);
+}
+
 // Multi-flow fused RBF encode tile. Two phases:
 //
 //  1. Angles: 4 flow rows advance together against one base row, so each
@@ -213,10 +254,10 @@ CYBERHD_AVX2 inline __m256 cos8(__m256 x) {
 //     register blocking as similarities_tile_f32_gather_avx2 with flows in
 //     the role of query rows and bases in the role of classes. Every dot
 //     keeps its own (acc0, acc1) pair and walks cols in exactly
-//     dot_f32_avx2's order, so each angle is bit-identical to
-//     dot_f32_avx2 + bias on that (flow, base) pair — whichever of the
-//     paths below a call's shape selects. Angles (dot + bias) are staged
-//     straight into the output rows.
+//     dot_f32_avx2's order, with rbf_tail_avx2's tail, so each angle is
+//     bit-identical to rbf_dot_avx2 + bias on that (flow, base) pair —
+//     whichever of the paths below a call's shape selects. Angles (dot +
+//     bias) are staged straight into the output rows.
 //
 //     When cols is a small multiple of 8 (the NIDS feature widths), the
 //     whole flow vector lives in registers and the per-(base,flow) hsum8
@@ -304,7 +345,7 @@ CYBERHD_AVX2 void cos_rbf_tile_f32_avx2(const float* bases, std::size_t rows,
                          _mm256_add_ps(s, _mm256_loadu_ps(biases + r)));
       }
       for (; r < rows; ++r) {
-        hf[r] = dot_f32_avx2(bases + r * cols, xf, cols) + biases[r];
+        hf[r] = rbf_dot_avx2(bases + r * cols, xf, cols) + biases[r];
       }
     }
   }
@@ -339,17 +380,14 @@ CYBERHD_AVX2 void cos_rbf_tile_f32_avx2(const float* bases, std::size_t rows,
         a20 = _mm256_fmadd_ps(_mm256_loadu_ps(x2 + i), v0, a20);
         a30 = _mm256_fmadd_ps(_mm256_loadu_ps(x3 + i), v0, a30);
       }
-      float s0 = hsum8(_mm256_add_ps(a00, a01));
-      float s1 = hsum8(_mm256_add_ps(a10, a11));
-      float s2 = hsum8(_mm256_add_ps(a20, a21));
-      float s3 = hsum8(_mm256_add_ps(a30, a31));
-      for (; i < cols; ++i) {
-        const float v = base[i];
-        s0 += x0[i] * v;
-        s1 += x1[i] * v;
-        s2 += x2[i] * v;
-        s3 += x3[i] * v;
-      }
+      const float s0 =
+          rbf_tail_avx2(hsum8(_mm256_add_ps(a00, a01)), base, x0, i, cols);
+      const float s1 =
+          rbf_tail_avx2(hsum8(_mm256_add_ps(a10, a11)), base, x1, i, cols);
+      const float s2 =
+          rbf_tail_avx2(hsum8(_mm256_add_ps(a20, a21)), base, x2, i, cols);
+      const float s3 =
+          rbf_tail_avx2(hsum8(_mm256_add_ps(a30, a31)), base, x3, i, cols);
       const float bias = biases[r];
       h[(f + 0) * h_stride + r] = s0 + bias;
       h[(f + 1) * h_stride + r] = s1 + bias;
@@ -361,7 +399,7 @@ CYBERHD_AVX2 void cos_rbf_tile_f32_avx2(const float* bases, std::size_t rows,
     const float* xf = x + f * x_stride;
     float* hf = h + f * h_stride;
     for (std::size_t r = 0; r < rows; ++r) {
-      hf[r] = dot_f32_avx2(bases + r * cols, xf, cols) + biases[r];
+      hf[r] = rbf_dot_avx2(bases + r * cols, xf, cols) + biases[r];
     }
   }
   // Cosine epilogue over the staged angles, run per flow row. Beyond

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <ostream>
 #include <stdexcept>
@@ -113,26 +114,40 @@ void RbfEncoder::encode_dims(std::span<const float> x,
   }
 }
 
+namespace {
+
+/// Rows [begin, end) of x through the encode tile against a dims x F base
+/// block: the base block is walked in L2-resident panels, and the tile
+/// kernel replays each panel row across the whole flow block. x rows
+/// [begin, end) are contiguous at stride x.cols(), so the kernel streams
+/// them directly.
+void rbf_tile_panels(const core::Kernels& k, std::size_t panel_rows,
+                     const float* bases, const float* biases,
+                     std::size_t dims, const core::Matrix& x,
+                     std::size_t begin, std::size_t end, float* out,
+                     std::size_t out_stride) {
+  const std::size_t features = x.cols();
+  for (std::size_t p = 0; p < dims; p += panel_rows) {
+    const std::size_t pr = std::min(panel_rows, dims - p);
+    k.cos_rbf_tile_f32(bases + p * features, pr, features,
+                       x.row(begin).data(), end - begin, features,
+                       biases + p, out + p, out_stride);
+  }
+}
+
+}  // namespace
+
 void RbfEncoder::encode_tile_block(const core::Matrix& x, std::size_t begin,
                                    std::size_t end, float* out,
                                    std::size_t out_stride,
                                    const core::ExecutionContext& exec) const {
   assert(x.cols() == input_dim());
-  const std::size_t m = end - begin;
-  if (m == 0) return;
-  const std::size_t dims = output_dim();
-  const std::size_t features = input_dim();
-  const core::EncodeTilePlan plan = exec.plan_encode_tile(dims, features);
-  const core::Kernels& k = exec.kernels();
-  // Walk the base matrix in L2-resident panels; the tile kernel replays
-  // each panel row across the whole flow block. x rows [begin, end) are
-  // contiguous at stride x.cols(), so the kernel streams them directly.
-  for (std::size_t p = 0; p < dims; p += plan.panel_rows) {
-    const std::size_t pr = std::min(plan.panel_rows, dims - p);
-    k.cos_rbf_tile_f32(bases_.data() + p * features, pr, features,
-                       x.row(begin).data(), m, x.cols(),
-                       biases_.data() + p, out + p, out_stride);
-  }
+  if (end == begin) return;
+  const core::EncodeTilePlan plan =
+      exec.plan_encode_tile(output_dim(), input_dim());
+  rbf_tile_panels(exec.kernels(), plan.panel_rows, bases_.data(),
+                  biases_.data(), output_dim(), x, begin, end, out,
+                  out_stride);
 }
 
 void RbfEncoder::encode_batch_dims(const core::Matrix& x,
@@ -143,9 +158,10 @@ void RbfEncoder::encode_batch_dims(const core::Matrix& x,
   assert(h.rows() == x.rows() && h.cols() == output_dim());
   if (dims.empty() || x.rows() == 0) return;
   // Gather the touched dimensions' private state once: a contiguous
-  // |dims| x F base block plus a bias vector. Each sample then refreshes
-  // in one fused one-flow tile call; the tile's per-entry contract keeps
-  // every value bit-identical to the per-dimension default.
+  // |dims| x F base block plus a bias vector. Flow blocks then refresh
+  // through the multi-flow tile into a reused scratch, scattered into the
+  // touched columns; the tile's per-entry contract keeps every value
+  // bit-identical to the per-dimension default.
   const std::size_t nd = dims.size();
   const std::size_t features = input_dim();
   core::Matrix gathered_bases(nd, features);
@@ -156,20 +172,25 @@ void RbfEncoder::encode_batch_dims(const core::Matrix& x,
     std::copy(src.begin(), src.end(), gathered_bases.row(j).begin());
     gathered_biases[j] = biases_[dims[j]];
   }
+  const core::EncodeTilePlan plan = exec.plan_encode_tile(nd, features);
   const core::Kernels& k = exec.kernels();
   exec.parallel_for(
       x.rows(),
       [&](std::size_t begin, std::size_t end) {
-        std::vector<float> fresh(nd);
-        for (std::size_t i = begin; i < end; ++i) {
-          k.cos_rbf_tile_f32(gathered_bases.data(), nd, features,
-                             x.row(i).data(), 1, features,
-                             gathered_biases.data(), fresh.data(), nd);
-          auto row = h.row(i);
-          for (std::size_t j = 0; j < nd; ++j) row[dims[j]] = fresh[j];
+        std::vector<float> fresh(std::min(plan.flow_rows, end - begin) * nd);
+        for (std::size_t t = begin; t < end; t += plan.flow_rows) {
+          const std::size_t e = std::min(end, t + plan.flow_rows);
+          rbf_tile_panels(k, plan.panel_rows, gathered_bases.data(),
+                          gathered_biases.data(), nd, x, t, e, fresh.data(),
+                          nd);
+          for (std::size_t i = t; i < e; ++i) {
+            const float* src = fresh.data() + (i - t) * nd;
+            auto row = h.row(i);
+            for (std::size_t j = 0; j < nd; ++j) row[dims[j]] = src[j];
+          }
         }
       },
-      /*grain=*/16);
+      /*grain=*/plan.flow_rows);
 }
 
 void RbfEncoder::regenerate(std::span<const std::size_t> dims,
@@ -359,6 +380,11 @@ void write_matrix(std::ostream& out, const core::Matrix& m) {
 core::Matrix read_matrix(std::istream& in) {
   const std::size_t rows = core::io::read_u64(in);
   const std::size_t cols = core::io::read_u64(in);
+  // A shape whose product wraps would match a small (or empty) payload and
+  // load dimensions with no storage behind them.
+  if (cols != 0 && rows > std::numeric_limits<std::size_t>::max() / cols) {
+    throw std::runtime_error("matrix shape overflows");
+  }
   const std::vector<float> data = core::io::read_f32_array(in);
   if (data.size() != rows * cols) {
     throw std::runtime_error("matrix payload size mismatch");

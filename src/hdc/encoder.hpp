@@ -100,8 +100,9 @@ class Encoder {
   /// Recompute columns `dims` of H for every row of X (after regeneration).
   /// The default loops encode_dims() row by row; families whose
   /// per-dimension state can be gathered into one contiguous block (the
-  /// RBF encoder) override it to run each sample through a single fused
-  /// kernel call — per-value results are bit-identical either way.
+  /// RBF encoder) override it to refresh blocks of samples through the
+  /// multi-flow encode tile — per-value results are bit-identical either
+  /// way.
   virtual void encode_batch_dims(const core::Matrix& x,
                                  std::span<const std::size_t> dims,
                                  core::Matrix& h,
@@ -139,9 +140,11 @@ class RbfEncoder final : public Encoder {
                          std::size_t out_stride,
                          const core::ExecutionContext& exec) const override;
   /// Regeneration-refresh fast path: gathers the listed dimensions' bases
-  /// and biases into one contiguous block once, then fuses each sample's
-  /// refresh into a single one-flow cos_rbf_tile_f32 call (the default
-  /// would issue |dims| one-base kernel calls per sample).
+  /// and biases into one contiguous block once, then refreshes
+  /// plan_encode_tile(|dims|, F).flow_rows samples per multi-flow
+  /// cos_rbf_tile_f32 call into a reused scratch, scattered into the
+  /// touched columns (the default would issue |dims| one-base kernel calls
+  /// per sample).
   void encode_batch_dims(const core::Matrix& x,
                          std::span<const std::size_t> dims, core::Matrix& h,
                          const core::ExecutionContext& exec =

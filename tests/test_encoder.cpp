@@ -223,21 +223,45 @@ TEST(EncoderBatch, MatchesSingleEncodes) {
 }
 
 TEST(EncoderBatch, BatchDimsUpdatesColumns) {
-  core::Rng rng(73);
-  RbfEncoder enc(4, 32, rng);
-  core::Matrix x(10, 4);
-  core::Rng data_rng(79);
-  core::fill_uniform(data_rng, x.data(), x.size(), 0.0f, 1.0f);
-  core::Matrix h;
-  enc.encode_batch(x, h);
-  core::Rng regen_rng(83);
-  const std::vector<std::size_t> dims = {5, 6, 7};
-  enc.regenerate(dims, regen_rng);
-  core::Matrix h_updated = h;
-  enc.encode_batch_dims(x, dims, h_updated);
-  core::Matrix h_full;
-  enc.encode_batch(x, h_full);
-  EXPECT_EQ(h_updated, h_full);
+  // The regeneration refresh at the paper shape (F = 78 CIC-IDS-2017
+  // features, D = 512, ~25% of the dims regenerated) runs flow blocks of
+  // plan_encode_tile(|dims|, F).flow_rows rows through the multi-flow
+  // tile. Row counts straddle one block, serially and on 4 workers; the
+  // refreshed matrix must equal a fresh full encode bit for bit.
+  constexpr std::size_t kFeatures = 78;
+  constexpr std::size_t kDims = 512;
+  std::vector<std::size_t> dims;
+  core::Rng pick_rng(66);
+  for (std::size_t d = 0; d < kDims; ++d) {
+    if (pick_rng.next_below(4) == 0) dims.push_back(d);
+  }
+  const std::size_t block =
+      core::ExecutionContext::serial()
+          .plan_encode_tile(dims.size(), kFeatures)
+          .flow_rows;
+  core::ThreadPool pool(4);
+  const core::ExecutionContext pooled(&pool);
+  for (std::size_t rows : {std::size_t{1}, block - 1, block, block + 1,
+                           std::size_t{100}}) {
+    for (const core::ExecutionContext* exec :
+         {&core::ExecutionContext::serial(), &pooled}) {
+      core::Rng rng(73);
+      RbfEncoder enc(kFeatures, kDims, rng);
+      core::Matrix x(rows, kFeatures);
+      core::Rng data_rng(79 + rows);
+      core::fill_uniform(data_rng, x.data(), x.size(), 0.0f, 1.0f);
+      core::Matrix h;
+      enc.encode_batch(x, h, *exec);
+      core::Rng regen_rng(83);
+      enc.regenerate(dims, regen_rng);
+      core::Matrix h_updated = h;
+      enc.encode_batch_dims(x, dims, h_updated, *exec);
+      core::Matrix h_full;
+      enc.encode_batch(x, h_full, *exec);
+      EXPECT_EQ(h_updated, h_full)
+          << "rows=" << rows << " pooled=" << (exec == &pooled);
+    }
+  }
 }
 
 TEST(Factory, CreatesAllKinds) {

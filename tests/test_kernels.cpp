@@ -5,15 +5,22 @@
 //  * the float tiles reproduce their per-pair reference bit-exactly per
 //    backend: each similarities_tile_f32_gather entry is dot_f32 on its
 //    pair, and each cos_rbf_tile_f32 entry a one-base, one-flow call (what
-//    keeps encode() and encode_dims() coherent);
+//    keeps encode() and encode_dims() coherent); the avx512 encode tile
+//    also matches the avx2 one per pair, and no backend's encode tile
+//    reads past its inputs;
 //  * predict/scores agree bit-exactly with predict_batch/scores_batch for
 //    CyberHD and its quantized snapshots;
 //  * concurrent const predict() calls are safe and deterministic (the
 //    scratch-buffer race regression test).
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -435,9 +442,10 @@ float cos_rbf_one(const core::Kernels& k, const float* base, std::size_t cols,
 /// "tiling never changes encodings" guarantee on. Flow counts straddle the
 /// 4-flow register block, base-row counts the 8-row transpose and the
 /// 8/32-lane cosine epilogue groups, cols the dot kernel's 16/8-lane
-/// chunks and scalar tail. The output is written at h_stride > rows — the
-/// interior-panel shape — and the pad bytes between rows and h_stride must
-/// come back untouched.
+/// chunks and scalar tail (tails of 4-7 are where rounded and fused tail
+/// products differ; 78 is the CIC-IDS-2017 width). The output is written
+/// at h_stride > rows — the interior-panel shape — and the pad bytes
+/// between rows and h_stride must come back untouched.
 TEST(KernelTile, CosRbfTileMatchesPerFlowRowsBitExactly) {
   std::vector<const core::Kernels*> backends = {&core::scalar_kernels()};
   if (const core::Kernels* avx2 = runnable_avx2()) backends.push_back(avx2);
@@ -447,7 +455,7 @@ TEST(KernelTile, CosRbfTileMatchesPerFlowRowsBitExactly) {
   for (const core::Kernels* k : backends) {
     for (std::size_t flows : {1u, 3u, 4u, 5u, 7u, 8u, 9u, 17u}) {
       for (std::size_t rows : {1u, 5u, 8u, 9u, 16u, 17u, 64u, 100u}) {
-        for (std::size_t cols : {1u, 3u, 24u, 118u}) {
+        for (std::size_t cols : {1u, 3u, 4u, 7u, 24u, 78u, 118u}) {
           const auto bases = gaussian_vec(rows * cols, 5000 + rows * cols);
           const auto x = gaussian_vec(flows * cols, 6000 + flows * cols);
           auto biases = gaussian_vec(rows, 7000 + rows);
@@ -469,6 +477,115 @@ TEST(KernelTile, CosRbfTileMatchesPerFlowRowsBitExactly) {
                   << k->name << " pad overwritten at f=" << f << " r=" << r;
             }
           }
+        }
+      }
+    }
+  }
+}
+
+/// The avx512 table's encode tile reproduces the avx2 table's per (flow,
+/// base) pair bit for bit, so the two backends encode alike. cols sweeps
+/// every 16/8-float chunk count and tail width up to 130, rows straddle
+/// the 8- and 16-row blocks, flows the flow pairs; one bias puts a lane
+/// past the polynomial's |angle| < 8192 range, onto the libm fallback.
+/// The output is written at h_stride > rows, and the pad must stay
+/// untouched.
+TEST(KernelTile, CosRbfTileAvx512MatchesAvx2BitExactly) {
+  const core::Kernels* avx512 = runnable_avx512();
+  if (avx512 == nullptr) GTEST_SKIP() << "AVX-512 unavailable on this host";
+  const core::Kernels& avx2 = *core::avx2_kernels();
+  for (std::size_t cols = 1; cols <= 130; ++cols) {
+    for (std::size_t rows : {1u, 7u, 8u, 9u, 17u, 512u}) {
+      const auto bases = gaussian_vec(rows * cols, 9000 + rows * cols);
+      auto biases = gaussian_vec(rows, 9100 + rows);
+      for (auto& v : biases) v *= 3.0f;
+      biases[rows / 2] = 10000.0f;
+      const std::size_t h_stride = rows + 3;
+      for (std::size_t flows : {1u, 2u, 3u, 4u, 5u, 22u}) {
+        const auto x = gaussian_vec(flows * cols, 9200 + flows * cols);
+        std::vector<float> want(flows * h_stride, -2.0f);
+        std::vector<float> got(flows * h_stride, -2.0f);
+        avx2.cos_rbf_tile_f32(bases.data(), rows, cols, x.data(), flows,
+                              cols, biases.data(), want.data(), h_stride);
+        avx512->cos_rbf_tile_f32(bases.data(), rows, cols, x.data(), flows,
+                                 cols, biases.data(), got.data(), h_stride);
+        std::size_t mismatches = 0;
+        std::size_t first = 0;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          const bool pad = i % h_stride >= rows;
+          if (std::bit_cast<std::uint32_t>(got[i]) !=
+                  std::bit_cast<std::uint32_t>(want[i]) ||
+              (pad && got[i] != -2.0f)) {
+            if (mismatches++ == 0) first = i;
+          }
+        }
+        EXPECT_EQ(mismatches, 0u)
+            << "cols=" << cols << " rows=" << rows << " flows=" << flows
+            << " first at f=" << first / h_stride
+            << " r=" << first % h_stride << ": avx512 " << got[first]
+            << " vs avx2 " << want[first];
+      }
+    }
+  }
+}
+
+/// `n` floats placed flush against an inaccessible page, so a read of one
+/// float past the end faults (masked vector loads do not fault on their
+/// masked-off lanes, so only a real over-read does).
+class GuardedFloats {
+ public:
+  explicit GuardedFloats(std::size_t n) {
+    const std::size_t page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    const std::size_t bytes = (n * sizeof(float) + page - 1) / page * page;
+    size_ = bytes + page;
+    void* map = mmap(nullptr, size_, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (map == MAP_FAILED) throw std::bad_alloc();
+    base_ = static_cast<char*>(map);
+    if (mprotect(base_ + bytes, page, PROT_NONE) != 0) {
+      munmap(base_, size_);
+      throw std::bad_alloc();
+    }
+    data_ = reinterpret_cast<float*>(base_ + bytes) - n;
+  }
+  GuardedFloats(const GuardedFloats&) = delete;
+  GuardedFloats& operator=(const GuardedFloats&) = delete;
+  ~GuardedFloats() { munmap(base_, size_); }
+
+  float* data() const noexcept { return data_; }
+
+ private:
+  char* base_ = nullptr;
+  std::size_t size_ = 0;
+  float* data_ = nullptr;
+};
+
+TEST(KernelTile, CosRbfTileReadsNothingPastItsInputs) {
+  // The last base row, the last flow row and the bias vector each end at
+  // an inaccessible page: a full-width load past a row's end crashes the
+  // test. Every tail width and chunk count up to 40 columns, with row and
+  // flow counts that reach every block shape's ragged edge.
+  std::vector<const core::Kernels*> backends = {&core::scalar_kernels()};
+  if (const core::Kernels* avx2 = runnable_avx2()) backends.push_back(avx2);
+  if (const core::Kernels* avx512 = runnable_avx512()) {
+    backends.push_back(avx512);
+  }
+  for (std::size_t cols = 1; cols <= 40; ++cols) {
+    for (std::size_t rows : {1u, 9u, 17u}) {
+      for (std::size_t flows : {1u, 2u, 5u}) {
+        const GuardedFloats bases(rows * cols);
+        const GuardedFloats x(flows * cols);
+        const GuardedFloats biases(rows);
+        const auto b = gaussian_vec(rows * cols, 9300 + cols);
+        const auto xv = gaussian_vec(flows * cols, 9400 + cols);
+        std::copy(b.begin(), b.end(), bases.data());
+        std::copy(xv.begin(), xv.end(), x.data());
+        std::fill_n(biases.data(), rows, 0.5f);
+        std::vector<float> h(flows * rows);
+        for (const core::Kernels* k : backends) {
+          k->cos_rbf_tile_f32(bases.data(), rows, cols, x.data(), flows,
+                              cols, biases.data(), h.data(), rows);
+          EXPECT_TRUE(std::isfinite(h.back())) << k->name << " cols=" << cols;
         }
       }
     }

@@ -1,11 +1,16 @@
 // Tests for model persistence: encoder round trips for every family, full
 // classifier save/load equivalence, CRC32C payload-corruption rejection,
-// and back-compat with the pre-checksum version-1 layout.
+// hostile length and shape fields in encoder streams, and back-compat with
+// the pre-checksum version-1 layout.
 #include <gtest/gtest.h>
+
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <sstream>
 #include <vector>
 
@@ -90,6 +95,83 @@ struct TrainedSmall {
     return cfg;
   }
 };
+
+// ---- hostile encoder streams ----------------------------------------------
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define CYBERHD_NO_ADDRESS_SPACE_CAP 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define CYBERHD_NO_ADDRESS_SPACE_CAP 1
+#endif
+#endif
+
+/// A 40-byte ERBF stream whose bases declare a rows x cols matrix and a
+/// matching float count, but carry only 8 payload bytes.
+std::string hostile_rbf_stream(std::uint64_t rows, std::uint64_t cols) {
+  std::ostringstream out;
+  core::io::write_tag(out, "ERBF");
+  core::io::write_f32(out, 1.0f);
+  core::io::write_u64(out, rows);
+  core::io::write_u64(out, cols);
+  core::io::write_u64(out, rows * cols);
+  core::io::write_u64(out, 0);
+  return out.str();
+}
+
+#ifndef CYBERHD_NO_ADDRESS_SPACE_CAP
+/// Death-test child: load `bytes` as an encoder under a 1 GiB address-space
+/// cap. Exits 0 after printing a std::runtime_error, 1 on std::bad_alloc,
+/// and 2 when the stream loads.
+[[noreturn]] void load_encoder_under_1gib_cap(const std::string& bytes) {
+  const rlimit cap{1ull << 30, 1ull << 30};
+  setrlimit(RLIMIT_AS, &cap);
+  std::istringstream in(bytes);
+  try {
+    deserialize_encoder(in);
+  } catch (const std::bad_alloc&) {
+    std::fputs("bad_alloc\n", stderr);
+    std::_Exit(1);
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::_Exit(0);
+  }
+  std::_Exit(2);
+}
+#endif
+
+TEST(HostileEncoderStream, DeclaredArrayPastTheStreamFailsBeforeAllocating) {
+#ifdef CYBERHD_NO_ADDRESS_SPACE_CAP
+  GTEST_SKIP() << "an address-space cap conflicts with sanitizer shadow "
+                  "memory";
+#else
+  // A 40-byte stream declaring 2^28 (1 GiB) or 2^31 (8 GiB) floats must be
+  // rejected as truncated before the array is allocated: under the cap an
+  // allocation attempt dies of std::bad_alloc instead.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::uint64_t shapes[][2] = {{1u << 14, 1u << 14},
+                                     {1u << 16, 1u << 15}};
+  for (const auto& shape : shapes) {
+    const std::string bytes = hostile_rbf_stream(shape[0], shape[1]);
+    ASSERT_EQ(bytes.size(), 40u);
+    EXPECT_EXIT(load_encoder_under_1gib_cap(bytes),
+                ::testing::ExitedWithCode(0), "truncated")
+        << shape[0] * shape[1] << " floats declared";
+  }
+#endif
+}
+
+TEST(HostileEncoderStream, WrappingMatrixShapeIsRejected) {
+  // rows = cols = 2^32 wraps rows * cols to 0, which an empty payload
+  // would match: the encoder must not load dimensions with no storage.
+  std::ostringstream out;
+  core::io::write_tag(out, "ESGN");
+  core::io::write_u64(out, 1ull << 32);
+  core::io::write_u64(out, 1ull << 32);
+  core::io::write_u64(out, 0);
+  std::istringstream in(out.str());
+  EXPECT_THROW(deserialize_encoder(in), std::runtime_error);
+}
 
 TEST(ClassifierPersistence, StreamRoundTripPredictsIdentically) {
   const TrainedSmall t;
