@@ -36,19 +36,6 @@ constexpr double kPaperHdc[4][5] = {{0.0, 0.0, 1.0, 3.1, 4.1},
                                     {2.3, 4.7, 8.4, 13.1, 17.3},
                                     {3.6, 7.9, 13.7, 18.3, 22.9}};
 
-double hdc_accuracy(const hdc::QuantizedHdcModel& q,
-                    const core::Matrix& encoded, std::span<const int> y) {
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < encoded.rows(); ++i) {
-    if (q.predict_encoded(encoded.row(i)) ==
-        static_cast<std::size_t>(y[i])) {
-      ++correct;
-    }
-  }
-  return static_cast<double>(correct) /
-         static_cast<double>(encoded.rows());
-}
-
 /// Accuracy of a (possibly corrupted) quantized model measured through the
 /// serving front-end: every test flow is submitted to a serve::Server and
 /// the prediction is the argmax of the delivered scores. Injection via the
@@ -108,12 +95,6 @@ int main(int argc, char** argv) {
   hdc::CyberHdClassifier cyber(bench::paper_cyberhd_config());
   cyber.fit(data.train.x, data.train.y, k);
 
-  // Encode the test set once; HDC fault injection only corrupts the model.
-  core::Matrix encoded(data.test.x.rows(), cyber.physical_dims());
-  for (std::size_t i = 0; i < data.test.x.rows(); ++i) {
-    cyber.encode(data.test.x.row(i), encoded.row(i));
-  }
-
   bench::print_row({"model", "1%", "2%", "5%", "10%", "15%"});
   bench::print_rule(6);
   std::vector<core::CsvRow> csv_rows;
@@ -144,19 +125,24 @@ int main(int argc, char** argv) {
   double dnn_mean_loss = 0;
   for (std::size_t bi = 0; bi < std::size(kHdcBits); ++bi) {
     const int bits = kHdcBits[bi];
-    const hdc::QuantizedHdcModel clean(cyber.model(), bits);
-    const double clean_acc = hdc_accuracy(clean, encoded, data.test.y);
+    // Direct accuracy through the batch scorer, encode cache off: each
+    // test row is scored once per model, so a cache would only pay
+    // inserts. Flips go into the deployed model, as in the serving rows.
+    hdc::QuantizedCyberHd clean(cyber, bits);
+    clean.set_encode_cache(0);
+    const double clean_acc = clean.evaluate(data.test.x, data.test.y);
     std::vector<std::string> cells = {"CyberHD " + std::to_string(bits) +
                                       "-bit"};
     core::CsvRow csv = {"cyberhd_" + std::to_string(bits) + "bit"};
     for (double rate : kRates) {
       double loss = 0;
       for (int t = 0; t < trials; ++t) {
-        hdc::QuantizedHdcModel faulty(cyber.model(), bits);
+        hdc::QuantizedCyberHd faulty(cyber, bits);
+        faulty.set_encode_cache(0);
         core::Rng rng(2000 + t * 23 + bits * 101 +
                       static_cast<std::uint64_t>(rate * 1000));
-        fault::inject_hdc(faulty, rate, rng);
-        loss += clean_acc - hdc_accuracy(faulty, encoded, data.test.y);
+        fault::inject_hdc(faulty.model(), rate, rng);
+        loss += clean_acc - faulty.evaluate(data.test.x, data.test.y);
       }
       loss = std::max(0.0, loss / trials);
       if (bits == 1) hdc1_mean_loss += loss;
@@ -185,9 +171,9 @@ int main(int argc, char** argv) {
   }
 
   // Serving-path robustness: the same degraded models, measured through
-  // the concurrent front-end instead of predict_encoded. Rates include 0
-  // so the clean serving accuracy (which must match the direct path) is
-  // in the committed table.
+  // the concurrent front-end instead of the direct batch scorer. Rates
+  // include 0 so the clean serving accuracy (which must match the direct
+  // path) is in the committed table.
   constexpr double kServeRates[] = {0.0, 0.01, 0.05, 0.15};
   constexpr int kServeBits[] = {1, 8};
   const int serve_trials = quick ? 2 : 4;

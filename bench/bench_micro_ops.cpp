@@ -358,10 +358,14 @@ void BM_ModelSimilarities(benchmark::State& state) {
     core::fill_gaussian(rng, h.data(), dims, 0.0f, 1.0f);
     model.bundle(c, h);
   }
+  // One query as a one-row block of the batch scorer — the stage 2 a
+  // per-sample predict() runs.
   const auto query = random_vec(dims, 12);
+  const float* row = query.data();
+  const hdc::EncodedRows view(&row, 1, dims);
   std::vector<float> scores(10);
   for (auto _ : state) {
-    model.similarities(query, scores);
+    model.similarities_into(view, scores.data());
     benchmark::DoNotOptimize(scores.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -153,7 +153,8 @@ StreamResult drive_stream_quantized(const hdc::QuantizedCyberHd& q,
 
     core::Timer clock;
     const hdc::PackedRows packed =
-        q.encode_block_packed_borrowed(flows, t, end, staging, ws);
+        q.encode_block_packed_borrowed(q.encode_cache(), flows, t, end,
+                                       staging, ws);
     result.encode_s += clock.seconds();
 
     clock.reset();

@@ -42,11 +42,17 @@ void PackedBits::mask_tail() noexcept {
   }
 }
 
-PackedBits pack_signs(std::span<const float> x) {
-  PackedBits p(x.size());
+void pack_signs(std::span<const float> x, PackedBits& p) {
+  p.dims_ = x.size();
+  p.words_.assign((x.size() + 63) / 64, 0);
   for (std::size_t i = 0; i < x.size(); ++i) {
     if (x[i] >= 0.0f) p.words_[i >> 6] |= 1ULL << (i & 63);
   }
+}
+
+PackedBits pack_signs(std::span<const float> x) {
+  PackedBits p;
+  pack_signs(x, p);
   return p;
 }
 

@@ -55,12 +55,15 @@ class PackedBits {
   std::size_t dims_ = 0;
   std::vector<std::uint64_t> words_;
   void mask_tail() noexcept;
-  friend PackedBits pack_signs(std::span<const float> x);
+  friend void pack_signs(std::span<const float> x, PackedBits& p);
   friend std::size_t hamming(const PackedBits& a, const PackedBits& b) noexcept;
 };
 
 /// Pack sign(x) (zeros count as +1) into a PackedBits of x.size() dims.
 PackedBits pack_signs(std::span<const float> x);
+/// The same, into caller storage: a reused `p` packs without allocating
+/// once its words' capacity fits.
+void pack_signs(std::span<const float> x, PackedBits& p);
 
 /// Unpack to bipolar floats (+1.0f / -1.0f).
 /// Precondition: out.size() == p.dims().

@@ -11,10 +11,11 @@
 // hands each block to the virtual scores_block hook. Models with an
 // amortizable encode stage (CyberHD and its quantized snapshots) override
 // scores_block to run the block through their stage-split pipeline
-// (cached encode, then tile scoring); everything else inherits the
-// looping default. Per-row results are identical between the per-sample
-// and batched granularities for any block split — batching is a
-// throughput optimization, never a semantics change.
+// (cached encode, then tile scoring) and run per-sample calls as one-row
+// blocks of it, cache bypassed; everything else inherits the looping
+// default. Per-row results are identical between the per-sample and
+// batched granularities for any block split — batching is a throughput
+// optimization, never a semantics change.
 #pragma once
 
 #include <algorithm>

@@ -20,9 +20,8 @@ std::int32_t max_level(int bits) noexcept {
   return (1 << (bits - 1)) - 1;
 }
 
-QuantizedVector quantize(std::span<const float> x, int bits) {
+void quantize(std::span<const float> x, int bits, QuantizedVector& q) {
   assert(is_supported_bitwidth(bits));
-  QuantizedVector q;
   q.bits = bits;
   q.levels.resize(x.size());
 
@@ -38,7 +37,7 @@ QuantizedVector quantize(std::span<const float> x, int bits) {
     for (std::size_t i = 0; i < x.size(); ++i) {
       q.levels[i] = x[i] < 0.0f ? -1 : 1;
     }
-    return q;
+    return;
   }
 
   // Resolution-biased fixed point: the LSB step starts at the 1-bit scale
@@ -58,7 +57,8 @@ QuantizedVector quantize(std::span<const float> x, int bits) {
   const std::int32_t lmax = max_level(bits);
   if (mean_abs == 0.0f) {
     q.scale = 1.0f;
-    return q;  // all-zero levels
+    std::fill(q.levels.begin(), q.levels.end(), 0);  // all-zero levels
+    return;
   }
   q.scale = mean_abs *
             std::pow(2.0f, -0.75f * static_cast<float>(bits - 1));
@@ -69,6 +69,11 @@ QuantizedVector quantize(std::span<const float> x, int bits) {
     l = std::clamp(l, -lmax, lmax);
     q.levels[i] = l;
   }
+}
+
+QuantizedVector quantize(std::span<const float> x, int bits) {
+  QuantizedVector q;
+  quantize(x, bits, q);
   return q;
 }
 

@@ -41,6 +41,9 @@ struct QuantizedVector {
 /// Quantize `x` symmetrically to `bits` bits. For bits == 1 the result is
 /// sign(x) in {-1, +1} (zeros map to +1) with scale = mean(|x|).
 QuantizedVector quantize(std::span<const float> x, int bits);
+/// The same, into caller storage: a reused `q` quantizes without
+/// allocating once its levels' capacity fits.
+void quantize(std::span<const float> x, int bits, QuantizedVector& q);
 
 /// Reconstruct floats: out[i] = levels[i] * scale.
 void dequantize(const QuantizedVector& q, std::span<float> out);

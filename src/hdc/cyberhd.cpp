@@ -208,19 +208,20 @@ void CyberHdClassifier::fit_streamed(const core::Matrix& x,
 }
 
 int CyberHdClassifier::predict(std::span<const float> x) const {
-  assert(encoder_ != nullptr && "predict() before fit()");
-  std::vector<float> encoded(config_.dims);
-  encoder_->encode(x, encoded);
-  return static_cast<int>(model_.predict_encoded(encoded));
+  std::vector<float>& s = ScoringWorkspace::tl().sample_scores;
+  s.resize(num_classes_);
+  scores(x, s);
+  return static_cast<int>(core::argmax(s));
 }
 
 void CyberHdClassifier::scores(std::span<const float> x,
                                std::span<float> out) const {
-  assert(encoder_ != nullptr && "scores() before fit()");
-  assert(out.size() == num_classes_);
-  std::vector<float> encoded(config_.dims);
-  encoder_->encode(x, encoded);
-  model_.similarities(encoded, out);
+  assert(encoder_ != nullptr && "predict()/scores() before fit()");
+  // Per-sample callers do not replay rows, and a cache miss would pay the
+  // insert's allocation, so the one-row block bypasses the cache.
+  score_rows(ScoringWorkspace::tl().stage_sample(x, encoder_->input_dim(),
+                                                 out.size(), num_classes_),
+             0, 1, nullptr, out.data());
 }
 
 std::size_t CyberHdClassifier::preferred_batch_rows(
@@ -231,9 +232,14 @@ std::size_t CyberHdClassifier::preferred_batch_rows(
 void CyberHdClassifier::scores_block(const core::Matrix& x,
                                      std::size_t begin, std::size_t end,
                                      core::Matrix& out) const {
-  assert(encoder_ != nullptr && "scores_batch() before fit()");
-  const std::size_t m = end - begin;
-  if (m == 0) return;
+  score_rows(x, begin, end, encode_cache_.get(), out.row(begin).data());
+}
+
+void CyberHdClassifier::score_rows(const core::Matrix& x, std::size_t begin,
+                                   std::size_t end, EncodeCache* cache,
+                                   float* out) const {
+  assert(encoder_ != nullptr && "scoring before fit()");
+  if (end == begin) return;
   // The staging buffer is thread_local so the driver's block loop reuses
   // one allocation per calling thread without breaking const-concurrency.
   // Stage 1 PINS cache hits in the ring and encodes only the misses into
@@ -243,8 +249,8 @@ void CyberHdClassifier::scores_block(const core::Matrix& x,
   ScoringWorkspace& ws = ScoringWorkspace::tl();
   const BorrowRelease release(ws.borrow);
   const EncodedRows rows = encode_block_cached(
-      *encoder_, encode_cache_.get(), x, begin, end, staging, ws, exec());
-  model_.similarities_into(rows, out.row(begin).data(), exec());
+      *encoder_, cache, x, begin, end, staging, ws, exec());
+  model_.similarities_into(rows, out, exec());
 }
 
 void CyberHdClassifier::set_encode_cache(std::size_t capacity_rows,
@@ -271,12 +277,6 @@ std::size_t CyberHdClassifier::effective_dims() const noexcept {
 const Encoder& CyberHdClassifier::encoder() const {
   assert(encoder_ != nullptr && "encoder() before fit()");
   return *encoder_;
-}
-
-void CyberHdClassifier::encode(std::span<const float> x,
-                               std::span<float> h) const {
-  assert(encoder_ != nullptr && "encode() before fit()");
-  encoder_->encode(x, h);
 }
 
 CyberHdConfig baseline_hd_config(std::size_t dims, std::uint64_t seed) {

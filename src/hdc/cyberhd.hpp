@@ -133,7 +133,10 @@ class CyberHdClassifier final : public core::Classifier {
   std::string name() const override;
 
   /// Class-membership scores (cosine similarities) of one raw sample;
-  /// `scores` has num_classes entries. Useful for alert thresholds.
+  /// `scores` has num_classes entries. Useful for alert thresholds. Runs
+  /// as a one-row block of the pipeline below, encode cache bypassed, and
+  /// allocates nothing once warm. predict() is its argmax. Both throw
+  /// std::invalid_argument, touching nothing, on a miswidth span.
   void scores(std::span<const float> x,
               std::span<float> scores) const override;
 
@@ -143,9 +146,9 @@ class CyberHdClassifier final : public core::Classifier {
   // through scores_block: stage 1 (encode_block_cached) encodes the
   // block — borrowing repeated rows from the content-addressed encode
   // cache in place — and stage 2 streams the EncodedRows view through the
-  // gather tile scorer while it is still L3-resident. Per-row results are
-  // bit-identical to predict()/scores() on that row, cache on or off;
-  // predict_batch rides the same path.
+  // gather tile scorer while it is still L3-resident. Per-row results do
+  // not depend on the block split or on the cache (on, off, or borrowed);
+  // predict_batch and the per-sample calls ride the same scorer.
 
   /// Sub-batch size of the staged driver: the execution context's serving
   /// plan (ExecutionContext::plan_serving: one L3-resident block per
@@ -187,9 +190,6 @@ class CyberHdClassifier final : public core::Classifier {
   /// The (possibly regenerated) encoder (valid after fit()).
   const Encoder& encoder() const;
 
-  /// Encode a raw sample with the trained encoder (valid after fit()).
-  void encode(std::span<const float> x, std::span<float> h) const;
-
   /// Default chunk size of the streamed class-matrix section: models whose
   /// weight payload exceeds this stream through fixed-size
   /// CRC32C-checksummed chunks (tag MDLC) with writer memory bounded by
@@ -227,6 +227,11 @@ class CyberHdClassifier final : public core::Classifier {
   void fit_streamed(const core::Matrix& x, std::span<const int> y,
                     std::size_t num_classes, const Trainer& trainer,
                     const ScheduleDriver& driver, core::Rng& train_rng);
+  /// The one scorer: encode_block_cached through `cache` (nullptr
+  /// encodes every row), then similarities_into, over rows [begin, end)
+  /// of `x` into (end - begin) x num_classes() floats at `out`.
+  void score_rows(const core::Matrix& x, std::size_t begin, std::size_t end,
+                  EncodeCache* cache, float* out) const;
 
   CyberHdConfig config_;
   std::unique_ptr<Encoder> encoder_;
@@ -238,9 +243,6 @@ class CyberHdClassifier final : public core::Classifier {
   // disabled. The EncodeCache is internally synchronized, so const
   // scoring calls from many threads stay safe.
   std::unique_ptr<EncodeCache> encode_cache_;
-  // Note: no shared encode scratch — predict()/scores() allocate per call so
-  // concurrent const calls from many threads are safe (the encode itself
-  // dominates the cost of a D-float allocation by orders of magnitude).
 };
 
 /// Convenience: a static-encoder baseline HDC (regeneration disabled) at

@@ -21,17 +21,6 @@ void HdcModel::bundle(std::size_t cls, std::span<const float> h,
   core::axpy(weight, h, classes_.row(cls));
 }
 
-void HdcModel::similarities(std::span<const float> h,
-                            std::span<float> scores) const noexcept {
-  assert(h.size() == dims());
-  assert(scores.size() == num_classes());
-  const float hn = core::norm2(h);
-  for (std::size_t c = 0; c < num_classes(); ++c) {
-    const auto row = classes_.row(c);
-    scores[c] = cosine_from_dot(core::dot(row, h), hn, core::norm2(row));
-  }
-}
-
 void HdcModel::similarities_batch(const core::Matrix& h,
                                   core::Matrix& scores,
                                   const core::ExecutionContext& exec) const {
@@ -64,7 +53,7 @@ void HdcModel::similarities_into(const EncodedRows& h, float* out,
   // pass (and the class-vector block stays cache-resident throughout); the
   // chunk size is derived from the machine's cache model, not hand-tuned.
   // The kernel's per-dot accumulation equals dot_f32's, so cosine_from_dot
-  // on the raw dots reproduces similarities() bit-for-bit.
+  // on the raw dots reproduces the core::dot reference bit-for-bit.
   const std::size_t tile_rows = exec.score_block_rows(D);
   const core::Kernels& k = exec.kernels();
   const float* const* rows_tbl = h.row_ptrs();
@@ -84,13 +73,6 @@ void HdcModel::similarities_into(const EncodedRows& h, float* out,
     }
   };
   exec.parallel_for(h.rows(), body, /*grain=*/32);
-}
-
-std::size_t HdcModel::predict_encoded(
-    std::span<const float> h) const noexcept {
-  std::vector<float> scores(num_classes());
-  similarities(h, scores);
-  return core::argmax(scores);
 }
 
 void HdcModel::normalize_rows() noexcept {

@@ -20,11 +20,9 @@ namespace cyberhd::hdc {
 /// Class-hypervector matrix (num_classes x dims) with cosine scoring.
 class HdcModel {
  public:
-  /// The one cosine-normalization expression both scoring paths share —
-  /// per-sample similarities() and the batch scorer similarities_into
-  /// (serving and the minibatch trainer). Sharing it is what keeps their
-  /// bit-identical contract (and the zero-norm convention) in exactly one
-  /// place.
+  /// The cosine-normalization expression of similarities_into, the scorer
+  /// behind every HDC score (serving, per-sample calls, the trainer);
+  /// zero-norm queries and classes score 0.
   static float cosine_from_dot(float dot, float query_norm,
                                float class_norm) noexcept {
     return (query_norm == 0.0f || class_norm == 0.0f)
@@ -55,11 +53,6 @@ class HdcModel {
   void bundle(std::size_t cls, std::span<const float> h,
               float weight = 1.0f) noexcept;
 
-  /// Cosine similarity of `h` to every class; `scores` has num_classes()
-  /// entries. Zero-norm classes score 0.
-  void similarities(std::span<const float> h,
-                    std::span<float> scores) const noexcept;
-
   /// Row-wise similarities of a whole encoded batch: `scores` is resized to
   /// h.rows() x num_classes(). The rows become a one-pointer-per-row table
   /// in this thread's ScoringWorkspace (f32_rows) and are scored by
@@ -78,14 +71,11 @@ class HdcModel {
   /// register-blocked similarities_tile_f32_gather kernel in cache-derived
   /// chunks (ExecutionContext::score_block_rows; class vectors stay
   /// resident), and the row range splits across the context's pool. Each
-  /// output row is bit-identical to a similarities() call on that row, for
-  /// any tile split or thread count.
+  /// entry is bit-identical to cosine_from_dot over core::dot and
+  /// core::norm2 on its row, for any tile split or thread count.
   void similarities_into(const EncodedRows& h, float* out,
                          const core::ExecutionContext& exec =
                              core::ExecutionContext::serial()) const;
-
-  /// argmax-of-cosine classification of an encoded query.
-  std::size_t predict_encoded(std::span<const float> h) const noexcept;
 
   /// L2-normalize every class hypervector in place (step (D)).
   void normalize_rows() noexcept;

@@ -71,41 +71,11 @@ std::size_t QuantizedHdcModel::num_classes() const noexcept {
 
 void QuantizedHdcModel::similarities(std::span<const float> h,
                                      std::span<float> scores) const {
+  assert(bits_ > 8);
   assert(h.size() == dims_);
   assert(scores.size() == num_classes());
-  if (bits_ == 1) {
-    const core::PackedBits q = core::pack_signs(h);
-    for (std::size_t c = 0; c < packed_.size(); ++c) {
-      scores[c] = core::cosine_bipolar(q, packed_[c]);
-    }
-    return;
-  }
-  const core::QuantizedVector q = core::quantize(h, bits_);
-  if (bits_ <= 8) {
-    // int8 fast path: SIMD integer dot against the cached class mirrors.
-    // Matches cosine_quantized() bit-for-bit — all intermediate sums are
-    // exact integers well inside double's mantissa, and the final
-    // dot / (sqrt(na) * sqrt(nb)) expression is identical.
-    const core::Kernels& kernels = core::active_kernels();
-    std::vector<std::int8_t> q8(q.levels.size());
-    double qn = 0.0;
-    for (std::size_t i = 0; i < q.levels.size(); ++i) {
-      q8[i] = static_cast<std::int8_t>(q.levels[i]);
-      const double v = q.levels[i];
-      qn += v * v;
-    }
-    for (std::size_t c = 0; c < level_sumsq_.size(); ++c) {
-      if (qn == 0.0 || level_sumsq_[c] == 0.0) {
-        scores[c] = 0.0f;
-        continue;
-      }
-      const double dot = static_cast<double>(kernels.quantized_dot_i8(
-          q8.data(), classes_i8_.data() + c * dims_, q8.size()));
-      scores[c] = static_cast<float>(
-          dot / (std::sqrt(qn) * std::sqrt(level_sumsq_[c])));
-    }
-    return;
-  }
+  core::QuantizedVector& q = ScoringWorkspace::tl().query_levels;
+  core::quantize(h, bits_, q);
   for (std::size_t c = 0; c < levels_.size(); ++c) {
     scores[c] = core::cosine_quantized(q, levels_[c]);
   }
@@ -115,16 +85,18 @@ void QuantizedHdcModel::pack_row(std::span<const float> h,
                                  unsigned char* dst) const {
   assert(bits_ <= 8);
   assert(h.size() == dims_);
+  ScoringWorkspace& ws = ScoringWorkspace::tl();
   if (bits_ == 1) {
-    const core::PackedBits q = core::pack_signs(h);
-    std::memcpy(dst, q.words(), q.num_words() * sizeof(std::uint64_t));
+    core::pack_signs(h, ws.query_bits);
+    std::memcpy(dst, ws.query_bits.words(),
+                ws.query_bits.num_words() * sizeof(std::uint64_t));
     return;
   }
-  const core::QuantizedVector q = core::quantize(h, bits_);
+  core::quantize(h, bits_, ws.query_levels);
   auto* levels = reinterpret_cast<std::int8_t*>(dst);
   for (std::size_t i = 0; i < dims_; ++i) {
     // Levels at <= 8 bits live in [-127, 127]; the cast is lossless.
-    levels[i] = static_cast<std::int8_t>(q.levels[i]);
+    levels[i] = static_cast<std::int8_t>(ws.query_levels.levels[i]);
   }
 }
 
@@ -191,8 +163,8 @@ void QuantizedHdcModel::similarities_packed(
           for (std::size_t r = 0; r < rows; ++r) {
             // The query's sum of squared levels is an exact integer
             // (<= D * 127^2, far inside double's mantissa), recomputed
-            // from the packed row itself — the same value similarities()
-            // accumulates on the float detour, in any summation order.
+            // from the packed row itself — the same value
+            // cosine_quantized() accumulates, in any summation order.
             const double qn = static_cast<double>(k.quantized_dot_i8(
                 rows_tbl[t + r], rows_tbl[t + r], dims_));
             float* dst = out + (t + r) * classes;
@@ -210,13 +182,6 @@ void QuantizedHdcModel::similarities_packed(
         }
       },
       /*grain=*/32);
-}
-
-std::size_t QuantizedHdcModel::predict_encoded(
-    std::span<const float> h) const {
-  std::vector<float> scores(num_classes());
-  similarities(h, scores);
-  return core::argmax(scores);
 }
 
 std::size_t QuantizedHdcModel::storage_bits() const noexcept {
@@ -240,17 +205,18 @@ void QuantizedCyberHd::fit(const core::Matrix&, std::span<const int>,
 }
 
 int QuantizedCyberHd::predict(std::span<const float> x) const {
-  std::vector<float> encoded(encoder_->output_dim());
-  encoder_->encode(x, encoded);
-  return static_cast<int>(model_.predict_encoded(encoded));
+  std::vector<float>& s = ScoringWorkspace::tl().sample_scores;
+  s.resize(num_classes());
+  scores(x, s);
+  return static_cast<int>(core::argmax(s));
 }
 
 void QuantizedCyberHd::scores(std::span<const float> x,
                               std::span<float> out) const {
-  assert(out.size() == model_.num_classes());
-  std::vector<float> encoded(encoder_->output_dim());
-  encoder_->encode(x, encoded);
-  model_.similarities(encoded, out);
+  // The one-row block bypasses the cache, as CyberHdClassifier's does.
+  score_rows(ScoringWorkspace::tl().stage_sample(x, encoder_->input_dim(),
+                                                 out.size(), num_classes()),
+             0, 1, nullptr, out.data());
 }
 
 std::size_t QuantizedCyberHd::preferred_batch_rows(
@@ -306,21 +272,21 @@ void QuantizedCyberHd::encode_tile_packed(const core::Matrix& x,
 }
 
 PackedRows QuantizedCyberHd::encode_block_packed_borrowed(
-    const core::Matrix& x, std::size_t begin, std::size_t end,
-    PackedStaging& staging, ScoringWorkspace& ws) const {
+    EncodeCache* cache, const core::Matrix& x, std::size_t begin,
+    std::size_t end, PackedStaging& staging, ScoringWorkspace& ws) const {
   assert(model_.bits() <= 8);
   const std::size_t m = end - begin;
   const std::size_t dims = model_.dims();
   const int bits = model_.bits();
   unsigned char* out = staging.prepare(m, dims, bits);
   const std::size_t row_bytes = model_.packed_row_bytes();
-  if (encode_cache_ != nullptr) {
+  if (cache != nullptr) {
     // Batched miss path: gather the lookup's misses into one contiguous
     // block, run them through the fused tile-encode-and-pack, scatter the
     // packed rows (a row_bytes memcpy each) to their staging slots. The
     // gather block and the packed block live in the workspace — grown
     // once, reused every flush.
-    encode_cache_->encode_entries_borrowed(
+    cache->encode_entries_borrowed(
         x, begin, end, out, row_bytes,
         [&](std::span<const std::size_t> rows, unsigned char* o,
             std::size_t o_stride) {
@@ -369,6 +335,12 @@ PackedRows QuantizedCyberHd::encode_block_packed_borrowed(
 void QuantizedCyberHd::scores_block(const core::Matrix& x,
                                     std::size_t begin, std::size_t end,
                                     core::Matrix& out) const {
+  score_rows(x, begin, end, encode_cache_.get(), out.row(begin).data());
+}
+
+void QuantizedCyberHd::score_rows(const core::Matrix& x, std::size_t begin,
+                                  std::size_t end, EncodeCache* cache,
+                                  float* out) const {
   const std::size_t m = end - begin;
   if (m == 0) return;
   // Staging buffers are thread_local so the block loop reuses one
@@ -381,25 +353,25 @@ void QuantizedCyberHd::scores_block(const core::Matrix& x,
     // time, PINS cache hits in the ring instead of memcpying them out,
     // and encodes only the misses into the thread-local staging; stage 2
     // streams the resulting row-pointer view through the gather tile
-    // kernels. No float row crosses the stage boundary, no hit byte is
-    // copied, and every score is bit-identical to scores() on its row.
+    // kernels. No float row crosses the stage boundary and no hit byte is
+    // copied.
     thread_local PackedStaging staging;
     const PackedRows packed =
-        encode_block_packed_borrowed(x, begin, end, staging, ws);
-    model_.similarities_packed(packed, out.row(begin).data(), exec_);
+        encode_block_packed_borrowed(cache, x, begin, end, staging, ws);
+    model_.similarities_packed(packed, out, exec_);
     return;
   }
   // bits 16/32: the shared float stage 1 (hits borrowed from the float
-  // cache ring), then per-row quantize-and-score straight from the
-  // pointer table.
+  // cache ring), then the row scorer straight from the pointer table.
   thread_local core::Matrix staging;
   const EncodedRows rows = encode_block_cached(
-      *encoder_, encode_cache_.get(), x, begin, end, staging, ws, exec_);
+      *encoder_, cache, x, begin, end, staging, ws, exec_);
+  const std::size_t classes = model_.num_classes();
   exec_.parallel_for(
       m,
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
-          model_.similarities(rows.row(i), out.row(begin + i));
+          model_.similarities(rows.row(i), {out + i * classes, classes});
         }
       },
       /*grain=*/32);

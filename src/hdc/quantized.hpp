@@ -6,7 +6,7 @@
 // 64-bit words and scores with XOR/popcount — the representation whose
 // holographic redundancy gives the paper's 12.9x robustness advantage and
 // the FPGA its efficiency at low bitwidths. Bitwidths 2..8 score through
-// the runtime-dispatched int8 dot kernel (core/kernels/) against cached
+// the runtime-dispatched int8 tile kernel (core/kernels/) against cached
 // int8 mirrors of the class levels.
 //
 // The raw quantized storage is exposed so fault/bitflip.cpp can flip bits
@@ -45,10 +45,10 @@ class QuantizedHdcModel {
   std::size_t dims() const noexcept { return dims_; }
   std::size_t num_classes() const noexcept;
 
-  /// Cosine similarities of a float-encoded query against every class,
-  /// computed entirely in the quantized domain (the query is quantized at
-  /// this model's bitwidth first). Thread-safe for concurrent const calls.
-  /// Preconditions: h.size() == dims(), scores.size() == num_classes().
+  /// The bits-16/32 row scorer: quantized-domain cosines of a
+  /// float-encoded query (quantized into per-thread scratch) against every
+  /// class. Thread-safe. Preconditions: bits() > 8, h.size() == dims(),
+  /// scores.size() == num_classes().
   void similarities(std::span<const float> h,
                     std::span<float> scores) const;
 
@@ -56,9 +56,9 @@ class QuantizedHdcModel {
   // The serving pipeline quantizes each row ONCE at encode time (pack_row)
   // and scores whole packed tiles against the class block through the
   // integer gather tile kernels — no float detour, 1-8 bits moved per
-  // dimension. Row for row bit-identical to quantize-then-similarities():
-  // the tile dots are exact integers on every backend and the final
-  // cosine expression is the same.
+  // dimension. Row for row bit-identical to cosine_bipolar(pack_signs) /
+  // cosine_quantized(quantize): the tile dots are exact integers on every
+  // backend and the final cosine expression is the same.
 
   /// Bytes one packed query row occupies (PackedRows::row_bytes at this
   /// model's width). Only meaningful when bits() <= 8.
@@ -67,8 +67,8 @@ class QuantizedHdcModel {
   }
   /// Quantize a float-encoded query into its packed form: dims() int8
   /// levels (bits 2..8) or ceil(dims/64) packed sign words (bits == 1),
-  /// written to `dst` (packed_row_bytes() bytes). Thread-safe.
-  /// Precondition: bits() <= 8.
+  /// written to `dst` (packed_row_bytes() bytes) through per-thread
+  /// scratch. Thread-safe. Precondition: bits() <= 8.
   void pack_row(std::span<const float> h, unsigned char* dst) const;
   /// Quantized-domain cosine scores of packed rows read through the view's
   /// pointer table (rows borrowed from the encode cache ring, staging
@@ -78,9 +78,6 @@ class QuantizedHdcModel {
   /// h.dims() == dims().
   void similarities_packed(const PackedRows& h, float* out,
                            const core::ExecutionContext& exec) const;
-
-  /// argmax-of-similarity prediction for a float-encoded query.
-  std::size_t predict_encoded(std::span<const float> h) const;
 
   /// Memory footprint of the class hypervectors in bits (dims * classes *
   /// bitwidth) — what the hardware model prices.
@@ -148,7 +145,8 @@ class QuantizedCyberHd final : public core::Classifier {
     return model_.num_classes();
   }
   int predict(std::span<const float> x) const override;
-  /// Quantized-domain cosine similarities of one raw sample.
+  /// Quantized-domain cosine similarities of one raw sample; a one-row
+  /// block, as in CyberHdClassifier::scores.
   void scores(std::span<const float> x, std::span<float> out) const override;
 
   // -- stage-split serving pipeline (mirrors CyberHdClassifier) --------------
@@ -172,14 +170,14 @@ class QuantizedCyberHd final : public core::Classifier {
   void scores_block(const core::Matrix& x, std::size_t begin,
                     std::size_t end, core::Matrix& out) const override;
   /// Packed stage 1 (bits <= 8): encode rows [begin, end) of `x` straight
-  /// into packed form. Cache hits are BORROWED (pinned in the ring, no
-  /// memcpy out) and only misses land in `staging`. The returned view
-  /// routes each row to its ring slot or staging offset through `ws`'s
-  /// pointer tables; the caller must release ws.borrow after stage 2
-  /// consumes the rows. With the cache disabled every row encodes into
-  /// `staging` and no pins are taken — the view is still valid and
-  /// ws.borrow is empty.
-  PackedRows encode_block_packed_borrowed(const core::Matrix& x,
+  /// into packed form through `cache` (encode_cache(), or nullptr). Cache
+  /// hits are BORROWED (pinned in the ring, no memcpy out) and only misses
+  /// land in `staging`. The returned view routes each row to its ring
+  /// slot or staging offset through `ws`'s pointer tables; the caller
+  /// must release ws.borrow after stage 2 consumes the rows. Without a
+  /// cache every row encodes into `staging` and no pins are taken.
+  PackedRows encode_block_packed_borrowed(EncodeCache* cache,
+                                          const core::Matrix& x,
                                           std::size_t begin, std::size_t end,
                                           PackedStaging& staging,
                                           ScoringWorkspace& ws) const;
@@ -214,6 +212,11 @@ class QuantizedCyberHd final : public core::Classifier {
   const QuantizedHdcModel& model() const noexcept { return model_; }
 
  private:
+  /// The one scorer, as CyberHdClassifier::score_rows: packed at bits <= 8,
+  /// float stage 1 and the bits-16/32 row scorer above.
+  void score_rows(const core::Matrix& x, std::size_t begin, std::size_t end,
+                  EncodeCache* cache, float* out) const;
+
   std::unique_ptr<Encoder> encoder_;
   QuantizedHdcModel model_;
   core::ExecutionContext exec_;

@@ -29,9 +29,13 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
+#include "core/bitpack.hpp"
 #include "core/matrix.hpp"
+#include "core/quantize.hpp"
 
 namespace cyberhd::hdc {
 
@@ -196,6 +200,27 @@ struct ScoringWorkspace {
   core::Matrix miss_enc;  // their float encodings (float pipeline)
   std::vector<unsigned char, core::AlignedAllocator<unsigned char>>
       miss_packed;  // their packed entries
+
+  // --- one-row scratch ---------------------------------------------------
+  core::Matrix sample;                 // a per-sample query as a 1 x F block
+  std::vector<float> sample_scores;    // predict()'s class scores
+  core::PackedBits query_bits;         // pack_row's sign words (1 bit)
+  core::QuantizedVector query_levels;  // pack_row (2-8), bits-16/32 scorer
+
+  /// The per-sample entry of both HDC classifiers: copy `x` into `sample`
+  /// and return it, the one-row block predict()/scores() score. Throws
+  /// std::invalid_argument, touching nothing, unless x.size() == features
+  /// and the caller's out_size == classes.
+  const core::Matrix& stage_sample(std::span<const float> x,
+                                   std::size_t features, std::size_t out_size,
+                                   std::size_t classes) {
+    if (x.size() != features || out_size != classes) {
+      throw std::invalid_argument("predict()/scores(): miswidth span");
+    }
+    if (sample.cols() != features) sample.resize(1, features);
+    std::copy(x.begin(), x.end(), sample.data());
+    return sample;
+  }
 
   /// This thread's workspace. Server workers each score on their own
   /// thread, so per-thread scratch needs no locking; a thread's workspace

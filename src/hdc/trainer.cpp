@@ -222,10 +222,9 @@ void Trainer::update_tile(HdcModel& model, const EncodedRows& rows,
   for (std::size_t t = 0; t < n; t += batch) {
     const EncodedRows tile(rows.row_ptrs() + t, std::min(batch, n - t),
                            rows.dims());
-    // Frozen-model scoring through the batch scorer: each row's cosines
-    // are bit-identical to similarities() on it, for any split. Then the
-    // serial decision sweep and the striped replay — deterministic for
-    // every worker count.
+    // Frozen-model scoring through the batch scorer (the same bits for any
+    // split), then the serial decision sweep and the striped replay —
+    // deterministic for every worker count.
     model.similarities_into(tile, scores.data(), ctx);
     acc.collect(tile, labels + t, scores, model.num_classes(), stats);
     acc.apply(model, ctx);

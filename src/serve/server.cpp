@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdlib>
 #include <exception>
+#include <stdexcept>
 
 #include "core/env.hpp"
 #include "serve/snapshot.hpp"
@@ -88,7 +89,10 @@ std::uint64_t Server::now_us() const noexcept {
 
 bool Server::try_submit(std::span<const float> features, ResultSlot& slot,
                         std::uint64_t deadline_us) {
-  assert(features.size() == input_dim_);
+  // Before the slot, the ring or a counter: the batcher copies input_dim.
+  if (features.size() != input_dim_) {
+    throw std::invalid_argument("try_submit: features.size() != input_dim");
+  }
   // Pusher accounting closes the shutdown race: the batcher's final drain
   // waits until no try_submit is between the stopping check and its push,
   // so an accepted request can never slip in behind the last drain.

@@ -167,8 +167,9 @@ class Server {
   /// it expires is shed with status DEADLINE_EXCEEDED instead of wasting
   /// scoring work. Returns false when the ring is full or the server is
   /// shutting down — the slot then carries status REJECTED, so every
-  /// submission ends in exactly one terminal status either way.
-  /// Thread-safe, lock-free.
+  /// submission ends in exactly one terminal status either way. Throws
+  /// std::invalid_argument, touching neither `slot` nor the server, when
+  /// features.size() != input_dim. Thread-safe, lock-free.
   bool try_submit(std::span<const float> features, ResultSlot& slot,
                   std::uint64_t deadline_us = 0);
 

@@ -166,8 +166,8 @@ TEST(CyberHdClassifier, DifferentSeedsDifferentEncoders) {
   a.fit(data.x, data.y, 3);
   b.fit(data.x, data.y, 3);
   std::vector<float> ha(cfg_a.dims), hb(cfg_a.dims);
-  a.encode(data.x.row(0), ha);
-  b.encode(data.x.row(0), hb);
+  a.encoder().encode(data.x.row(0), ha);
+  b.encoder().encode(data.x.row(0), hb);
   EXPECT_NE(ha, hb);
 }
 
@@ -184,6 +184,33 @@ TEST(CyberHdClassifier, ScoresAreCosines) {
   // Prediction agrees with argmax of scores.
   const int pred = model.predict(data.x.row(0));
   EXPECT_EQ(pred, static_cast<int>(core::argmax(scores)));
+}
+
+TEST(CyberHdClassifier, PerSampleCallsRejectMiswidthSpans) {
+  // A narrow feature span would be read past its end by the encode tile
+  // and a short score span written past its end: both throw before
+  // anything is touched. The spans view larger buffers, so an overrun
+  // would land on the sentinels checked below instead of the heap.
+  const Blobs data(60);
+  CyberHdClassifier model(small_config());
+  model.fit(data.x, data.y, 3);
+  const std::vector<float> features(6, 0.5f);
+  std::vector<float> scores(5, -7.0f);
+  const std::span<const float> narrow(features.data(), 3);
+  const std::span<const float> wide(features.data(), 5);
+  const std::span<const float> row = data.x.row(0);
+  EXPECT_THROW(model.predict(narrow), std::invalid_argument);
+  EXPECT_THROW(model.predict(wide), std::invalid_argument);
+  EXPECT_THROW(model.scores(narrow, {scores.data(), 3}),
+               std::invalid_argument);
+  EXPECT_THROW(model.scores(row, {scores.data(), 2}), std::invalid_argument);
+  EXPECT_THROW(model.scores(row, {scores.data(), 4}), std::invalid_argument);
+  EXPECT_EQ(scores, std::vector<float>(5, -7.0f));
+
+  model.scores(row, {scores.data(), 3});
+  EXPECT_EQ(scores[3], -7.0f);
+  EXPECT_EQ(static_cast<int>(core::argmax({scores.data(), 3})),
+            model.predict(row));
 }
 
 TEST(CyberHdClassifier, FitReportTracksEpochs) {

@@ -200,7 +200,9 @@ TEST(IdLevelEncoder, RegenerateChangesOnlySelectedDims) {
   enc.regenerate(dims, regen_rng);
   enc.encode(x, after);
   for (std::size_t d = 0; d < 64; ++d) {
-    if (d != 10 && d != 11) EXPECT_EQ(after[d], before[d]);
+    if (d != 10 && d != 11) {
+      EXPECT_EQ(after[d], before[d]);
+    }
   }
 }
 

@@ -10,6 +10,7 @@
 #include "core/matrix.hpp"
 #include "core/rng.hpp"
 #include "hdc/cyberhd.hpp"
+#include "hdc/quantized.hpp"
 
 namespace cyberhd::fault {
 namespace {
@@ -41,18 +42,6 @@ hdc::CyberHdClassifier trained_blob_model(core::Matrix& x,
   hdc::CyberHdClassifier model(cfg);
   model.fit(x, y, 3);
   return model;
-}
-
-double quantized_accuracy(const hdc::CyberHdClassifier& trained,
-                          const hdc::QuantizedHdcModel& q,
-                          const core::Matrix& x, std::span<const int> y) {
-  std::vector<float> h(trained.physical_dims());
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    trained.encode(x.row(i), h);
-    if (q.predict_encoded(h) == static_cast<std::size_t>(y[i])) ++correct;
-  }
-  return static_cast<double>(correct) / static_cast<double>(x.rows());
 }
 
 TEST(InjectFloats, ZeroRateIsNoop) {
@@ -115,11 +104,11 @@ TEST(InjectHdc, ZeroRateKeepsPredictions) {
   core::Matrix x;
   std::vector<int> y;
   const auto model = trained_blob_model(x, y);
-  hdc::QuantizedHdcModel q(model.model(), 4);
-  const double before = quantized_accuracy(model, q, x, y);
+  hdc::QuantizedCyberHd q(model, 4);
+  const double before = q.evaluate(x, y);
   core::Rng rng(19);
-  inject_hdc(q, 0.0, rng);
-  EXPECT_EQ(quantized_accuracy(model, q, x, y), before);
+  inject_hdc(q.model(), 0.0, rng);
+  EXPECT_EQ(q.evaluate(x, y), before);
 }
 
 TEST(InjectHdc, LevelsStayInRangeAfterInjection) {
@@ -143,15 +132,15 @@ TEST(InjectHdc, OneBitModelToleratesModerateFlips) {
   core::Matrix x;
   std::vector<int> y;
   const auto model = trained_blob_model(x, y);
-  hdc::QuantizedHdcModel clean(model.model(), 1);
-  const double clean_acc = quantized_accuracy(model, clean, x, y);
+  const hdc::QuantizedCyberHd clean(model, 1);
+  const double clean_acc = clean.evaluate(x, y);
   double total_loss = 0;
   const int trials = 5;
   for (int t = 0; t < trials; ++t) {
-    hdc::QuantizedHdcModel faulty(model.model(), 1);
+    hdc::QuantizedCyberHd faulty(model, 1);
     core::Rng rng(100 + t);
-    inject_hdc(faulty, 0.02, rng);
-    total_loss += clean_acc - quantized_accuracy(model, faulty, x, y);
+    inject_hdc(faulty.model(), 0.02, rng);
+    total_loss += clean_acc - faulty.evaluate(x, y);
   }
   EXPECT_LT(total_loss / trials, 0.03);
 }
@@ -212,15 +201,15 @@ TEST(RobustnessOrdering, OneBitLosesLessThanEightBit) {
   std::vector<int> y;
   const auto model = trained_blob_model(x, y);
   const auto mean_loss = [&](int bits) {
-    hdc::QuantizedHdcModel clean(model.model(), bits);
-    const double clean_acc = quantized_accuracy(model, clean, x, y);
+    const hdc::QuantizedCyberHd clean(model, bits);
+    const double clean_acc = clean.evaluate(x, y);
     double loss = 0;
     const int trials = 6;
     for (int t = 0; t < trials; ++t) {
-      hdc::QuantizedHdcModel faulty(model.model(), bits);
+      hdc::QuantizedCyberHd faulty(model, bits);
       core::Rng rng(200 + t);
-      inject_hdc(faulty, 0.05, rng);
-      loss += clean_acc - quantized_accuracy(model, faulty, x, y);
+      inject_hdc(faulty.model(), 0.05, rng);
+      loss += clean_acc - faulty.evaluate(x, y);
     }
     return loss / trials;
   };

@@ -8,8 +8,9 @@
 //    keeps encode() and encode_dims() coherent); the avx512 encode tile
 //    also matches the avx2 one per pair, and no backend's encode tile
 //    reads past its inputs;
-//  * predict/scores agree bit-exactly with predict_batch/scores_batch for
-//    CyberHD and its quantized snapshots;
+//  * predict/scores and predict_batch/scores_batch reproduce written-out
+//    references (tests/scoring_reference.hpp) bit-exactly for CyberHD and
+//    its quantized snapshots;
 //  * concurrent const predict() calls are safe and deterministic (the
 //    scratch-buffer race regression test).
 #include <gtest/gtest.h>
@@ -31,6 +32,7 @@
 #include "core/rng.hpp"
 #include "hdc/cyberhd.hpp"
 #include "hdc/quantized.hpp"
+#include "scoring_reference.hpp"
 
 namespace cyberhd {
 namespace {
@@ -702,16 +704,22 @@ class BatchParity
 TEST_P(BatchParity, PredictBatchMatchesPredictLoop) {
   const auto [kind, parallel] = GetParam();
   const TrainedFixture t(kind, parallel);
+  const core::Matrix ref =
+      reference::scores(t.model.encoder(), t.model.model(), t.x);
   std::vector<int> batched(t.x.rows());
   t.model.predict_batch(t.x, batched);
   for (std::size_t i = 0; i < t.x.rows(); ++i) {
-    EXPECT_EQ(batched[i], t.model.predict(t.x.row(i))) << "row " << i;
+    const int expected = static_cast<int>(core::argmax(ref.row(i)));
+    EXPECT_EQ(batched[i], expected) << "row " << i;
+    EXPECT_EQ(t.model.predict(t.x.row(i)), expected) << "row " << i;
   }
 }
 
 TEST_P(BatchParity, ScoresBatchMatchesScoresBitExactly) {
   const auto [kind, parallel] = GetParam();
   const TrainedFixture t(kind, parallel);
+  const core::Matrix ref =
+      reference::scores(t.model.encoder(), t.model.model(), t.x);
   core::Matrix batched;
   t.model.scores_batch(t.x, batched);
   ASSERT_EQ(batched.rows(), t.x.rows());
@@ -720,7 +728,8 @@ TEST_P(BatchParity, ScoresBatchMatchesScoresBitExactly) {
   for (std::size_t i = 0; i < t.x.rows(); ++i) {
     t.model.scores(t.x.row(i), single);
     for (std::size_t c = 0; c < 3; ++c) {
-      EXPECT_EQ(batched(i, c), single[c]) << "row " << i << " class " << c;
+      EXPECT_EQ(batched(i, c), ref(i, c)) << "row " << i << " class " << c;
+      EXPECT_EQ(single[c], ref(i, c)) << "row " << i << " class " << c;
     }
   }
 }
@@ -736,17 +745,23 @@ TEST(QuantizedBatchParity, PredictBatchMatchesLoopAtAllBitwidths) {
   const TrainedFixture t(hdc::EncoderKind::kRbf, /*parallel=*/true);
   for (int bits : core::kSupportedBitwidths) {
     const hdc::QuantizedCyberHd q(t.model, bits);
+    const core::Matrix ref =
+        reference::scores(t.model.encoder(), q.model(), t.x);
     std::vector<int> batched(t.x.rows());
     q.predict_batch(t.x, batched);
     core::Matrix scores_batched;
     q.scores_batch(t.x, scores_batched);
     std::vector<float> single(q.num_classes());
     for (std::size_t i = 0; i < t.x.rows(); ++i) {
-      EXPECT_EQ(batched[i], q.predict(t.x.row(i)))
+      const int expected = static_cast<int>(core::argmax(ref.row(i)));
+      EXPECT_EQ(batched[i], expected) << "bits=" << bits << " row " << i;
+      EXPECT_EQ(q.predict(t.x.row(i)), expected)
           << "bits=" << bits << " row " << i;
       q.scores(t.x.row(i), single);
       for (std::size_t c = 0; c < single.size(); ++c) {
-        EXPECT_EQ(scores_batched(i, c), single[c])
+        EXPECT_EQ(scores_batched(i, c), ref(i, c))
+            << "bits=" << bits << " row " << i << " class " << c;
+        EXPECT_EQ(single[c], ref(i, c))
             << "bits=" << bits << " row " << i << " class " << c;
       }
     }
@@ -754,15 +769,20 @@ TEST(QuantizedBatchParity, PredictBatchMatchesLoopAtAllBitwidths) {
 }
 
 TEST(QuantizedBatchParity, Int8FastPathMatchesCosineQuantized) {
-  // The SIMD int8 scoring path must reproduce the reference
-  // cosine_quantized() result bit-for-bit at every sub-byte bitwidth.
+  // The SIMD int8 scoring path — pack_row, then a one-row
+  // similarities_packed — must reproduce the reference cosine_quantized()
+  // result bit-for-bit at every sub-byte bitwidth.
   const TrainedFixture t(hdc::EncoderKind::kRbf, /*parallel=*/false);
   for (int bits : {2, 4, 8}) {
     const hdc::QuantizedHdcModel qm(t.model.model(), bits);
     std::vector<float> h(t.model.physical_dims());
-    t.model.encode(t.x.row(0), h);
+    t.model.encoder().encode(t.x.row(0), h);
+    std::vector<std::int8_t> packed(qm.packed_row_bytes());
+    qm.pack_row(h, reinterpret_cast<unsigned char*>(packed.data()));
+    const std::int8_t* row = packed.data();
     std::vector<float> scores(qm.num_classes());
-    qm.similarities(h, scores);
+    qm.similarities_packed(hdc::PackedRows(&row, 1, qm.dims(), bits),
+                           scores.data(), core::ExecutionContext::serial());
     const core::QuantizedVector q = core::quantize(h, bits);
     for (std::size_t c = 0; c < qm.num_classes(); ++c) {
       EXPECT_EQ(scores[c], core::cosine_quantized(q, qm.level_classes()[c]))

@@ -4,14 +4,26 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "core/matrix.hpp"
 #include "core/rng.hpp"
+#include "scoring_reference.hpp"
 
 namespace cyberhd::hdc {
 namespace {
+
+/// Scores of one query through the batch scorer, as a one-row block.
+std::vector<float> one_row_scores(const HdcModel& m,
+                                  const std::vector<float>& h) {
+  core::Matrix query(1, h.size());
+  std::copy(h.begin(), h.end(), query.data());
+  core::Matrix scores;
+  m.similarities_batch(query, scores);
+  return {scores.data(), scores.data() + scores.size()};
+}
 
 TEST(HdcModel, ConstructionZeroed) {
   HdcModel m(3, 16);
@@ -39,8 +51,7 @@ TEST(HdcModel, SimilaritiesAreCosines) {
   HdcModel m(2, 2);
   m.bundle(0, std::vector<float>{1, 0});
   m.bundle(1, std::vector<float>{0, 1});
-  std::vector<float> scores(2);
-  m.similarities(std::vector<float>{1, 0}, scores);
+  const std::vector<float> scores = one_row_scores(m, {1, 0});
   EXPECT_NEAR(scores[0], 1.0f, 1e-6f);
   EXPECT_NEAR(scores[1], 0.0f, 1e-6f);
 }
@@ -48,20 +59,21 @@ TEST(HdcModel, SimilaritiesAreCosines) {
 TEST(HdcModel, ZeroClassScoresZero) {
   HdcModel m(2, 4);
   m.bundle(0, std::vector<float>{1, 1, 1, 1});
-  std::vector<float> scores(2);
-  m.similarities(std::vector<float>{1, 1, 1, 1}, scores);
+  const std::vector<float> scores = one_row_scores(m, {1, 1, 1, 1});
   EXPECT_NEAR(scores[0], 1.0f, 1e-6f);
   EXPECT_EQ(scores[1], 0.0f);  // class 1 never bundled
 }
 
-TEST(HdcModel, PredictEncodedPicksNearest) {
+TEST(HdcModel, ArgmaxOfScoresPicksNearest) {
+  // argmax of the one-row scores — what predict() returns for an encoded
+  // query.
   HdcModel m(3, 4);
   m.bundle(0, std::vector<float>{1, 0, 0, 0});
   m.bundle(1, std::vector<float>{0, 1, 0, 0});
   m.bundle(2, std::vector<float>{0, 0, 1, 1});
-  EXPECT_EQ(m.predict_encoded(std::vector<float>{0.9f, 0.1f, 0, 0}), 0u);
-  EXPECT_EQ(m.predict_encoded(std::vector<float>{0, 1, 0.1f, 0}), 1u);
-  EXPECT_EQ(m.predict_encoded(std::vector<float>{0, 0, 1, 0.9f}), 2u);
+  EXPECT_EQ(core::argmax(one_row_scores(m, {0.9f, 0.1f, 0, 0})), 0u);
+  EXPECT_EQ(core::argmax(one_row_scores(m, {0, 1, 0.1f, 0})), 1u);
+  EXPECT_EQ(core::argmax(one_row_scores(m, {0, 0, 1, 0.9f})), 2u);
 }
 
 TEST(HdcModel, NormalizeRows) {
@@ -147,9 +159,9 @@ TEST(HdcModel, LowestKZero) {
 }
 
 TEST(HdcModel, SimilaritiesBatchMatchesPerSampleAcrossTileBoundary) {
-  // 600 rows straddles the internal 32-row scoring tile (kTileRows in
-  // model.cpp) many times over: every row must still be bit-identical to a
-  // per-sample similarities() call.
+  // 600 rows straddles the scoring tile (score_block_rows) many times
+  // over: every row must still be bit-identical to the written-out
+  // cosine_from_dot(core::dot, core::norm2, core::norm2) reference.
   const std::size_t n = 600, dims = 70, classes = 4;
   core::Rng rng(5);
   HdcModel model(classes, dims);
@@ -166,7 +178,7 @@ TEST(HdcModel, SimilaritiesBatchMatchesPerSampleAcrossTileBoundary) {
   ASSERT_EQ(batched.cols(), classes);
   std::vector<float> single(classes);
   for (std::size_t i = 0; i < n; ++i) {
-    model.similarities(queries.row(i), single);
+    reference::similarities(model, queries.row(i), single);
     for (std::size_t c = 0; c < classes; ++c) {
       EXPECT_EQ(batched(i, c), single[c]) << "row " << i << " class " << c;
     }

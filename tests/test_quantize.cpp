@@ -160,8 +160,12 @@ TEST_P(QuantizeBitSweep, PreservesSignsAndClampsToRange) {
   // Values larger than an LSB step keep their sign; smaller ones may
   // round to zero (fixed-point resolution floor).
   for (std::size_t i = 0; i < x.size(); ++i) {
-    if (x[i] > q.scale) EXPECT_GT(back[i], 0.0f) << "bits=" << bits;
-    if (x[i] < -q.scale) EXPECT_LT(back[i], 0.0f) << "bits=" << bits;
+    if (x[i] > q.scale) {
+      EXPECT_GT(back[i], 0.0f) << "bits=" << bits;
+    }
+    if (x[i] < -q.scale) {
+      EXPECT_LT(back[i], 0.0f) << "bits=" << bits;
+    }
   }
   // Nothing escapes the representable range.
   const float range =

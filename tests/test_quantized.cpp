@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -70,35 +72,20 @@ TEST(QuantizedHdcModel, StorageLayoutPerBitwidth) {
 
 TEST(QuantizedHdcModel, HighBitwidthMatchesFloatPredictions) {
   TrainedFixture f;
-  const QuantizedHdcModel q(f.model.model(), 16);
-  std::vector<float> h(f.model.physical_dims());
-  std::size_t agree = 0;
-  for (std::size_t i = 0; i < f.x.rows(); ++i) {
-    f.model.encode(f.x.row(i), h);
-    if (static_cast<int>(q.predict_encoded(h)) == f.model.predict(f.x.row(i))) {
-      ++agree;
-    }
-  }
-  EXPECT_EQ(agree, f.x.rows());
+  const QuantizedCyberHd q(f.model, 16);
+  std::vector<int> quantized(f.x.rows()), full(f.x.rows());
+  q.predict_batch(f.x, quantized);
+  f.model.predict_batch(f.x, full);
+  EXPECT_EQ(quantized, full);
 }
 
 TEST(QuantizedHdcModel, AccuracyDegradesGracefullyWithBits) {
   TrainedFixture f;
   const double float_acc = f.model.evaluate(f.x, f.y);
-  std::vector<float> h(f.model.physical_dims());
   for (int bits : {8, 4, 2, 1}) {
-    const QuantizedHdcModel q(f.model.model(), bits);
-    std::size_t correct = 0;
-    for (std::size_t i = 0; i < f.x.rows(); ++i) {
-      f.model.encode(f.x.row(i), h);
-      if (q.predict_encoded(h) == static_cast<std::size_t>(f.y[i])) {
-        ++correct;
-      }
-    }
-    const double acc =
-        static_cast<double>(correct) / static_cast<double>(f.x.rows());
+    const QuantizedCyberHd q(f.model, bits);
     // Even 1-bit HDC retains most accuracy — the holographic property.
-    EXPECT_GT(acc, float_acc - 0.10) << "bits=" << bits;
+    EXPECT_GT(q.evaluate(f.x, f.y), float_acc - 0.10) << "bits=" << bits;
   }
 }
 
@@ -112,12 +99,18 @@ TEST(QuantizedHdcModel, OneBitUsesSignAgreement) {
   core::scale(anti, -1.0f);
   m.bundle(1, anti);
   const QuantizedHdcModel q(m, 1);
-  // The prototype itself must classify as class 0 with similarity 1.
+  // The prototype itself, packed and scored as a one-row block, must
+  // classify as class 0 with similarity 1.
+  std::vector<std::uint64_t> words(q.packed_row_bytes() /
+                                   sizeof(std::uint64_t));
+  q.pack_row(proto, reinterpret_cast<unsigned char*>(words.data()));
+  const std::uint64_t* row = words.data();
   std::vector<float> scores(2);
-  q.similarities(proto, scores);
+  q.similarities_packed(PackedRows(&row, 1, q.dims()), scores.data(),
+                        core::ExecutionContext::serial());
   EXPECT_FLOAT_EQ(scores[0], 1.0f);
   EXPECT_FLOAT_EQ(scores[1], -1.0f);
-  EXPECT_EQ(q.predict_encoded(proto), 0u);
+  EXPECT_EQ(core::argmax(scores), 0u);
 }
 
 TEST(QuantizedCyberHd, EndToEndPredictions) {
@@ -129,6 +122,36 @@ TEST(QuantizedCyberHd, EndToEndPredictions) {
   }
   EXPECT_GT(static_cast<double>(correct) / static_cast<double>(f.x.rows()),
             0.9);
+}
+
+TEST(QuantizedCyberHd, PerSampleCallsRejectMiswidthSpans) {
+  // As for CyberHdClassifier: a narrow feature span or a short score span
+  // throws before anything is read or written, at every bitwidth. The
+  // spans view larger buffers, so an overrun would land on the sentinels.
+  TrainedFixture f;
+  const std::vector<float> features(6, 0.5f);
+  const std::span<const float> narrow(features.data(), 3);
+  const std::span<const float> wide(features.data(), 5);
+  const std::span<const float> row = f.x.row(0);
+  for (int bits : core::kSupportedBitwidths) {
+    const QuantizedCyberHd q(f.model, bits);
+    std::vector<float> scores(5, -7.0f);
+    EXPECT_THROW(q.predict(narrow), std::invalid_argument) << bits;
+    EXPECT_THROW(q.predict(wide), std::invalid_argument) << bits;
+    EXPECT_THROW(q.scores(narrow, {scores.data(), 3}), std::invalid_argument)
+        << bits;
+    EXPECT_THROW(q.scores(row, {scores.data(), 2}), std::invalid_argument)
+        << bits;
+    EXPECT_THROW(q.scores(row, {scores.data(), 4}), std::invalid_argument)
+        << bits;
+    EXPECT_EQ(scores, std::vector<float>(5, -7.0f)) << bits;
+
+    q.scores(row, {scores.data(), 3});
+    EXPECT_EQ(scores[3], -7.0f) << bits;
+    EXPECT_EQ(static_cast<int>(core::argmax({scores.data(), 3})),
+              q.predict(row))
+        << bits;
+  }
 }
 
 TEST(QuantizedCyberHd, NameIncludesBitsAndDims) {
@@ -172,7 +195,7 @@ TEST(QuantizedCyberHd, FusedTileEncodeMatchesEncodeThenPack) {
     std::vector<unsigned char> fused(f.x.rows() * row_bytes, 0xaa);
     q.encode_tile_packed(f.x, 0, f.x.rows(), fused.data(), row_bytes);
     for (std::size_t i = 0; i < f.x.rows(); ++i) {
-      f.model.encode(f.x.row(i), h);
+      f.model.encoder().encode(f.x.row(i), h);
       q.model().pack_row(h, ref.data());
       EXPECT_EQ(std::memcmp(fused.data() + i * row_bytes, ref.data(),
                             row_bytes),
@@ -188,7 +211,7 @@ TEST(QuantizedCyberHd, FusedTileEncodeMatchesEncodeThenPack) {
     std::vector<unsigned char> strided((end - begin) * stride, 0xc3);
     q.encode_tile_packed(f.x, begin, end, strided.data(), stride);
     for (std::size_t i = 0; i < end - begin; ++i) {
-      f.model.encode(f.x.row(begin + i), h);
+      f.model.encoder().encode(f.x.row(begin + i), h);
       q.model().pack_row(h, ref.data());
       EXPECT_EQ(
           std::memcmp(strided.data() + i * stride, ref.data(), row_bytes), 0)

@@ -106,6 +106,7 @@ struct TrainedSmall {
 #endif
 #endif
 
+#ifndef CYBERHD_NO_ADDRESS_SPACE_CAP
 /// A 40-byte ERBF stream whose bases declare a rows x cols matrix and a
 /// matching float count, but carry only 8 payload bytes.
 std::string hostile_rbf_stream(std::uint64_t rows, std::uint64_t cols) {
@@ -119,7 +120,6 @@ std::string hostile_rbf_stream(std::uint64_t rows, std::uint64_t cols) {
   return out.str();
 }
 
-#ifndef CYBERHD_NO_ADDRESS_SPACE_CAP
 /// Death-test child: load `bytes` as an encoder under a 1 GiB address-space
 /// cap. Exits 0 after printing a std::runtime_error, 1 on std::bad_alloc,
 /// and 2 when the stream loads.

@@ -21,6 +21,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -499,7 +500,9 @@ void expect_bit_identical_quantized(std::size_t num_streams, int bits,
   server.shutdown();
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.completed, num_streams * flows[0].rows());
-  if (!env_faults) EXPECT_EQ(stats.ok, stats.completed);
+  if (!env_faults) {
+    EXPECT_EQ(stats.ok, stats.completed);
+  }
 }
 
 TEST(ServerQuantized, OneStreamEveryBitwidthCacheOn) {
@@ -658,6 +661,36 @@ TEST(ServerEdge, ZeroFlowShutdownIsClean) {
   EXPECT_FALSE(server.try_submit(flows.row(0), slot));
   ASSERT_TRUE(slot.ready());
   EXPECT_EQ(slot.status(), RequestStatus::kRejected);
+}
+
+TEST(ServerEdge, MiswidthFeatureRowThrowsBeforeTouchingAnything) {
+  // A row narrower or wider than input_dim would be read past its end by
+  // the batcher's copy: try_submit refuses it before the slot, the ring or
+  // any counter changes, and the server keeps serving well-formed rows.
+  ServeFixture f(false);
+  ServerConfig cfg;
+  cfg.faults = FaultConfig{};
+  Server server(f.model, 5, cfg);
+  const std::vector<float> short_row(4, 0.1f), long_row(6, 0.1f);
+  ResultSlot slot;
+  EXPECT_THROW(server.try_submit(short_row, slot), std::invalid_argument);
+  EXPECT_THROW(server.submit(long_row, slot), std::invalid_argument);
+  EXPECT_THROW(server.submit_with_retry(short_row, slot, RetryPolicy{}),
+               std::invalid_argument);
+  EXPECT_FALSE(slot.ready());
+  ServerStats stats = server.stats();
+  EXPECT_EQ(stats.accepted, 0u);
+  EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_EQ(stats.retries, 0u);
+
+  const core::Matrix flows = ServeFixture::stream_flows(0);
+  ASSERT_TRUE(server.submit(flows.row(0), slot));
+  slot.wait();
+  EXPECT_TRUE(slot.ok());
+  server.shutdown();
+  stats = server.stats();
+  EXPECT_EQ(stats.accepted, 1u);
+  EXPECT_EQ(stats.completed, 1u);
 }
 
 TEST(ServerEdge, ResolvesPlannerBatchAndEnvLinger) {

@@ -21,6 +21,7 @@
 #include "hdc/encoded_batch.hpp"
 #include "hdc/quantized.hpp"
 #include "hdc/scoring_workspace.hpp"
+#include "scoring_reference.hpp"
 
 namespace cyberhd::hdc {
 namespace {
@@ -65,14 +66,18 @@ struct ServingFixture {
   CyberHdClassifier model;
 };
 
-/// Reference scores via the per-sample path (never touches the pipeline).
-core::Matrix per_sample_scores(const core::Classifier& model,
-                               const core::Matrix& x) {
-  core::Matrix out(x.rows(), model.num_classes());
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    model.scores(x.row(i), out.row(i));
-  }
-  return out;
+/// Written-out reference scores of `model` (tests/scoring_reference.hpp):
+/// per-row encode, then the cosine primitives — none of the pipeline.
+core::Matrix reference_scores(const CyberHdClassifier& model,
+                              const core::Matrix& x) {
+  return reference::scores(model.encoder(), model.model(), x);
+}
+/// The same for `q`, a quantized snapshot of `source` (whose encoder it
+/// cloned).
+core::Matrix reference_scores(const QuantizedCyberHd& q,
+                              const CyberHdClassifier& source,
+                              const core::Matrix& x) {
+  return reference::scores(source.encoder(), q.model(), x);
 }
 
 /// Snapshot/restore an environment variable around a test that mutates
@@ -120,7 +125,7 @@ class ServingDeterminism : public ::testing::TestWithParam<bool> {};
 
 TEST_P(ServingDeterminism, ScoresBitIdenticalCacheOnOffEvicting) {
   ServingFixture t(/*parallel=*/GetParam());
-  const core::Matrix reference = per_sample_scores(t.model, t.queries);
+  const core::Matrix reference = reference_scores(t.model, t.queries);
 
   // Cache off.
   t.model.set_encode_cache(0);
@@ -230,7 +235,7 @@ TEST(ServingPipeline, RefitRearmsTheCacheWithFreshEncodings) {
   }
   ASSERT_NE(t.model.encode_cache(), nullptr);
   EXPECT_EQ(t.model.encode_cache()->stats().hits, 0u);
-  const core::Matrix reference = per_sample_scores(t.model, t.queries);
+  const core::Matrix reference = reference_scores(t.model, t.queries);
   core::Matrix refit_scores;
   t.model.scores_batch(t.queries, refit_scores);
   EXPECT_EQ(refit_scores, reference);
@@ -243,7 +248,7 @@ class QuantizedServing : public ::testing::TestWithParam<int> {};
 TEST_P(QuantizedServing, ScoresBitIdenticalCacheOnOffEvicting) {
   ServingFixture t;
   QuantizedCyberHd q(t.model, GetParam());
-  const core::Matrix reference = per_sample_scores(q, t.queries);
+  const core::Matrix reference = reference_scores(q, t.model, t.queries);
 
   q.set_encode_cache(0);
   core::Matrix off;
@@ -481,10 +486,10 @@ TEST(BorrowPin, ConcurrentBorrowAndEvictionKeepScoresBitIdentical) {
   // four threads flush the same query batch through a 16-slot cache, so
   // every flush borrows hits while the other threads' misses hammer the
   // same shards with inserts and evictions. Every score of every flush
-  // must still be bit-identical to the per-sample reference.
+  // must still be bit-identical to the written-out reference.
   ServingFixture t;
   t.model.set_encode_cache(16);
-  const core::Matrix reference = per_sample_scores(t.model, t.queries);
+  const core::Matrix reference = reference_scores(t.model, t.queries);
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
   for (int w = 0; w < 4; ++w) {
@@ -524,7 +529,7 @@ TEST(EncodeCacheUnit, ContentVerificationDefeatsHashAliasing) {
   // path where the ring slot holds a different row than the probe.)
   ServingFixture t;
   t.model.set_encode_cache(1);  // one slot: constant aliasing pressure
-  const core::Matrix reference = per_sample_scores(t.model, t.queries);
+  const core::Matrix reference = reference_scores(t.model, t.queries);
   core::Matrix scores;
   t.model.scores_batch(t.queries, scores);
   EXPECT_EQ(scores, reference);

@@ -14,6 +14,7 @@
 #include "core/rng.hpp"
 #include "core/thread_pool.hpp"
 #include "hdc/encoder.hpp"
+#include "scoring_reference.hpp"
 
 namespace cyberhd::hdc {
 namespace {
@@ -212,8 +213,9 @@ TEST(Trainer, EvaluateEmptyIsZero) {
 
 /// The adaptive epoch written out as the golden reference: shuffle, then
 /// for each tile of config.batch_size visit-order samples, score every row
-/// via model.similarities() against the model as it stood before the tile,
-/// then apply the tile's (1 - delta)-weighted updates in visit order.
+/// with the written-out cosine (tests/scoring_reference.hpp) against the
+/// model as it stood before the tile, then apply the tile's
+/// (1 - delta)-weighted updates in visit order.
 /// batch_size = 1 is the classic sequential rule, verbatim. The trainer
 /// must reproduce it bit-for-bit on any context.
 EpochStats golden_sequential_epoch(const TrainerConfig& config,
@@ -237,8 +239,8 @@ EpochStats golden_sequential_epoch(const TrainerConfig& config,
   for (std::size_t t = 0; t < n; t += batch) {
     const std::size_t m = std::min(batch, n - t);
     for (std::size_t j = 0; j < m; ++j) {
-      model.similarities(encoded.row(order[t + j]),
-                         {scores.data() + j * classes, classes});
+      reference::similarities(model, encoded.row(order[t + j]),
+                              {scores.data() + j * classes, classes});
     }
     for (std::size_t j = 0; j < m; ++j) {
       const std::size_t idx = order[t + j];

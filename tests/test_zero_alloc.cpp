@@ -2,7 +2,10 @@
 // a steady-state serving flush performs ZERO heap allocations — across
 // cache routing (flat workspace arrays), stage 1 (borrowed hits, misses
 // into reused staging), and stage 2 (workspace accumulator tiles, gather
-// scoring straight out of the ring).
+// scoring straight out of the ring). The same holds for a cache-off
+// packed flush (each row quantized into per-thread scratch) and for
+// per-sample predict()/scores(), which run as one-row blocks of the same
+// pipeline with the cache bypassed.
 //
 // The probe is a counting replacement of the global allocation functions:
 // an atomic flag arms a counter around exactly the flush under test. The
@@ -21,6 +24,7 @@
 #include "core/matrix.hpp"
 #include "core/rng.hpp"
 #include "hdc/cyberhd.hpp"
+#include "hdc/encode_cache.hpp"
 #include "hdc/quantized.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -93,16 +97,17 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace cyberhd::hdc {
 namespace {
 
-/// A small trained classifier, serial execution (the steady-state contract
-/// is per serving thread; the pool's own scheduling is out of scope), and
-/// a query batch with in-batch replays — ServingFixture's shape.
+/// A small trained classifier, serial execution by default (the
+/// steady-state contract is per serving thread; the pool's own scheduling
+/// is out of scope), and a query batch with in-batch replays —
+/// ServingFixture's shape: rows 64..127 repeat rows 0..63.
 struct ZeroAllocFixture {
   core::Matrix train{150, 5};
   std::vector<int> y = std::vector<int>(150);
   core::Matrix queries{128, 5};
   CyberHdClassifier model;
 
-  ZeroAllocFixture() : model(config()) {
+  explicit ZeroAllocFixture(bool parallel = false) : model(config(parallel)) {
     core::Rng rng(17);
     for (std::size_t i = 0; i < train.rows(); ++i) {
       const int cls = static_cast<int>(i % 3);
@@ -122,74 +127,153 @@ struct ZeroAllocFixture {
     model.fit(train, y, 3);
   }
 
-  static CyberHdConfig config() {
+  static CyberHdConfig config(bool parallel) {
     CyberHdConfig cfg;
     cfg.dims = 128;
     cfg.regen_steps = 2;
     cfg.final_epochs = 2;
-    cfg.parallel = false;
+    cfg.parallel = parallel;
     return cfg;
   }
 };
 
-/// Heap allocations performed by `flush()` after two warmup passes grow
-/// every workspace to steady-state capacity. Returns 0 unconditionally on
+/// Heap allocations performed by `fn()`. Returns 0 unconditionally on
 /// sanitizer builds (the counting hooks are compiled out).
+template <typename Fn>
+std::uint64_t count_allocations(Fn&& fn) {
+#ifndef CYBERHD_ZERO_ALLOC_DISABLED
+  g_allocs.store(0);
+  g_counting.store(true);
+  fn();
+  g_counting.store(false);
+  return g_allocs.load();
+#else
+  fn();
+  return 0;
+#endif
+}
+
+/// Heap allocations performed by `flush()` after two warmup passes grow
+/// every workspace to steady-state capacity.
 template <typename Fn>
 std::uint64_t allocations_in_steady_state(Fn&& flush) {
   flush();
   flush();
-#ifndef CYBERHD_ZERO_ALLOC_DISABLED
-  g_allocs.store(0);
-  g_counting.store(true);
-  flush();
-  g_counting.store(false);
-  return g_allocs.load();
+  return count_allocations(flush);
+}
+
+/// Pins a counted region at zero allocations. Sanitizer builds count
+/// nothing, so there the calling test is skipped instead — after any
+/// assertion it made before calling this.
+void expect_allocation_free(std::uint64_t allocs) {
+#ifdef CYBERHD_ZERO_ALLOC_DISABLED
+  (void)allocs;
+  GTEST_SKIP() << "allocation counting disabled under sanitizers";
 #else
-  flush();
-  return 0;
+  EXPECT_EQ(allocs, 0u);
 #endif
+}
+
+/// Per-sample predict() and scores() over rows 1..63 of `queries` (63
+/// distinct rows) after one warm-up call on row 0, with `model`'s encode
+/// cache armed and holding every one of those rows. A one-row block
+/// bypasses the cache, so its hits, misses and residency must not move —
+/// checked on every build, sanitized ones included. Returns the
+/// allocations of the 63 rows' calls.
+template <typename Model>
+std::uint64_t per_sample_allocations(const Model& model,
+                                     const core::Matrix& queries) {
+  const EncodeCache* cache = model.encode_cache();
+  EXPECT_NE(cache, nullptr);
+  if (cache == nullptr) return 0;
+  core::Matrix out;
+  model.scores_batch(queries, out);  // fills the cache with every row
+  const EncodeCacheStats before = cache->stats();
+  const std::size_t resident = cache->size();
+
+  std::vector<float> scores(model.num_classes());
+  const auto call = [&](std::size_t i) {
+    model.predict(queries.row(i));
+    model.scores(queries.row(i), scores);
+  };
+  call(0);
+  const std::uint64_t allocs = count_allocations([&] {
+    for (std::size_t i = 1; i < 64; ++i) call(i);
+  });
+
+  const EncodeCacheStats after = cache->stats();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(cache->size(), resident);
+  return allocs;
 }
 
 TEST(ZeroAlloc, FloatServingFlushIsAllocationFree) {
   ZeroAllocFixture t;
   t.model.set_encode_cache(1024);  // capacity >= working set: warm = hits
   core::Matrix out;
-  const std::uint64_t allocs = allocations_in_steady_state(
-      [&] { t.model.scores_batch(t.queries, out); });
-#ifdef CYBERHD_ZERO_ALLOC_DISABLED
-  GTEST_SKIP() << "allocation counting disabled under sanitizers";
-#else
-  EXPECT_EQ(allocs, 0u);
-#endif
+  expect_allocation_free(allocations_in_steady_state(
+      [&] { t.model.scores_batch(t.queries, out); }));
+}
+
+/// Steady-state allocations of a packed scores_batch flush at `bits` with
+/// a `cache_rows`-row encode cache: 1024 holds the working set, so warm
+/// flushes borrow every row; 0 turns the cache off, so every row
+/// tile-encodes and quantizes into per-thread scratch.
+std::uint64_t quantized_flush_allocations(int bits, std::size_t cache_rows) {
+  ZeroAllocFixture t;
+  QuantizedCyberHd q(t.model, bits);
+  q.set_encode_cache(cache_rows);
+  core::Matrix out;
+  return allocations_in_steady_state([&] { q.scores_batch(t.queries, out); });
 }
 
 TEST(ZeroAlloc, Quantized1BitServingFlushIsAllocationFree) {
-  ZeroAllocFixture t;
-  QuantizedCyberHd q(t.model, 1);
-  q.set_encode_cache(1024);
-  core::Matrix out;
-  const std::uint64_t allocs = allocations_in_steady_state(
-      [&] { q.scores_batch(t.queries, out); });
-#ifdef CYBERHD_ZERO_ALLOC_DISABLED
-  GTEST_SKIP() << "allocation counting disabled under sanitizers";
-#else
-  EXPECT_EQ(allocs, 0u);
-#endif
+  expect_allocation_free(quantized_flush_allocations(1, 1024));
 }
 
 TEST(ZeroAlloc, Quantized8BitServingFlushIsAllocationFree) {
+  expect_allocation_free(quantized_flush_allocations(8, 1024));
+}
+
+TEST(ZeroAlloc, Quantized1BitCacheOffFlushIsAllocationFree) {
+  expect_allocation_free(quantized_flush_allocations(1, 0));
+}
+
+TEST(ZeroAlloc, Quantized8BitCacheOffFlushIsAllocationFree) {
+  expect_allocation_free(quantized_flush_allocations(8, 0));
+}
+
+TEST(ZeroAlloc, PerSampleFloatSerialIsAllocationFree) {
   ZeroAllocFixture t;
-  QuantizedCyberHd q(t.model, 8);
+  t.model.set_encode_cache(1024);
+  expect_allocation_free(per_sample_allocations(t.model, t.queries));
+}
+
+TEST(ZeroAlloc, PerSampleFloatPooledIsAllocationFree) {
+  ZeroAllocFixture t(/*parallel=*/true);
+  t.model.set_encode_cache(1024);
+  expect_allocation_free(per_sample_allocations(t.model, t.queries));
+}
+
+/// Per-sample allocations of the `bits` snapshot of the fixture's model.
+std::uint64_t quantized_per_sample_allocations(int bits) {
+  ZeroAllocFixture t;
+  QuantizedCyberHd q(t.model, bits);
   q.set_encode_cache(1024);
-  core::Matrix out;
-  const std::uint64_t allocs = allocations_in_steady_state(
-      [&] { q.scores_batch(t.queries, out); });
-#ifdef CYBERHD_ZERO_ALLOC_DISABLED
-  GTEST_SKIP() << "allocation counting disabled under sanitizers";
-#else
-  EXPECT_EQ(allocs, 0u);
-#endif
+  return per_sample_allocations(q, t.queries);
+}
+
+TEST(ZeroAlloc, PerSampleQuantized1BitIsAllocationFree) {
+  expect_allocation_free(quantized_per_sample_allocations(1));
+}
+
+TEST(ZeroAlloc, PerSampleQuantized8BitIsAllocationFree) {
+  expect_allocation_free(quantized_per_sample_allocations(8));
+}
+
+TEST(ZeroAlloc, PerSampleQuantized16BitIsAllocationFree) {
+  expect_allocation_free(quantized_per_sample_allocations(16));
 }
 
 }  // namespace
