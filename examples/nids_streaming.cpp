@@ -10,7 +10,7 @@
 // sub-batch runs the two pipeline stages explicitly so their costs are
 // inspectable:
 //
-//   stage 1  encode_block_cached() — repeated flows are borrowed in place
+//   stage 1  encode_block()        — repeated flows are borrowed in place
 //                                    from the content-addressed encode
 //                                    cache (CYBERHD_ENCODE_CACHE rows);
 //                                    fresh flows encode across the SIMD
@@ -38,9 +38,11 @@
 //
 // With `--bits {1,2,4,8}` the trained model is first snapshot into a
 // QuantizedCyberHd and the SAME loops run through the packed quantized
-// pipeline: rows are quantized once at encode time, the encode cache holds
-// packed entries (1/4 to 1/32 of the float bytes per flow), and scoring
-// streams the PackedRows view through the integer gather kernels. Scores stay
+// pipeline: the same encode_block with packed entries and
+// QuantizedCyberHd::encode_tile_packed as the tile encoder, so rows are
+// quantized once at encode time, the encode cache holds packed entries
+// (1/4 to 1/32 of the float bytes per flow), and scoring streams the
+// PackedRows view through the integer gather kernels. Scores stay
 // bit-identical across cache regimes, and `--bits` composes with
 // `--streams N` (the concurrent check then replays the quantized serial
 // pipeline).
@@ -89,17 +91,19 @@ StreamResult drive_stream(const hdc::CyberHdClassifier& model,
   StreamResult result;
   result.predictions.reserve(flows.rows());
   hdc::ScoringWorkspace ws;
-  core::Matrix staging;
   core::Matrix scores;
   std::size_t alerts = 0;
+  const std::size_t dims = model.physical_dims();
   core::Timer total;
   for (std::size_t t = 0; t < flows.rows(); t += batch_rows) {
     const std::size_t end = std::min(t + batch_rows, flows.rows());
 
     core::Timer clock;
-    const hdc::EncodedRows encoded =
-        hdc::encode_block_cached(model.encoder(), model.encode_cache(), flows,
-                                 t, end, staging, ws, model.exec());
+    hdc::encode_block(model.encode_cache(), flows, t, end,
+                      dims * sizeof(float),
+                      hdc::FloatTileEncode{model.encoder(), model.exec()}, ws,
+                      model.exec());
+    const hdc::EncodedRows encoded = ws.float_rows(end - t, dims);
     result.encode_s += clock.seconds();
 
     clock.reset();
@@ -145,16 +149,21 @@ StreamResult drive_stream_quantized(const hdc::QuantizedCyberHd& q,
   StreamResult result;
   result.predictions.reserve(flows.rows());
   hdc::ScoringWorkspace ws;
-  hdc::PackedStaging staging;
   core::Matrix scores;
+  const auto encode_packed = [&q](const core::Matrix& x, std::size_t begin,
+                                  std::size_t end, unsigned char* dst,
+                                  std::size_t dst_stride) {
+    q.encode_tile_packed(x, begin, end, dst, dst_stride);
+  };
   core::Timer total;
   for (std::size_t t = 0; t < flows.rows(); t += batch_rows) {
     const std::size_t end = std::min(t + batch_rows, flows.rows());
 
     core::Timer clock;
+    hdc::encode_block(q.encode_cache(), flows, t, end,
+                      q.model().packed_row_bytes(), encode_packed, ws, exec);
     const hdc::PackedRows packed =
-        q.encode_block_packed_borrowed(q.encode_cache(), flows, t, end,
-                                       staging, ws);
+        ws.packed_rows(end - t, q.model().dims(), q.bits());
     result.encode_s += clock.seconds();
 
     clock.reset();

@@ -8,7 +8,8 @@
 // copyable. The referenced callable must outlive every call through the
 // FunctionRef — which a temporary lambda does for the duration of the
 // full-expression it is passed in, the only way the serving path uses it
-// (EncodeCache::encode_entries_borrowed invokes its miss callback before
+// (hdc::encode_block invokes its tile encoder, and
+// EncodeCache::encode_entries_borrowed its miss callback, before
 // returning).
 #pragma once
 

@@ -1,17 +1,9 @@
 #include "core/thread_pool.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 #include "core/env.hpp"
 #include "core/exec/execution_context.hpp"
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#include <unistd.h>
-#endif
 
 namespace cyberhd::core {
 
@@ -27,14 +19,6 @@ struct WorkerMark {
 };
 thread_local WorkerMark t_worker;
 
-/// A small positive integer knob; `fallback` when unset or (with a
-/// stderr warning) malformed/out-of-range — the shared env-parsing
-/// contract.
-std::size_t env_count(const char* name, std::size_t fallback,
-                      std::size_t max) {
-  return static_cast<std::size_t>(env::u64(name, fallback, 1, max));
-}
-
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads, std::size_t num_groups) {
@@ -46,7 +30,7 @@ ThreadPool::ThreadPool(std::size_t num_threads, std::size_t num_groups) {
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
     // Contiguous split: worker i serves group i * G / n, so each group's
-    // workers are neighbors (and, when pinned, share one L3 domain).
+    // workers are neighbors.
     const std::size_t group = i * num_groups / num_threads;
     workers_.emplace_back([this, group] { worker_loop(group); });
   }
@@ -162,61 +146,16 @@ void ThreadPool::TaskGroup::wait() {
   }
 }
 
-bool ThreadPool::pin_workers_to_cpus(std::size_t online_cpus) noexcept {
-#if defined(__linux__)
-  if (online_cpus == 0 || workers_.empty()) return false;
-  const std::size_t n = workers_.size();
-  const std::size_t groups = num_groups();
-  bool all_ok = true;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t g = i * groups / n;
-    // Group g's CPU share: the contiguous slice [g*C/G, (g+1)*C/G) —
-    // matching how sysfs enumerates shared-L3 siblings contiguously on
-    // the common topologies.
-    const std::size_t cpu_begin = g * online_cpus / groups;
-    const std::size_t cpu_end =
-        std::max(cpu_begin + 1, (g + 1) * online_cpus / groups);
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    for (std::size_t c = cpu_begin; c < cpu_end && c < online_cpus; ++c) {
-      CPU_SET(c, &set);
-    }
-    if (CPU_COUNT(&set) == 0) CPU_SET(cpu_begin % online_cpus, &set);
-    if (pthread_setaffinity_np(workers_[i].native_handle(), sizeof(set),
-                               &set) != 0) {
-      all_ok = false;  // cpuset-restricted container: stay unpinned
-    }
-  }
-  return all_ok;
-#else
-  (void)online_cpus;
-  return false;
-#endif
-}
-
 ThreadPool& ThreadPool::global() {
   // Magic statics make concurrent first touch construct the pool exactly
   // once (every other thread blocks until the winner finishes) — the
   // serving front-end's N streams may all race here on their first
   // submission. CYBERHD_THREADS pins the worker count (CI determinism
-  // legs; deployments cap cores); CYBERHD_POOL_GROUPS overrides the
-  // one-group-per-shared-L3-domain default.
+  // legs; deployments cap cores); the workers form one group per
+  // shared-L3 domain.
   static ThreadPool pool(
-      env_count("CYBERHD_THREADS", 0, 4096),
-      env_count("CYBERHD_POOL_GROUPS",
-                CacheTopology::detected().l3_domains, 1024));
-  static const bool pinned = [] {
-    const char* pin = std::getenv("CYBERHD_PIN_CPUS");
-    if (pin == nullptr || std::strcmp(pin, "1") != 0) return false;
-#if defined(__linux__)
-    const long ncpu = ::sysconf(_SC_NPROCESSORS_ONLN);
-    return pool.pin_workers_to_cpus(
-        ncpu > 0 ? static_cast<std::size_t>(ncpu) : 0);
-#else
-    return false;
-#endif
-  }();
-  (void)pinned;
+      static_cast<std::size_t>(env::u64("CYBERHD_THREADS", 0, 1, 4096)),
+      CacheTopology::detected().l3_domains);
   return pool;
 }
 

@@ -109,21 +109,11 @@ class ThreadPool {
     std::atomic<std::size_t> remaining_{0};
   };
 
-  /// Best-effort: pin each worker's OS thread to one CPU, workers of group
-  /// g onto the CPUs [g*ncpu/G, (g+1)*ncpu/G) — aligning worker groups
-  /// with shared-L3 domains when G was derived from the cache topology.
-  /// Returns false (leaving threads unpinned) when the platform or the
-  /// container's cpuset forbids affinity changes.
-  bool pin_workers_to_cpus(std::size_t online_cpus) noexcept;
-
   /// Process-wide default pool (lazily constructed on first use; magic
   /// statics make concurrent first touch from many streams construct it
   /// exactly once). Worker count: hardware_concurrency, or CYBERHD_THREADS
   /// when set to a positive integer (CI pins determinism legs this way).
-  /// Group count: one group per detected shared-L3 domain, overridable
-  /// with CYBERHD_POOL_GROUPS. CYBERHD_PIN_CPUS=1 additionally pins
-  /// workers to CPUs group-contiguously (best effort; containers that
-  /// forbid sched_setaffinity simply stay unpinned).
+  /// Group count: one group per detected shared-L3 domain.
   static ThreadPool& global();
 
  private:

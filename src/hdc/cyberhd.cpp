@@ -240,17 +240,16 @@ void CyberHdClassifier::score_rows(const core::Matrix& x, std::size_t begin,
                                    float* out) const {
   assert(encoder_ != nullptr && "scoring before fit()");
   if (end == begin) return;
-  // The staging buffer is thread_local so the driver's block loop reuses
-  // one allocation per calling thread without breaking const-concurrency.
   // Stage 1 PINS cache hits in the ring and encodes only the misses into
-  // staging; stage 2 streams the row-pointer view through the gather tile
-  // kernel. The pins are released however this scope exits.
-  thread_local core::Matrix staging;
+  // the thread's workspace staging; stage 2 streams the row-pointer view
+  // through the gather tile kernel. The pins are released however this
+  // scope exits.
   ScoringWorkspace& ws = ScoringWorkspace::tl();
   const BorrowRelease release(ws.borrow);
-  const EncodedRows rows = encode_block_cached(
-      *encoder_, cache, x, begin, end, staging, ws, exec());
-  model_.similarities_into(rows, out, exec());
+  const std::size_t dims = encoder_->output_dim();
+  encode_block(cache, x, begin, end, dims * sizeof(float),
+               FloatTileEncode{*encoder_, exec()}, ws, exec());
+  model_.similarities_into(ws.float_rows(end - begin, dims), out, exec());
 }
 
 void CyberHdClassifier::set_encode_cache(std::size_t capacity_rows,
@@ -445,9 +444,13 @@ CyberHdClassifier CyberHdClassifier::load(std::istream& in) {
     // k must also match the header's class count: the staged scores_batch
     // driver sizes outputs from the header while stage 2 writes one score
     // per *model* class, so a mismatch would become an out-of-bounds
-    // write at serving time, not a scoring quirk.
+    // write at serving time, not a scoring quirk. k * dims is compared
+    // without wrapping (a wrapped product could match a small count):
+    // dims equals the header's nonzero D by then, and k > count / dims
+    // already means k * dims > count.
     if (k == 0 || k != h.num_classes || dims != h.cfg.dims ||
-        count != k * dims || model.encoder_->output_dim() != dims) {
+        model.encoder_->output_dim() != dims || k > count / dims ||
+        count != k * dims) {
       throw std::runtime_error("inconsistent CyberHD payload");
     }
     // Read straight into the model's storage: no transient full-size

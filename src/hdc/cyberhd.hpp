@@ -143,12 +143,13 @@ class CyberHdClassifier final : public core::Classifier {
   // -- the stage-split serving pipeline --------------------------------------
   // scores_batch (the core::Classifier driver) walks `x` in sub-batches
   // the L3-aware planner sizes (preferred_batch_rows) and runs each
-  // through scores_block: stage 1 (encode_block_cached) encodes the
-  // block — borrowing repeated rows from the content-addressed encode
-  // cache in place — and stage 2 streams the EncodedRows view through the
-  // gather tile scorer while it is still L3-resident. Per-row results do
-  // not depend on the block split or on the cache (on, off, or borrowed);
-  // predict_batch and the per-sample calls ride the same scorer.
+  // through scores_block: stage 1 (encode_block over float entries, the
+  // stage 1 QuantizedCyberHd shares) encodes the block — borrowing
+  // repeated rows from the content-addressed encode cache in place — and
+  // stage 2 streams the EncodedRows view through the gather tile scorer
+  // while it is still L3-resident. Per-row results do not depend on the
+  // block split or on the cache (on, off, or borrowed); predict_batch and
+  // the per-sample calls ride the same scorer.
 
   /// Sub-batch size of the staged driver: the execution context's serving
   /// plan (ExecutionContext::plan_serving: one L3-resident block per
@@ -227,9 +228,9 @@ class CyberHdClassifier final : public core::Classifier {
   void fit_streamed(const core::Matrix& x, std::span<const int> y,
                     std::size_t num_classes, const Trainer& trainer,
                     const ScheduleDriver& driver, core::Rng& train_rng);
-  /// The one scorer: encode_block_cached through `cache` (nullptr
-  /// encodes every row), then similarities_into, over rows [begin, end)
-  /// of `x` into (end - begin) x num_classes() floats at `out`.
+  /// The one scorer: encode_block through `cache` (nullptr encodes every
+  /// row), then similarities_into, over rows [begin, end) of `x` into
+  /// (end - begin) x num_classes() floats at `out`.
   void score_rows(const core::Matrix& x, std::size_t begin, std::size_t end,
                   EncodeCache* cache, float* out) const;
 

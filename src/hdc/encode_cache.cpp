@@ -210,66 +210,6 @@ void EncodeCache::insert(Shard& shard, std::uint64_t hash,
   shard.index[hash] = static_cast<std::uint32_t>(slot);
 }
 
-namespace {
-
-/// The float pipelines' batched miss encode: gather the miss rows into
-/// one contiguous block (ws scratch, reused across flushes), run the
-/// whole list through the encoder's tile path, then scatter to the miss
-/// slots (a D-float memcpy per row — cheap next to the encode it rides
-/// on).
-void encode_float_misses(const Encoder& encoder, const core::Matrix& x,
-                         std::size_t begin, std::size_t input_dim,
-                         std::size_t encoded_dim, ScoringWorkspace& ws,
-                         const core::ExecutionContext& exec,
-                         std::span<const std::size_t> rows,
-                         unsigned char* out, std::size_t out_stride) {
-  const std::size_t k = rows.size();
-  ws.miss_raw.resize(k, input_dim);
-  for (std::size_t j = 0; j < k; ++j) {
-    const auto src = x.row(begin + rows[j]);
-    std::copy(src.begin(), src.end(), ws.miss_raw.row(j).begin());
-  }
-  ws.miss_enc.resize(k, encoded_dim);
-  encoder.encode_tile(ws.miss_raw, 0, k, ws.miss_enc.data(), encoded_dim,
-                      exec);
-  for (std::size_t j = 0; j < k; ++j) {
-    std::memcpy(out + rows[j] * out_stride, ws.miss_enc.row(j).data(),
-                encoded_dim * sizeof(float));
-  }
-}
-
-}  // namespace
-
-std::size_t EncodeCache::encode_rows_borrowed(
-    const Encoder& encoder, const core::Matrix& x, std::size_t begin,
-    std::size_t end, core::Matrix& staging, ScoringWorkspace& ws,
-    const core::ExecutionContext& exec) {
-  assert(x.cols() == input_dim_);
-  assert(entry_bytes_ == encoded_dim_ * sizeof(float) &&
-         "float driver on a float-armed cache only");
-  const std::size_t m = end - begin;
-  if (staging.rows() < m || staging.cols() != encoded_dim_) {
-    staging.resize(m, encoded_dim_);
-  }
-  auto* out = reinterpret_cast<unsigned char*>(staging.data());
-  const std::size_t stride = staging.cols() * sizeof(float);
-  const std::size_t hits = encode_entries_borrowed(
-      x, begin, end, out, stride,
-      [&](std::span<const std::size_t> rows, unsigned char* o,
-          std::size_t o_stride) {
-        encode_float_misses(encoder, x, begin, input_dim_, encoded_dim_, ws,
-                            exec, rows, o, o_stride);
-      },
-      ws, exec);
-  ws.f32_rows.resize(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    // Ring entries are 64-aligned and staging rows float-aligned, so the
-    // typed reinterpret is sound.
-    ws.f32_rows[i] = reinterpret_cast<const float*>(ws.entry_ptrs[i]);
-  }
-  return hits;
-}
-
 std::size_t EncodeCache::encode_entries_borrowed(
     const core::Matrix& x, std::size_t begin, std::size_t end,
     unsigned char* staging, std::size_t out_stride,
@@ -427,30 +367,63 @@ std::size_t EncodeCache::encode_entries_borrowed(
   return m - ws.misses.size();
 }
 
-EncodedRows encode_block_cached(const Encoder& encoder, EncodeCache* cache,
-                                const core::Matrix& x, std::size_t begin,
-                                std::size_t end, core::Matrix& staging,
-                                ScoringWorkspace& ws,
-                                const core::ExecutionContext& exec) {
+void FloatTileEncode::operator()(const core::Matrix& x, std::size_t begin,
+                                 std::size_t end, unsigned char* dst,
+                                 std::size_t dst_stride) const {
+  // Entries are whole float rows, so the byte stride is a float stride
+  // and every entry start stays float-aligned.
+  assert(dst_stride % sizeof(float) == 0);
+  encoder.encode_tile(x, begin, end, reinterpret_cast<float*>(dst),
+                      dst_stride / sizeof(float), exec);
+}
+
+std::size_t encode_block(EncodeCache* cache, const core::Matrix& x,
+                         std::size_t begin, std::size_t end,
+                         std::size_t entry_bytes, EncodeTileFn encode,
+                         ScoringWorkspace& ws,
+                         const core::ExecutionContext& exec) {
   assert(end >= begin && end <= x.rows());
   const std::size_t m = end - begin;
-  const std::size_t dims = encoder.output_dim();
-  if (cache != nullptr) {
-    cache->encode_rows_borrowed(encoder, x, begin, end, staging, ws, exec);
-  } else {
-    // Cache-off path: the block is one contiguous tile call — the
-    // dominant shape under cold (non-replay) traffic — and the table
-    // points at its staging rows.
-    if (staging.rows() < m || staging.cols() != dims) {
-      staging.resize(m, dims);
-    }
-    encoder.encode_tile(x, begin, end, staging.data(), staging.cols(), exec);
-    ws.f32_rows.resize(m);
-    for (std::size_t i = 0; i < m; ++i) {
-      ws.f32_rows[i] = staging.row(i).data();
-    }
+  if (m == 0) return 0;
+  if (ws.staging.size() < m * entry_bytes) {
+    ws.staging.resize(m * entry_bytes);
   }
-  return EncodedRows(ws.f32_rows.data(), m, dims);
+  unsigned char* const staging = ws.staging.data();
+  if (cache == nullptr) {
+    // Cache off: the block is one contiguous tile call — the dominant
+    // shape under cold (non-replay) traffic.
+    encode(x, begin, end, staging, entry_bytes);
+    ws.entry_ptrs.resize(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      ws.entry_ptrs[i] = staging + i * entry_bytes;
+    }
+    return 0;
+  }
+  assert(cache->entry_bytes() == entry_bytes);
+  // The one miss callback: gather the misses into one contiguous block,
+  // encode it with one tile call (GEMM-shaped, split across the pool by
+  // the encoder), then copy each entry to its staging row. The gather and
+  // entry blocks live in the workspace — grown once, reused every flush.
+  return cache->encode_entries_borrowed(
+      x, begin, end, staging, entry_bytes,
+      [&](std::span<const std::size_t> rows, unsigned char* out,
+          std::size_t out_stride) {
+        const std::size_t k = rows.size();
+        ws.miss_raw.resize(k, x.cols());
+        for (std::size_t j = 0; j < k; ++j) {
+          const auto src = x.row(begin + rows[j]);
+          std::copy(src.begin(), src.end(), ws.miss_raw.row(j).begin());
+        }
+        if (ws.miss_packed.size() < k * entry_bytes) {
+          ws.miss_packed.resize(k * entry_bytes);
+        }
+        encode(ws.miss_raw, 0, k, ws.miss_packed.data(), entry_bytes);
+        for (std::size_t j = 0; j < k; ++j) {
+          std::memcpy(out + rows[j] * out_stride,
+                      ws.miss_packed.data() + j * entry_bytes, entry_bytes);
+        }
+      },
+      ws, exec);
 }
 
 }  // namespace cyberhd::hdc

@@ -23,11 +23,17 @@
 // below holds per shard: content-verified hits, FIFO ring eviction,
 // deterministic replay.
 //
-// Determinism contract: a hit replays the float vector a previous encode
-// produced for the *identical* raw row; encoders are deterministic, so
-// scores computed through the cache are bit-identical to cache-off scoring
-// for any capacity, shard count, eviction pattern, thread count, or kernel
-// backend.
+// Determinism contract: a hit replays the entry (float row, int8 levels or
+// packed sign words) a previous encode produced for the *identical* raw
+// row; encoders are deterministic, so scores computed through the cache
+// are bit-identical to cache-off scoring for any capacity, shard count,
+// eviction pattern, thread count, or kernel backend.
+//
+// encode_block (bottom of this file) is stage 1 of every scorer, cache on
+// or off: a row format is just an entry size plus a tile encoder
+// (FloatTileEncode for float rows, QuantizedCyberHd::encode_tile_packed
+// for packed ones), and the miss path — gather, one tile-encode call, one
+// memcpy per miss — is written once for all of them.
 //
 // The capacity knob is CYBERHD_ENCODE_CACHE (rows; 0 disables) — see
 // capacity_from_env().
@@ -44,7 +50,6 @@
 #include "core/exec/execution_context.hpp"
 #include "core/function_ref.hpp"
 #include "core/matrix.hpp"
-#include "hdc/encoded_batch.hpp"
 #include "hdc/scoring_workspace.hpp"
 
 namespace cyberhd::hdc {
@@ -150,8 +155,9 @@ class EncodeCache {
   using EncodeMissesFn = core::FunctionRef<void(
       std::span<const std::size_t>, unsigned char*, std::size_t)>;
 
-  /// The stage 1 the float and packed pipelines share. For each
-  /// row i in [0, end - begin), ws.entry_ptrs[i] is set to where the
+  /// The cache's half of stage 1 (encode_block below adds the miss
+  /// callback every row format shares). For each row i in
+  /// [0, end - begin), ws.entry_ptrs[i] is set to where the
   /// encoding of x.row(begin + i) lives:
   ///  * a hit PINS its ring slot (eviction skips it) and points into the
   ///    ring;
@@ -177,19 +183,6 @@ class EncodeCache {
                                       EncodeMissesFn encode_misses,
                                       ScoringWorkspace& ws,
                                       const core::ExecutionContext& exec);
-
-  /// The float stage 1: encode_entries_borrowed plus the float
-  /// miss-encode callback (misses gathered into one block and batched
-  /// through `encoder.encode_tile`, split across the context's pool),
-  /// leaving ws.f32_rows[i] pointing at row i's encoding (ring or
-  /// `staging`, which is grown to end - begin rows when too small) for the
-  /// gather scoring kernels. Only valid for float-armed caches
-  /// (entry_bytes == encoded_dim * 4). Returns the number of hits.
-  std::size_t encode_rows_borrowed(const Encoder& encoder,
-                                   const core::Matrix& x, std::size_t begin,
-                                   std::size_t end, core::Matrix& staging,
-                                   ScoringWorkspace& ws,
-                                   const core::ExecutionContext& exec);
 
  private:
   friend class BorrowGuard;
@@ -248,17 +241,44 @@ class EncodeCache {
   std::unique_ptr<Shard[]> shards_;
 };
 
-/// The float stage 1 shared by CyberHdClassifier and the bits 16/32
-/// quantized scorer: point ws.f32_rows[i] at the encoding of row
-/// begin + i of `x` and return the EncodedRows view over that table.
-/// With `cache` armed this is cache->encode_rows_borrowed (hits borrowed
-/// from the ring, pinned in ws.borrow until the caller releases it);
-/// without one the block is one encode_tile call into `staging` (grown to
-/// end - begin rows when too small) and no pins are taken.
-EncodedRows encode_block_cached(const Encoder& encoder, EncodeCache* cache,
-                                const core::Matrix& x, std::size_t begin,
-                                std::size_t end, core::Matrix& staging,
-                                ScoringWorkspace& ws,
-                                const core::ExecutionContext& exec);
+/// A row format's tile encoder: write the encodings of rows [begin, end)
+/// of `x` as entries at dst + (row - begin) * dst_stride, each exactly the
+/// format's entry size, deterministically (a cache hit replays the bytes
+/// a fresh encode of the identical row wrote). Non-owning, like
+/// EncodeMissesFn, so passing a temporary adapter allocates nothing.
+using EncodeTileFn =
+    core::FunctionRef<void(const core::Matrix& x, std::size_t begin,
+                           std::size_t end, unsigned char* dst,
+                           std::size_t dst_stride)>;
+
+/// The float row format's tile encoder: Encoder::encode_tile writing
+/// output_dim() floats per entry on `exec`. Packed rows use
+/// QuantizedCyberHd::encode_tile_packed instead.
+struct FloatTileEncode {
+  const Encoder& encoder;
+  const core::ExecutionContext& exec;
+  void operator()(const core::Matrix& x, std::size_t begin, std::size_t end,
+                  unsigned char* dst, std::size_t dst_stride) const;
+};
+
+/// Stage 1 for every row format (float, int8 and packed-bit entries
+/// differ only in `entry_bytes` and `encode`): point ws.entry_ptrs[i] at
+/// the encoded entry of row begin + i of `x` and return the number of
+/// hits (in-batch replays included).
+///  * With `cache` (armed with this entry size) it is
+///    cache->encode_entries_borrowed with one miss callback: the misses
+///    are gathered into ws.miss_raw, encoded by ONE `encode` call into
+///    ws.miss_packed, and each copied into its row of ws.staging with one
+///    memcpy. Hits point into the ring and stay pinned in ws.borrow until
+///    the caller releases it (BorrowRelease).
+///  * Without one, the block is one `encode` call into ws.staging; no pins
+///    are taken and 0 is returned.
+/// The gather kernels' typed views come from ws.float_rows or
+/// ws.packed_rows.
+std::size_t encode_block(EncodeCache* cache, const core::Matrix& x,
+                         std::size_t begin, std::size_t end,
+                         std::size_t entry_bytes, EncodeTileFn encode,
+                         ScoringWorkspace& ws,
+                         const core::ExecutionContext& exec);
 
 }  // namespace cyberhd::hdc

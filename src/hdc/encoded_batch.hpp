@@ -1,15 +1,15 @@
 // The row-pointer views the stage-split serving pipeline hands between its
 // two stages.
 //
-// Stage 1 (encode_block_cached for float rows, the packed encoder for
-// quantized ones) records where each batch row's encoding lives — a
-// borrowed cache-ring entry or a staging row, any mix — in a per-thread
-// pointer table, and returns a view over that table; stage 2
-// (HdcModel::similarities_into / QuantizedHdcModel::similarities_packed)
-// streams the rows through the gather tile kernels without caring where
-// they came from. A contiguous batch is just the special case of a table
-// with one pointer per row, so every batch scorer has exactly this one
-// input shape.
+// Stage 1 (encode_block, the same function for float and packed rows)
+// records where each batch row's encoding lives — a borrowed cache-ring
+// entry or a staging row, any mix — in a per-thread pointer table, which
+// ScoringWorkspace::float_rows / packed_rows retype into one of the views
+// below; stage 2 (HdcModel::similarities_into /
+// QuantizedHdcModel::similarities_packed) streams the rows through the
+// gather tile kernels without caring where they came from. A contiguous
+// batch is just the special case of a table with one pointer per row, so
+// every batch scorer has exactly this one input shape.
 #pragma once
 
 #include <cassert>
@@ -62,8 +62,8 @@ class EncodedRows {
 ///   bits == 1        — ceil(dims / 64) little-endian 64-bit words per row
 ///     (bit set = +1), tail bits zero per bitpack.hpp's masking invariant.
 ///
-/// Word rows must be 8-byte aligned (PackedStaging and the encode cache's
-/// ring storage both over-align to 64).
+/// Word rows must be 8-byte aligned (the workspace staging, PackedStaging
+/// and the encode cache's ring storage all over-align to 64).
 class PackedRows {
  public:
   PackedRows() = default;
@@ -115,11 +115,12 @@ class PackedRows {
   int bits_ = 8;
 };
 
-/// Reusable owning buffer the packed stage 1 encodes miss rows into — the
-/// packed pipeline's analogue of the float staging Matrix. 64-byte aligned
-/// (so 1-bit word rows stay 8-byte aligned and SIMD loads never straddle
-/// lines); grows monotonically like the staging Matrix, so per-block
-/// serving reuses one allocation.
+/// Reusable owning buffer of packed rows for callers that drive the
+/// packed tile encoder or the cache themselves (bench_serving_concurrent's
+/// cold-encode probe, perfbench's tracing decorator); the library's own
+/// stage 1 stages into ScoringWorkspace::staging. 64-byte aligned (so
+/// 1-bit word rows stay 8-byte aligned and SIMD loads never straddle
+/// lines); grows monotonically, so a loop reuses one allocation.
 class PackedStaging {
  public:
   /// Ensure capacity for `rows` rows of PackedRows::row_bytes(dims, bits)

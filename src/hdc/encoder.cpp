@@ -240,10 +240,15 @@ void SignProjectionEncoder::encode_tile_block(
   // The similarity tile already computes exactly the dots this encoder
   // signs (flows as query rows, a base panel as the class block), with
   // per-pair values bit-identical to encode()'s dot_f32 calls. The sign
-  // epilogue scatters the pr-stride panel into the out rows.
-  std::vector<const float*> rows(m);
+  // epilogue scatters the pr-stride panel into the out rows. The row table
+  // and the dot panel are per-thread scratch that only grows, so a warm
+  // call allocates nothing.
+  thread_local std::vector<const float*> rows;
+  thread_local std::vector<float> dots;
+  rows.resize(m);
   for (std::size_t i = 0; i < m; ++i) rows[i] = x.row(begin + i).data();
-  std::vector<float> dots(m * std::min<std::size_t>(plan.panel_rows, dims));
+  const std::size_t panel = std::min<std::size_t>(plan.panel_rows, dims);
+  if (dots.size() < m * panel) dots.resize(m * panel);
   for (std::size_t p = 0; p < dims; p += plan.panel_rows) {
     const std::size_t pr = std::min(plan.panel_rows, dims - p);
     k.similarities_tile_f32_gather(rows.data(), m,
@@ -443,6 +448,13 @@ std::unique_ptr<Encoder> deserialize_encoder(std::istream& in) {
     enc->num_features_ = core::io::read_u64(in);
     enc->dims_ = core::io::read_u64(in);
     enc->num_levels_ = core::io::read_u64(in);
+    // Table shapes whose products wrap would match small (or empty)
+    // arrays and load dimensions with no storage behind them.
+    constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+    if (enc->dims_ != 0 && (enc->num_features_ > kMax / enc->dims_ ||
+                            enc->num_levels_ > kMax / enc->dims_)) {
+      throw std::runtime_error("id-level shape overflows");
+    }
     enc->id_ = core::io::read_f32_array(in);
     enc->level_ = core::io::read_f32_array(in);
     if (enc->id_.size() != enc->num_features_ * enc->dims_ ||

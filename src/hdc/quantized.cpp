@@ -271,67 +271,6 @@ void QuantizedCyberHd::encode_tile_packed(const core::Matrix& x,
       /*grain=*/plan.flow_rows);
 }
 
-PackedRows QuantizedCyberHd::encode_block_packed_borrowed(
-    EncodeCache* cache, const core::Matrix& x, std::size_t begin,
-    std::size_t end, PackedStaging& staging, ScoringWorkspace& ws) const {
-  assert(model_.bits() <= 8);
-  const std::size_t m = end - begin;
-  const std::size_t dims = model_.dims();
-  const int bits = model_.bits();
-  unsigned char* out = staging.prepare(m, dims, bits);
-  const std::size_t row_bytes = model_.packed_row_bytes();
-  if (cache != nullptr) {
-    // Batched miss path: gather the lookup's misses into one contiguous
-    // block, run them through the fused tile-encode-and-pack, scatter the
-    // packed rows (a row_bytes memcpy each) to their staging slots. The
-    // gather block and the packed block live in the workspace — grown
-    // once, reused every flush.
-    cache->encode_entries_borrowed(
-        x, begin, end, out, row_bytes,
-        [&](std::span<const std::size_t> rows, unsigned char* o,
-            std::size_t o_stride) {
-          const std::size_t k = rows.size();
-          ws.miss_raw.resize(k, x.cols());
-          for (std::size_t j = 0; j < k; ++j) {
-            const auto src = x.row(begin + rows[j]);
-            std::copy(src.begin(), src.end(), ws.miss_raw.row(j).begin());
-          }
-          if (ws.miss_packed.size() < k * row_bytes) {
-            ws.miss_packed.resize(k * row_bytes);
-          }
-          encode_tile_packed(ws.miss_raw, 0, k, ws.miss_packed.data(),
-                             row_bytes);
-          for (std::size_t j = 0; j < k; ++j) {
-            std::memcpy(o + rows[j] * o_stride,
-                        ws.miss_packed.data() + j * row_bytes, row_bytes);
-          }
-        },
-        ws, exec_);
-  } else {
-    encode_tile_packed(x, begin, end, out, row_bytes);
-    ws.entry_ptrs.resize(m);
-    for (std::size_t i = 0; i < m; ++i) {
-      ws.entry_ptrs[i] = out + i * row_bytes;
-    }
-  }
-  // Retype the entry pointers into the table the gather kernels consume.
-  // Ring entries are 64-byte aligned and staging rows a multiple of 8
-  // bytes apart in a 64-aligned buffer, so the word casts are safe.
-  if (bits == 1) {
-    ws.word_rows.resize(m);
-    for (std::size_t i = 0; i < m; ++i) {
-      ws.word_rows[i] =
-          reinterpret_cast<const std::uint64_t*>(ws.entry_ptrs[i]);
-    }
-    return PackedRows(ws.word_rows.data(), m, dims);
-  }
-  ws.i8_rows.resize(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    ws.i8_rows[i] = reinterpret_cast<const std::int8_t*>(ws.entry_ptrs[i]);
-  }
-  return PackedRows(ws.i8_rows.data(), m, dims, bits);
-}
-
 void QuantizedCyberHd::scores_block(const core::Matrix& x,
                                     std::size_t begin, std::size_t end,
                                     core::Matrix& out) const {
@@ -343,29 +282,33 @@ void QuantizedCyberHd::score_rows(const core::Matrix& x, std::size_t begin,
                                   float* out) const {
   const std::size_t m = end - begin;
   if (m == 0) return;
-  // Staging buffers are thread_local so the block loop reuses one
-  // allocation per calling thread; the pins stage 1 takes are released
-  // however this scope exits.
+  // The pins stage 1 takes are released however this scope exits.
   ScoringWorkspace& ws = ScoringWorkspace::tl();
   const BorrowRelease release(ws.borrow);
+  const std::size_t dims = model_.dims();
   if (model_.bits() <= 8) {
     // Quantized end to end, zero-copy: stage 1 packs each row at encode
-    // time, PINS cache hits in the ring instead of memcpying them out,
-    // and encodes only the misses into the thread-local staging; stage 2
-    // streams the resulting row-pointer view through the gather tile
-    // kernels. No float row crosses the stage boundary and no hit byte is
-    // copied.
-    thread_local PackedStaging staging;
-    const PackedRows packed =
-        encode_block_packed_borrowed(cache, x, begin, end, staging, ws);
-    model_.similarities_packed(packed, out, exec_);
+    // time (the fused tile-encode-and-pack), PINS cache hits in the ring
+    // instead of copying them out, and encodes only the misses into the
+    // workspace staging; stage 2 streams the resulting row-pointer view
+    // through the gather tile kernels. No float row crosses the stage
+    // boundary and no hit byte is copied.
+    encode_block(
+        cache, x, begin, end, model_.packed_row_bytes(),
+        [this](const core::Matrix& raw, std::size_t b, std::size_t e,
+               unsigned char* dst, std::size_t dst_stride) {
+          encode_tile_packed(raw, b, e, dst, dst_stride);
+        },
+        ws, exec_);
+    model_.similarities_packed(ws.packed_rows(m, dims, model_.bits()), out,
+                               exec_);
     return;
   }
-  // bits 16/32: the shared float stage 1 (hits borrowed from the float
-  // cache ring), then the row scorer straight from the pointer table.
-  thread_local core::Matrix staging;
-  const EncodedRows rows = encode_block_cached(
-      *encoder_, cache, x, begin, end, staging, ws, exec_);
+  // bits 16/32: float entries (hits borrowed from the float cache ring),
+  // then the row scorer straight from the pointer table.
+  encode_block(cache, x, begin, end, dims * sizeof(float),
+               FloatTileEncode{*encoder_, exec_}, ws, exec_);
+  const EncodedRows rows = ws.float_rows(m, dims);
   const std::size_t classes = model_.num_classes();
   exec_.parallel_for(
       m,

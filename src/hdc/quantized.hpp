@@ -150,13 +150,15 @@ class QuantizedCyberHd final : public core::Classifier {
   void scores(std::span<const float> x, std::span<float> out) const override;
 
   // -- stage-split serving pipeline (mirrors CyberHdClassifier) --------------
-  // For bits <= 8 the pipeline is QUANTIZED END TO END: stage 1 encodes a
-  // row once and immediately packs it (int8 levels, or sign words at
-  // bits == 1), the encode cache stores the packed entry, and stage 2
-  // scores the PackedRows view through the integer gather tile kernels —
-  // floats never round-trip between the stages. bits 16/32 share
-  // CyberHdClassifier's float stage 1 (encode_block_cached) and quantize
-  // each row straight from its EncodedRows pointer table.
+  // Stage 1 is encode_block, CyberHdClassifier's too; only the row format
+  // differs. For bits <= 8 the pipeline is QUANTIZED END TO END: stage 1
+  // encodes a row once and immediately packs it (int8 levels, or sign
+  // words at bits == 1; encode_tile_packed is the format's tile encoder),
+  // the encode cache stores the packed entry, and stage 2 scores the
+  // PackedRows view through the integer gather tile kernels — floats
+  // never round-trip between the stages. bits 16/32 use float entries
+  // (FloatTileEncode) and quantize each row straight from its EncodedRows
+  // pointer table.
 
   /// Sub-batch size of the staged scores_batch driver: the execution
   /// context's L3-aware serving plan over the PACKED row size when
@@ -169,18 +171,6 @@ class QuantizedCyberHd final : public core::Classifier {
   /// predict_batch (from core::Classifier) rides the same driver.
   void scores_block(const core::Matrix& x, std::size_t begin,
                     std::size_t end, core::Matrix& out) const override;
-  /// Packed stage 1 (bits <= 8): encode rows [begin, end) of `x` straight
-  /// into packed form through `cache` (encode_cache(), or nullptr). Cache
-  /// hits are BORROWED (pinned in the ring, no memcpy out) and only misses
-  /// land in `staging`. The returned view routes each row to its ring
-  /// slot or staging offset through `ws`'s pointer tables; the caller
-  /// must release ws.borrow after stage 2 consumes the rows. Without a
-  /// cache every row encodes into `staging` and no pins are taken.
-  PackedRows encode_block_packed_borrowed(EncodeCache* cache,
-                                          const core::Matrix& x,
-                                          std::size_t begin, std::size_t end,
-                                          PackedStaging& staging,
-                                          ScoringWorkspace& ws) const;
   /// Fused tile-encode-and-quantize (bits <= 8), bypassing the cache:
   /// rows [begin, end) of `x` run through the encoder's GEMM-shaped tile
   /// in flow blocks, and each finished float row is quantized straight
@@ -188,8 +178,8 @@ class QuantizedCyberHd final : public core::Classifier {
   /// dst + i * dst_stride (packed_row_bytes() bytes each) — no
   /// batch-sized float staging matrix ever exists. Same quantize
   /// expression as pack_row, so the packed bytes are bit-identical to
-  /// encode-then-pack. Both packed stage-1 paths (cache miss batch, cache
-  /// off) ride this.
+  /// encode-then-pack. The packed row format's tile encoder: encode_block
+  /// runs the cache-miss batch and the cache-off block through it.
   void encode_tile_packed(const core::Matrix& x, std::size_t begin,
                           std::size_t end, unsigned char* dst,
                           std::size_t dst_stride) const;
@@ -212,8 +202,9 @@ class QuantizedCyberHd final : public core::Classifier {
   const QuantizedHdcModel& model() const noexcept { return model_; }
 
  private:
-  /// The one scorer, as CyberHdClassifier::score_rows: packed at bits <= 8,
-  /// float stage 1 and the bits-16/32 row scorer above.
+  /// The one scorer, as CyberHdClassifier::score_rows: encode_block over
+  /// packed entries and similarities_packed at bits <= 8, over float
+  /// entries and the bits-16/32 row scorer above otherwise.
   void score_rows(const core::Matrix& x, std::size_t begin, std::size_t end,
                   EncodeCache* cache, float* out) const;
 

@@ -14,16 +14,17 @@
 // policy means the steady state touches no allocator at all (a test pins
 // this with a counting operator new).
 //
-// BorrowGuard is the other half of zero-copy hits: the cache's stage 1
-// (EncodeCache::encode_entries_borrowed) PINS each hit's slot (a per-slot
-// pin count, mutated only under the shard mutex) and records a stable
-// pointer into the ring storage. Ring eviction skips pinned slots, and
-// ring storage never reallocates after its lazy ensure_storage, so the
-// pointer stays valid until the guard releases — which the scorers make
-// happen when the flush's scope exits, normally or by a throw
-// (BorrowRelease). The guard is deliberately non-copyable and tied to one
-// cache at a time; release() is idempotent and batches unpins per shard
-// so a flush's worth of pins costs one lock round per shard, not per row.
+// BorrowGuard is the other half of zero-copy hits: the cache's half of
+// stage 1 (EncodeCache::encode_entries_borrowed, under encode_block) PINS
+// each hit's slot (a per-slot pin count, mutated only under the shard
+// mutex) and records a stable pointer into the ring storage. Ring
+// eviction skips pinned slots, and ring storage never reallocates after
+// its lazy ensure_storage, so the pointer stays valid until the guard
+// releases — which the scorers make happen when the flush's scope exits,
+// normally or by a throw (BorrowRelease). The guard is deliberately
+// non-copyable and tied to one cache at a time; release() is idempotent
+// and batches unpins per shard so a flush's worth of pins costs one lock
+// round per shard, not per row.
 #pragma once
 
 #include <algorithm>
@@ -36,6 +37,7 @@
 #include "core/bitpack.hpp"
 #include "core/matrix.hpp"
 #include "core/quantize.hpp"
+#include "hdc/encoded_batch.hpp"
 
 namespace cyberhd::hdc {
 
@@ -174,8 +176,9 @@ struct ScoringWorkspace {
 
   // --- zero-copy row tables ---------------------------------------------
   // Per batch row: where its encoded entry lives (borrowed ring slot or
-  // staging row). entry_ptrs is what the cache's stage 1 fills; the typed
-  // tables are what the gather kernels consume (f32_rows also carries
+  // staging row). entry_ptrs is what stage 1 (encode_block) fills; the
+  // typed tables are what the gather kernels consume, filled from it by
+  // float_rows / packed_rows (f32_rows also carries
   // HdcModel::similarities_batch's one-pointer-per-row table).
   std::vector<const unsigned char*> entry_ptrs;
   std::vector<const float*> f32_rows;
@@ -183,6 +186,40 @@ struct ScoringWorkspace {
   std::vector<const std::uint64_t*> word_rows;
   /// The pins backing any borrowed entries above, released after stage 2.
   BorrowGuard borrow;
+  /// Stage 1's entries for every row that is not a borrowed ring hit (all
+  /// rows with the cache off), entry_bytes apart. 64-byte aligned, so
+  /// float rows stay 4-aligned and packed word rows 8-aligned.
+  std::vector<unsigned char, core::AlignedAllocator<unsigned char>> staging;
+
+  /// entry_ptrs[0, m) as float rows of `dims` floats: the view
+  /// HdcModel::similarities_into consumes. Ring entries are 64-aligned and
+  /// staging rows float-aligned, so the retype is sound.
+  EncodedRows float_rows(std::size_t m, std::size_t dims) {
+    f32_rows.resize(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      f32_rows[i] = reinterpret_cast<const float*>(entry_ptrs[i]);
+    }
+    return EncodedRows(f32_rows.data(), m, dims);
+  }
+
+  /// entry_ptrs[0, m) as packed rows at `bits` <= 8: sign words at 1 bit,
+  /// int8 levels otherwise — the view QuantizedHdcModel::similarities_packed
+  /// consumes. Word rows are 8 bytes apart from 64-aligned bases, so the
+  /// word retype is sound.
+  PackedRows packed_rows(std::size_t m, std::size_t dims, int bits) {
+    if (bits == 1) {
+      word_rows.resize(m);
+      for (std::size_t i = 0; i < m; ++i) {
+        word_rows[i] = reinterpret_cast<const std::uint64_t*>(entry_ptrs[i]);
+      }
+      return PackedRows(word_rows.data(), m, dims);
+    }
+    i8_rows.resize(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      i8_rows[i] = reinterpret_cast<const std::int8_t*>(entry_ptrs[i]);
+    }
+    return PackedRows(i8_rows.data(), m, dims, bits);
+  }
 
   // --- scoring scratch ---------------------------------------------------
   /// Per-class norms (float path) or reused norm scratch; recomputed every
@@ -195,11 +232,14 @@ struct ScoringWorkspace {
   std::vector<std::uint32_t> ham_tile;
   std::vector<std::int64_t> dot_tile;
 
-  // --- miss gather scratch (the batched miss encodes) ------------------
+  // --- miss gather scratch (encode_block's miss callback) ---------------
   core::Matrix miss_raw;  // gathered raw miss rows
-  core::Matrix miss_enc;  // their float encodings (float pipeline)
+  // Float encodings of misses. No library code fills it since every row
+  // format's misses encode into miss_packed; perfbench's tracing decorator
+  // still stages its float misses here.
+  core::Matrix miss_enc;
   std::vector<unsigned char, core::AlignedAllocator<unsigned char>>
-      miss_packed;  // their packed entries
+      miss_packed;  // the misses' entries, entry_bytes apart (any format)
 
   // --- one-row scratch ---------------------------------------------------
   core::Matrix sample;                 // a per-sample query as a 1 x F block

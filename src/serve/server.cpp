@@ -156,28 +156,6 @@ bool Server::submit(std::span<const float> features, ResultSlot& slot,
   }
 }
 
-bool Server::submit_with_retry(std::span<const float> features,
-                               ResultSlot& slot, const RetryPolicy& policy,
-                               std::uint64_t deadline_us) {
-  core::Rng rng(policy.seed);
-  std::uint64_t backoff = std::max<std::uint64_t>(1, policy.base_backoff_us);
-  for (std::size_t attempt = 1;; ++attempt) {
-    if (try_submit(features, slot, deadline_us)) return true;
-    if (stopping_.load(std::memory_order_acquire)) return false;
-    if (attempt >= policy.max_attempts) return false;
-    retries_.fetch_add(1, std::memory_order_relaxed);
-    // Multiplicative jitter in [0.5, 1.5): contending streams that were
-    // rejected by the same full ring spread their retries instead of
-    // re-colliding in lockstep.
-    const double jitter = 0.5 + rng.next_double();
-    const auto sleep_us = static_cast<std::uint64_t>(
-        static_cast<double>(backoff) * jitter);
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(std::max<std::uint64_t>(1, sleep_us)));
-    backoff = std::min(policy.max_backoff_us, backoff * 2);
-  }
-}
-
 void Server::wait_for_work(std::uint64_t max_wait_us, std::size_t wake_at) {
   std::unique_lock<std::mutex> lock(wake_mutex_);
   wake_at_.store(wake_at, std::memory_order_relaxed);
@@ -465,7 +443,6 @@ ServerStats Server::stats() const {
       s.batches == 0 ? 0.0
                      : static_cast<double>(rows) /
                            static_cast<double>(s.batches);
-  s.retries = retries_.load(std::memory_order_relaxed);
   s.audits = audits_.load(std::memory_order_relaxed);
   s.corruptions = corruptions_.load(std::memory_order_relaxed);
   s.recoveries = recoveries_.load(std::memory_order_relaxed);

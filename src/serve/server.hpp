@@ -123,7 +123,6 @@ struct ServerStats {
   std::uint64_t linger_flushes = 0;
   /// Mean coalesced rows per scoring flush (batching effectiveness).
   double mean_batch_rows = 0.0;
-  std::uint64_t retries = 0;    ///< backoff retries by submit_with_retry
   std::uint64_t audits = 0;     ///< integrity audits run
   std::uint64_t corruptions = 0;  ///< audits that found the model corrupt
   std::uint64_t recoveries = 0;   ///< corruptions healed from snapshot
@@ -134,16 +133,6 @@ struct ServerStats {
   std::uint64_t injected_delays = 0;           ///< fault injector: stalls
   std::uint64_t injected_encode_failures = 0;  ///< fault injector: flushes
   std::uint64_t injected_bitflips = 0;         ///< fault injector: corruptions
-};
-
-/// Bounded retry schedule for submit_with_retry: exponential backoff
-/// with multiplicative jitter (0.5x-1.5x, seeded — give each client
-/// stream its own seed so contending streams decorrelate).
-struct RetryPolicy {
-  std::size_t max_attempts = 6;       ///< total tries, first included
-  std::uint64_t base_backoff_us = 100;
-  std::uint64_t max_backoff_us = 20'000;
-  std::uint64_t seed = 1;
 };
 
 /// The serving front-end over one fitted classifier. The model must
@@ -177,16 +166,6 @@ class Server {
   /// Returns false only when the server is shutting down.
   bool submit(std::span<const float> features, ResultSlot& slot,
               std::uint64_t deadline_us = 0);
-
-  /// Client-side bounded retry for REJECTED submissions: up to
-  /// policy.max_attempts tries with jittered exponential backoff between
-  /// them. Returns false when the attempts are exhausted (slot status
-  /// REJECTED) or the server is shutting down. Sleeping client-side is
-  /// the point — backoff sheds load off the ring instead of spinning on
-  /// it the way submit() does.
-  bool submit_with_retry(std::span<const float> features, ResultSlot& slot,
-                         const RetryPolicy& policy = {},
-                         std::uint64_t deadline_us = 0);
 
   /// Install the integrity auditor the batcher polls between flushes
   /// (borrowed; must outlive serving or be cleared with nullptr first).
@@ -299,7 +278,6 @@ class Server {
   std::atomic<std::uint64_t> batcher_wakes_{0};
   std::atomic<std::uint64_t> size_flushes_{0};
   std::atomic<std::uint64_t> linger_flushes_{0};
-  std::atomic<std::uint64_t> retries_{0};
   std::atomic<std::uint64_t> audits_{0};
   std::atomic<std::uint64_t> corruptions_{0};
   std::atomic<std::uint64_t> recoveries_{0};

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <new>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/io.hpp"
@@ -171,6 +172,27 @@ TEST(HostileEncoderStream, WrappingMatrixShapeIsRejected) {
   core::io::write_u64(out, 0);
   std::istringstream in(out.str());
   EXPECT_THROW(deserialize_encoder(in), std::runtime_error);
+}
+
+TEST(HostileEncoderStream, WrappingIdLevelShapeIsRejected) {
+  // num_features * dims and num_levels * dims (2 * 2^63) both wrap to 0,
+  // which the empty tables would match: the stream must not load as a
+  // 2 -> 2^63 encoder with no storage behind it.
+  std::ostringstream out;
+  core::io::write_tag(out, "EIDL");
+  core::io::write_u64(out, 2);          // num_features
+  core::io::write_u64(out, 1ull << 63);  // dims
+  core::io::write_u64(out, 2);          // num_levels
+  core::io::write_u64(out, 0);          // empty id table
+  core::io::write_u64(out, 0);          // empty level table
+  std::istringstream in(out.str());
+  try {
+    deserialize_encoder(in);
+    FAIL() << "a wrapping id-level shape must not load";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("overflows"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ClassifierPersistence, StreamRoundTripPredictsIdentically) {
@@ -456,6 +478,38 @@ TEST(FieldOrderDrift, HeaderModelClassCountMismatchIsRejected) {
   try {
     CyberHdClassifier::load(in);
     FAIL() << "class-count mismatch must not load";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("inconsistent"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(HostileModelStream, WrappingClassCountIsRejected) {
+  // CFG0's num_classes and MDL0's class count agree at k = 2^59 + 3, and
+  // k * 96 wraps to 288 = the model's real weight count: a check of
+  // count == k * dims alone would load a model of 2^59 + 3 classes over
+  // 288 weights, whose class rows run far past its storage.
+  const TrainedSmall t;  // D = 96, 3 classes
+  std::stringstream buffer;
+  t.model.save(buffer);
+  std::string bytes = buffer.str();
+  const auto sections = parse_sections(bytes);
+  ASSERT_GE(sections.size(), 3u);
+  ASSERT_EQ(sections[0].tag, "CFG0");
+  ASSERT_EQ(sections[2].tag, "MDL0");
+  const std::uint64_t k = (1ull << 59) + 3;
+  ASSERT_EQ(k * 96, 288u);
+  // num_classes is CFG0's 10th field (offset 64); k leads MDL0's payload.
+  ASSERT_EQ(read_le_u64(bytes, sections[0].payload_offset + 64), 3u);
+  ASSERT_EQ(read_le_u64(bytes, sections[2].payload_offset), 3u);
+  std::memcpy(bytes.data() + sections[0].payload_offset + 64, &k, sizeof(k));
+  std::memcpy(bytes.data() + sections[2].payload_offset, &k, sizeof(k));
+  fix_section_crc(bytes, sections[0]);
+  fix_section_crc(bytes, sections[2]);
+  std::stringstream in(bytes);
+  try {
+    CyberHdClassifier::load(in);
+    FAIL() << "a wrapping class count must not load";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("inconsistent"), std::string::npos)
         << e.what();

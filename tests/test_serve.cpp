@@ -675,13 +675,10 @@ TEST(ServerEdge, MiswidthFeatureRowThrowsBeforeTouchingAnything) {
   ResultSlot slot;
   EXPECT_THROW(server.try_submit(short_row, slot), std::invalid_argument);
   EXPECT_THROW(server.submit(long_row, slot), std::invalid_argument);
-  EXPECT_THROW(server.submit_with_retry(short_row, slot, RetryPolicy{}),
-               std::invalid_argument);
   EXPECT_FALSE(slot.ready());
   ServerStats stats = server.stats();
   EXPECT_EQ(stats.accepted, 0u);
   EXPECT_EQ(stats.rejected, 0u);
-  EXPECT_EQ(stats.retries, 0u);
 
   const core::Matrix flows = ServeFixture::stream_flows(0);
   ASSERT_TRUE(server.submit(flows.row(0), slot));
@@ -839,53 +836,6 @@ TEST(ServerDeadline, GenerousDeadlinesAllScore) {
     }
   }
   EXPECT_EQ(server.stats().expired, 0u);
-}
-
-TEST(ServerRetry, BoundedJitteredBackoffOnFullRing) {
-  SlowStub stub;
-  ServerConfig cfg;
-  cfg.queue_capacity = 2;
-  cfg.max_linger_us = 0;
-  cfg.max_batch_rows = 4;
-  cfg.domain_affine = false;
-  cfg.faults = FaultConfig{};
-  Server server(stub, 3, cfg);
-
-  constexpr std::size_t kRequests = 60;
-  std::vector<ResultSlot> slots(kRequests);
-  std::vector<bool> accepted(kRequests, false);
-  const std::array<float, 3> row{0.5f, 1.0f, -1.0f};
-  RetryPolicy policy;
-  policy.max_attempts = 4;
-  policy.base_backoff_us = 50;
-  policy.max_backoff_us = 2'000;
-  std::uint64_t exhausted = 0;
-  for (std::size_t i = 0; i < kRequests; ++i) {
-    policy.seed = i + 1;  // per-request stream, decorrelated jitter
-    accepted[i] = server.submit_with_retry(row, slots[i], policy);
-    if (!accepted[i]) {
-      ++exhausted;
-      // Exhaustion is explicit: the slot's last rejection is terminal.
-      ASSERT_TRUE(slots[i].ready());
-      EXPECT_EQ(slots[i].status(), RequestStatus::kRejected);
-    }
-  }
-  server.shutdown();
-
-  const ServerStats stats = server.stats();
-  for (std::size_t i = 0; i < kRequests; ++i) {
-    if (!accepted[i]) continue;
-    ASSERT_TRUE(slots[i].ready());
-    ASSERT_TRUE(slots[i].ok());
-    EXPECT_EQ(slots[i].scores()[1], 0.5f);
-  }
-  // A 2-slot ring over a 2 ms scorer forces backoff; the retry budget is
-  // bounded, so with 4 attempts against sustained pressure some requests
-  // may exhaust — but every accepted one completed and every outcome is
-  // accounted for.
-  EXPECT_GT(stats.retries, 0u);
-  EXPECT_EQ(stats.accepted, kRequests - exhausted);
-  EXPECT_EQ(stats.completed, stats.accepted);
 }
 
 // ---------------------------------------------------------------------------
@@ -1516,16 +1466,27 @@ struct CacheFixture {
   core::Matrix reference;
 };
 
+/// Float stage 1 (encode_block with float entries) of the fixture's rows
+/// [begin, end) through `cache`; returns the hit count.
+std::size_t encode_rows(hdc::EncodeCache& cache, const CacheFixture& f,
+                        std::size_t begin, std::size_t end,
+                        hdc::ScoringWorkspace& ws,
+                        const core::ExecutionContext& exec) {
+  return hdc::encode_block(&cache, f.x, begin, end,
+                           f.encoder.output_dim() * sizeof(float),
+                           hdc::FloatTileEncode{f.encoder, exec}, ws, exec);
+}
+
 /// Rows of [begin, end) whose encoding, read through the pointer table
-/// the last encode_rows_borrowed call over that range left in
-/// ws.f32_rows, differs byte for byte from `reference`.
+/// the last encode_rows call over that range left in ws.entry_ptrs,
+/// differs byte for byte from `reference`.
 std::size_t mismatched_rows(const hdc::ScoringWorkspace& ws,
                             const core::Matrix& reference, std::size_t begin,
                             std::size_t end) {
   std::size_t bad = 0;
   for (std::size_t i = begin; i < end; ++i) {
     const auto want = reference.row(i);
-    if (std::memcmp(ws.f32_rows[i - begin], want.data(),
+    if (std::memcmp(ws.entry_ptrs[i - begin], want.data(),
                     want.size_bytes()) != 0) {
       ++bad;
     }
@@ -1537,12 +1498,11 @@ TEST(ShardedEncodeCache, StatsSumAcrossShardsAndHitsAreExact) {
   CacheFixture f;
   hdc::EncodeCache cache(6, 32, 64, 8);
   hdc::ScoringWorkspace ws;  // after the cache: destroyed first
-  core::Matrix staging;
   const core::ExecutionContext& exec = core::ExecutionContext::serial();
 
   // Cold pass: 32 distinct rows miss, 8 in-batch replays hit.
   const std::size_t cold_hits =
-      cache.encode_rows_borrowed(f.encoder, f.x, 0, 40, staging, ws, exec);
+      encode_rows(cache, f, 0, 40, ws, exec);
   EXPECT_EQ(cold_hits, 8u);
   EXPECT_EQ(mismatched_rows(ws, f.reference, 0, 40), 0u);
   ws.borrow.release();
@@ -1553,7 +1513,7 @@ TEST(ShardedEncodeCache, StatsSumAcrossShardsAndHitsAreExact) {
 
   // Warm pass: every row hits its shard.
   const std::size_t warm_hits =
-      cache.encode_rows_borrowed(f.encoder, f.x, 0, 40, staging, ws, exec);
+      encode_rows(cache, f, 0, 40, ws, exec);
   EXPECT_EQ(warm_hits, 40u);
   EXPECT_EQ(mismatched_rows(ws, f.reference, 0, 40), 0u);
   ws.borrow.release();
@@ -1583,9 +1543,8 @@ TEST(ShardedEncodeCache, ClearCoversEveryShard) {
   CacheFixture f;
   hdc::EncodeCache cache(6, 32, 64, 8);
   hdc::ScoringWorkspace ws;
-  core::Matrix staging;
   const core::ExecutionContext& exec = core::ExecutionContext::serial();
-  cache.encode_rows_borrowed(f.encoder, f.x, 0, 40, staging, ws, exec);
+  encode_rows(cache, f, 0, 40, ws, exec);
   ws.borrow.release();
   EXPECT_GT(cache.size(), 0u);
   cache.clear();
@@ -1597,7 +1556,7 @@ TEST(ShardedEncodeCache, ClearCoversEveryShard) {
     EXPECT_EQ(ss.evictions, 0u);
   }
   // And the cleared cache re-encodes correctly (32 fresh misses).
-  cache.encode_rows_borrowed(f.encoder, f.x, 0, 40, staging, ws, exec);
+  encode_rows(cache, f, 0, 40, ws, exec);
   EXPECT_EQ(mismatched_rows(ws, f.reference, 0, 40), 0u);
   ws.borrow.release();
   EXPECT_EQ(cache.stats().misses, 32u);
@@ -1610,10 +1569,9 @@ TEST(ShardedEncodeCache, OneSlotPerShardAliasingStaysCorrect) {
   // must survive even though almost nothing stays resident.
   hdc::EncodeCache cache(6, 32, 4, 4);
   hdc::ScoringWorkspace ws;
-  core::Matrix staging;
   const core::ExecutionContext& exec = core::ExecutionContext::serial();
   for (int pass = 0; pass < 3; ++pass) {
-    cache.encode_rows_borrowed(f.encoder, f.x, 0, 40, staging, ws, exec);
+    encode_rows(cache, f, 0, 40, ws, exec);
     EXPECT_EQ(mismatched_rows(ws, f.reference, 0, 40), 0u)
         << "pass " << pass;
     ws.borrow.release();
@@ -1633,15 +1591,13 @@ TEST(ShardedEncodeCache, ConcurrentHammerStaysBitIdentical) {
     threads.emplace_back([&, t] {
       const core::ExecutionContext& exec = core::ExecutionContext::serial();
       hdc::ScoringWorkspace ws;
-      core::Matrix staging;
       // Each thread walks a different overlapping window so shards see
       // mixed hit/miss/evict traffic from all threads at once. Hits are
       // borrowed (pinned) while the other threads insert and evict.
       const std::size_t begin = t * 4;
       const std::size_t end = 40 - (kThreads - 1 - t) * 4;
       for (int it = 0; it < kIters; ++it) {
-        cache.encode_rows_borrowed(f.encoder, f.x, begin, end, staging, ws,
-                                   exec);
+        encode_rows(cache, f, begin, end, ws, exec);
         mismatches.fetch_add(
             static_cast<int>(mismatched_rows(ws, f.reference, begin, end)),
             std::memory_order_relaxed);

@@ -369,6 +369,17 @@ TEST_P(PackedServing, FusedTileEncodeMatchesEncodeThenPack) {
 
 // ---- zero-copy borrow protocol ---------------------------------------------
 
+/// Float stage 1 (encode_block with float entries) of rows [begin, end)
+/// of the fixture's queries through `cache`; returns the hit count.
+std::size_t encode_rows(EncodeCache& cache, const ServingFixture& t,
+                        std::size_t begin, std::size_t end,
+                        ScoringWorkspace& ws,
+                        const core::ExecutionContext& exec) {
+  return encode_block(&cache, t.queries, begin, end,
+                      t.model.physical_dims() * sizeof(float),
+                      FloatTileEncode{t.model.encoder(), exec}, ws, exec);
+}
+
 TEST(BorrowPin, PinnedRowsSurviveFullRingWrap) {
   // Pin two ring slots, then wrap the ring many times over with fresh
   // inserts: eviction must route around the pinned slots, so the borrowed
@@ -385,20 +396,17 @@ TEST(BorrowPin, PinnedRowsSurviveFullRingWrap) {
   // their slots. Every other call runs on a second workspace whose pins
   // are released right after it.
   ScoringWorkspace ws, other;
-  core::Matrix staging, other_staging;
   const auto encode_released = [&](std::size_t begin, std::size_t end) {
-    cache->encode_rows_borrowed(t.model.encoder(), t.queries, begin, end,
-                                other_staging, other, exec);
+    encode_rows(*cache, t, begin, end, other, exec);
     other.borrow.release();
   };
   encode_released(0, 8);
-  const std::size_t hits = cache->encode_rows_borrowed(
-      t.model.encoder(), t.queries, 0, 2, staging, ws, exec);
+  const std::size_t hits = encode_rows(*cache, t, 0, 2, ws, exec);
   EXPECT_EQ(hits, 2u);
   EXPECT_EQ(ws.borrow.size(), 2u);
   std::vector<float> snapshot(2 * dims);
   for (std::size_t r = 0; r < 2; ++r) {
-    std::memcpy(snapshot.data() + r * dims, ws.f32_rows[r],
+    std::memcpy(snapshot.data() + r * dims, ws.entry_ptrs[r],
                 dims * sizeof(float));
   }
 
@@ -409,7 +417,7 @@ TEST(BorrowPin, PinnedRowsSurviveFullRingWrap) {
   }
   EXPECT_GT(cache->stats().evictions, 0u);
   for (std::size_t r = 0; r < 2; ++r) {
-    EXPECT_EQ(std::memcmp(ws.f32_rows[r], snapshot.data() + r * dims,
+    EXPECT_EQ(std::memcmp(ws.entry_ptrs[r], snapshot.data() + r * dims,
                           dims * sizeof(float)),
               0)
         << "pinned row " << r << " was overwritten during ring wrap";
@@ -452,14 +460,12 @@ TEST(BorrowPin, ThrowingMissEncodeReleasesItsPins) {
   ASSERT_NE(cache, nullptr);
   const core::ExecutionContext& exec = core::ExecutionContext::serial();
   ScoringWorkspace ws;
-  core::Matrix staging;
-  cache->encode_rows_borrowed(t.model.encoder(), t.queries, 0, 8, staging,
-                              ws, exec);
+  encode_rows(*cache, t, 0, 8, ws, exec);
   ws.borrow.release();
 
   // Rows 0..8 hit (and pin), rows 8..16 miss and reach the callback.
   const std::size_t dims = t.model.physical_dims();
-  staging.resize(16, dims);
+  core::Matrix staging(16, dims);
   EXPECT_THROW(
       cache->encode_entries_borrowed(
           t.queries, 0, 16,
@@ -475,8 +481,7 @@ TEST(BorrowPin, ThrowingMissEncodeReleasesItsPins) {
 
   // The workspace serves the next flush as usual, and the cached rows
   // still hit.
-  const std::size_t hits = cache->encode_rows_borrowed(
-      t.model.encoder(), t.queries, 0, 8, staging, ws, exec);
+  const std::size_t hits = encode_rows(*cache, t, 0, 8, ws, exec);
   EXPECT_EQ(hits, 8u);
   ws.borrow.release();
 }

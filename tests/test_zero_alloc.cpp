@@ -3,9 +3,10 @@
 // cache routing (flat workspace arrays), stage 1 (borrowed hits, misses
 // into reused staging), and stage 2 (workspace accumulator tiles, gather
 // scoring straight out of the ring). The same holds for a cache-off
-// packed flush (each row quantized into per-thread scratch) and for
-// per-sample predict()/scores(), which run as one-row blocks of the same
-// pipeline with the cache bypassed.
+// flush (float rows tile-encoded into the workspace staging, packed rows
+// quantized into per-thread scratch) and for per-sample predict()/scores(),
+// which run as one-row blocks of the same pipeline with the cache
+// bypassed — for the sign-projection encoder's tile as for the RBF one.
 //
 // The probe is a counting replacement of the global allocation functions:
 // an atomic flag arms a counter around exactly the flush under test. The
@@ -107,7 +108,9 @@ struct ZeroAllocFixture {
   core::Matrix queries{128, 5};
   CyberHdClassifier model;
 
-  explicit ZeroAllocFixture(bool parallel = false) : model(config(parallel)) {
+  explicit ZeroAllocFixture(bool parallel = false,
+                            EncoderKind encoder = EncoderKind::kRbf)
+      : model(config(parallel, encoder)) {
     core::Rng rng(17);
     for (std::size_t i = 0; i < train.rows(); ++i) {
       const int cls = static_cast<int>(i % 3);
@@ -127,8 +130,9 @@ struct ZeroAllocFixture {
     model.fit(train, y, 3);
   }
 
-  static CyberHdConfig config(bool parallel) {
+  static CyberHdConfig config(bool parallel, EncoderKind encoder) {
     CyberHdConfig cfg;
+    cfg.encoder = encoder;
     cfg.dims = 128;
     cfg.regen_steps = 2;
     cfg.final_epochs = 2;
@@ -208,12 +212,30 @@ std::uint64_t per_sample_allocations(const Model& model,
   return allocs;
 }
 
-TEST(ZeroAlloc, FloatServingFlushIsAllocationFree) {
-  ZeroAllocFixture t;
-  t.model.set_encode_cache(1024);  // capacity >= working set: warm = hits
+/// Steady-state allocations of a float scores_batch flush of a model with
+/// `encoder` and a `cache_rows`-row encode cache: 1024 holds the working
+/// set, so warm flushes borrow every row; 0 turns the cache off, so every
+/// row tile-encodes into the workspace staging.
+std::uint64_t float_flush_allocations(EncoderKind encoder,
+                                      std::size_t cache_rows) {
+  ZeroAllocFixture t(/*parallel=*/false, encoder);
+  t.model.set_encode_cache(cache_rows);
   core::Matrix out;
-  expect_allocation_free(allocations_in_steady_state(
-      [&] { t.model.scores_batch(t.queries, out); }));
+  return allocations_in_steady_state(
+      [&] { t.model.scores_batch(t.queries, out); });
+}
+
+TEST(ZeroAlloc, FloatServingFlushIsAllocationFree) {
+  for (const std::size_t cache_rows : {std::size_t{1024}, std::size_t{0}}) {
+    SCOPED_TRACE(::testing::Message() << "cache rows " << cache_rows);
+    expect_allocation_free(
+        float_flush_allocations(EncoderKind::kRbf, cache_rows));
+  }
+}
+
+TEST(ZeroAlloc, SignProjectionCacheOffFlushIsAllocationFree) {
+  expect_allocation_free(
+      float_flush_allocations(EncoderKind::kSignProjection, 0));
 }
 
 /// Steady-state allocations of a packed scores_batch flush at `bits` with
@@ -252,6 +274,12 @@ TEST(ZeroAlloc, PerSampleFloatSerialIsAllocationFree) {
 
 TEST(ZeroAlloc, PerSampleFloatPooledIsAllocationFree) {
   ZeroAllocFixture t(/*parallel=*/true);
+  t.model.set_encode_cache(1024);
+  expect_allocation_free(per_sample_allocations(t.model, t.queries));
+}
+
+TEST(ZeroAlloc, PerSampleSignProjectionIsAllocationFree) {
+  ZeroAllocFixture t(/*parallel=*/false, EncoderKind::kSignProjection);
   t.model.set_encode_cache(1024);
   expect_allocation_free(per_sample_allocations(t.model, t.queries));
 }
