@@ -15,6 +15,7 @@
 #include <immintrin.h>
 #endif
 
+#include <array>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -452,11 +453,14 @@ BENCHMARK(BM_CyberHdPredictBatch);
 // ---- serving pipeline: hot vs cold encode cache ----------------------------
 //
 // The staged scores_batch path on a replay-heavy stream (the NIDS serving
-// shape: most arrivals repeat a bounded working set of flows). cold runs
-// with the encode cache disabled — every row pays the full encode; hot
-// arms and pre-warms the cache, so repeats replay out of the ring and the
-// pipeline degenerates to (probe + memcpy + tile scoring). items/s is
-// flows scored per second; the hot/cold ratio is the serving speedup the
+// shape: most arrivals repeat a bounded working set of flows). /0 runs
+// with the encode cache disabled — every row pays the full encode; /1
+// (hot) arms and pre-warms the cache, so repeats replay out of the ring
+// and the pipeline degenerates to (probe + memcpy + tile scoring). /2
+// (cold) is first-sight traffic through an armed cache: 512 distinct rows
+// per batch through a 64-row cache, so every probe misses and every insert
+// evicts; next to /0 it shows what the cache costs on a miss. items/s is
+// flows scored per second; the hot/off ratio is the serving speedup the
 // cache buys at a 100% steady-state hit rate.
 
 /// A replay batch over the predict fixture's distribution: 3 of every 4
@@ -495,23 +499,57 @@ struct ServingFixture {
   }
 };
 
+/// Two disjoint batches of kFlows distinct rows from the same
+/// distribution, for the cold row: alternating them through a cache far
+/// smaller than one batch leaves none of the next batch's rows resident.
+struct ColdServingFixture {
+  std::array<core::Matrix, 2> batches{
+      core::Matrix(ServingFixture::kFlows, 24),
+      core::Matrix(ServingFixture::kFlows, 24)};
+
+  static ColdServingFixture& get() {
+    static ColdServingFixture f;
+    return f;
+  }
+
+  ColdServingFixture() {
+    core::Rng rng(71);
+    for (core::Matrix& batch : batches) {
+      for (std::size_t i = 0; i < batch.rows(); ++i) {
+        const int cls = static_cast<int>(i % 3);
+        for (std::size_t f = 0; f < batch.cols(); ++f) {
+          batch(i, f) = 0.5f * static_cast<float>(cls) +
+                        static_cast<float>(rng.gaussian(0.0, 0.15));
+        }
+      }
+    }
+  }
+};
+
 void BM_ServingThroughput(benchmark::State& state) {
   PredictFixture& f = PredictFixture::get();
   ServingFixture& s = ServingFixture::get();
-  const bool hot = state.range(0) != 0;
-  state.SetLabel(hot ? "cache=hot" : "cache=off");
-  f.model.set_encode_cache(hot ? 4096 : 0);
+  const std::int64_t mode = state.range(0);  // 0 off, 1 hot, 2 cold
+  static constexpr const char* kLabels[] = {"cache=off", "cache=hot",
+                                            "cache=cold"};
+  state.SetLabel(kLabels[mode]);
+  f.model.set_encode_cache(mode == 1 ? 4096 : mode == 2 ? 64 : 0);
   core::Matrix scores;
-  if (hot) f.model.scores_batch(s.replay, scores);  // pre-warm the ring
+  if (mode == 1) f.model.scores_batch(s.replay, scores);  // pre-warm
+  const ColdServingFixture* cold =
+      mode == 2 ? &ColdServingFixture::get() : nullptr;
+  std::size_t batch = 0;
   for (auto _ : state) {
-    f.model.scores_batch(s.replay, scores);
+    f.model.scores_batch(cold != nullptr ? cold->batches[batch] : s.replay,
+                         scores);
+    batch ^= 1;
     benchmark::DoNotOptimize(scores.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(ServingFixture::kFlows));
   f.model.set_encode_cache(0);  // leave the shared fixture cache-free
 }
-BENCHMARK(BM_ServingThroughput)->Arg(0)->Arg(1);
+BENCHMARK(BM_ServingThroughput)->Arg(0)->Arg(1)->Arg(2);
 
 // ---- quantized serving: the packed pipeline, cold and hot ------------------
 //

@@ -217,8 +217,8 @@ int CyberHdClassifier::predict(std::span<const float> x) const {
 void CyberHdClassifier::scores(std::span<const float> x,
                                std::span<float> out) const {
   assert(encoder_ != nullptr && "predict()/scores() before fit()");
-  // Per-sample callers do not replay rows, and a cache miss would pay the
-  // insert's allocation, so the one-row block bypasses the cache.
+  // Per-sample callers do not replay rows, so the one-row block bypasses
+  // the cache: a probe would only add a hash, a lookup and an insert.
   score_rows(ScoringWorkspace::tl().stage_sample(x, encoder_->input_dim(),
                                                  out.size(), num_classes_),
              0, 1, nullptr, out.data());

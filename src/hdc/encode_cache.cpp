@@ -1,6 +1,7 @@
 #include "hdc/encode_cache.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
@@ -57,29 +58,90 @@ EncodeCache::EncodeCache(std::size_t input_dim, std::size_t encoded_dim,
   }
 }
 
+// ---- SlotIndex ---------------------------------------------------------------
+
+void SlotIndex::reset(std::size_t slots) {
+  // A power of two with at least twice the slots: the load factor stays
+  // at or below 1/2, so a probe run is short and always ends at an empty
+  // bucket.
+  std::size_t buckets = 2;
+  while (buckets < 2 * slots) buckets *= 2;
+  table_.assign(buckets, kNone);
+  slot_hash_.assign(slots, 0);
+  mask_ = buckets - 1;
+  shift_ = static_cast<unsigned>(64 - std::countr_zero(buckets));
+  size_ = 0;
+}
+
+void SlotIndex::clear() noexcept {
+  std::fill(table_.begin(), table_.end(), kNone);
+  size_ = 0;
+}
+
+std::uint32_t SlotIndex::find(std::uint64_t hash) const noexcept {
+  if (size_ == 0) return kNone;  // also covers a table not yet sized
+  for (std::size_t b = home(hash);; b = (b + 1) & mask_) {
+    const std::uint32_t slot = table_[b];
+    if (slot == kNone || slot_hash_[slot] == hash) return slot;
+  }
+}
+
+void SlotIndex::put(std::uint32_t slot, std::uint64_t hash) noexcept {
+  slot_hash_[slot] = hash;
+  std::size_t b = home(hash);
+  for (; table_[b] != kNone; b = (b + 1) & mask_) {
+    if (slot_hash_[table_[b]] == hash) {  // one entry per hash: redirect
+      table_[b] = slot;
+      return;
+    }
+  }
+  table_[b] = slot;
+  ++size_;
+}
+
+void SlotIndex::erase(std::uint32_t slot) noexcept {
+  const std::uint64_t hash = slot_hash_[slot];
+  std::size_t hole = home(hash);
+  for (;; hole = (hole + 1) & mask_) {
+    const std::uint32_t s = table_[hole];
+    if (s == kNone) return;  // not indexed
+    if (slot_hash_[s] == hash) {
+      if (s != slot) return;  // the hash was redirected to a newer slot
+      break;
+    }
+  }
+  // Backward-shift deletion: walk the rest of the probe run and move back
+  // every entry whose home does not lie cyclically in (hole, j], i.e. each
+  // entry whose probe path crosses the hole, so no later lookup stops
+  // short at it.
+  for (std::size_t j = (hole + 1) & mask_; table_[j] != kNone;
+       j = (j + 1) & mask_) {
+    const std::size_t from_home = (j - home(slot_hash_[table_[j]])) & mask_;
+    if (from_home >= ((j - hole) & mask_)) {
+      table_[hole] = table_[j];
+      hole = j;
+    }
+  }
+  table_[hole] = kNone;
+  --size_;
+}
+
+// ---- EncodeCache -------------------------------------------------------------
+
 std::size_t EncodeCache::shard_of(std::uint64_t hash) const noexcept {
-  // hash_row promises no quality in its low bits (the standard library's
-  // byte hash varies by implementation); run the whole word through a
-  // splitmix64-style finalizer before the modulus so shard load stays
-  // balanced for structured feature rows.
-  std::uint64_t z = hash;
-  z ^= z >> 30;
-  z *= 0xbf58476d1ce4e5b9ULL;
-  z ^= z >> 27;
-  z *= 0x94d049bb133111ebULL;
-  z ^= z >> 31;
-  return static_cast<std::size_t>(z % num_shards_);
+  // The whole word goes through the finalizer before the modulus, so shard
+  // load stays balanced for structured feature rows.
+  return static_cast<std::size_t>(spread_hash(hash) % num_shards_);
 }
 
 void EncodeCache::ensure_storage(Shard& shard) {
   if (shard.raw.rows() == shard.capacity) return;
   shard.raw.resize(shard.capacity, input_dim_);
   shard.entries.assign(shard.capacity * entry_stride_, 0);
-  shard.slot_hash.assign(shard.capacity, 0);
   shard.occupied.assign(shard.capacity, false);
   shard.pins.assign(shard.capacity, 0);
   shard.resident = 0;
-  shard.index.reserve(shard.capacity);
+  shard.index.reset(shard.capacity);
 }
 
 void BorrowGuard::release() {
@@ -162,12 +224,9 @@ std::size_t EncodeCache::find_slot(const Shard& shard, std::uint64_t hash,
                                    std::span<const float> x) const {
   // Before the shard's first insert its index is empty, so the
   // unallocated ring is never dereferenced.
-  const auto it = shard.index.find(hash);
-  if (it == shard.index.end()) return shard.capacity;
-  const std::size_t slot = it->second;
-  if (!shard.occupied[slot] || shard.slot_hash[slot] != hash) {
-    return shard.capacity;
-  }
+  const std::uint32_t slot = shard.index.find(hash);
+  if (slot == SlotIndex::kNone) return shard.capacity;
+  assert(shard.occupied[slot]);
   // Content verification: a colliding row must re-encode, never replay
   // another flow's hypervector.
   if (std::memcmp(shard.raw.row(slot).data(), x.data(), x.size_bytes()) !=
@@ -192,22 +251,19 @@ void EncodeCache::insert(Shard& shard, std::uint64_t hash,
   }
   if (tries == shard.capacity) return;
   shard.next_slot = (slot + 1) % shard.capacity;
+  const auto id = static_cast<std::uint32_t>(slot);
   if (shard.occupied[slot]) {
     // Ring eviction: drop the index entry that still points at this slot
     // (a later insert of the same hash may have redirected it already).
-    const auto it = shard.index.find(shard.slot_hash[slot]);
-    if (it != shard.index.end() && it->second == slot) {
-      shard.index.erase(it);
-    }
+    shard.index.erase(id);
     ++shard.stats.evictions;
   } else {
+    shard.occupied[slot] = true;
     ++shard.resident;
   }
   std::copy(x.begin(), x.end(), shard.raw.row(slot).begin());
   std::memcpy(slot_entry(shard, slot), entry, entry_bytes_);
-  shard.slot_hash[slot] = hash;
-  shard.occupied[slot] = true;
-  shard.index[hash] = static_cast<std::uint32_t>(slot);
+  shard.index.put(id, hash);
 }
 
 std::size_t EncodeCache::encode_entries_borrowed(
@@ -400,15 +456,23 @@ std::size_t encode_block(EncodeCache* cache, const core::Matrix& x,
     return 0;
   }
   assert(cache->entry_bytes() == entry_bytes);
-  // The one miss callback: gather the misses into one contiguous block,
-  // encode it with one tile call (GEMM-shaped, split across the pool by
-  // the encoder), then copy each entry to its staging row. The gather and
-  // entry blocks live in the workspace — grown once, reused every flush.
+  // The one miss callback. Each row is a hit, an in-batch replay or a miss
+  // exactly once, so when all m rows missed (cold traffic) the miss list
+  // is the whole block in shard order, and the block encodes in place:
+  // one tile call straight into the staging rows, as with the cache off.
+  // Otherwise gather the misses into one contiguous block, encode it with
+  // one tile call (GEMM-shaped, split across the pool by the encoder),
+  // then copy each entry to its staging row; the gather and entry blocks
+  // live in the workspace, grown once and reused every flush.
   return cache->encode_entries_borrowed(
       x, begin, end, staging, entry_bytes,
       [&](std::span<const std::size_t> rows, unsigned char* out,
           std::size_t out_stride) {
         const std::size_t k = rows.size();
+        if (k == m) {
+          encode(x, begin, end, out, out_stride);
+          return;
+        }
         ws.miss_raw.resize(k, x.cols());
         for (std::size_t j = 0; j < k; ++j) {
           const auto src = x.row(begin + rows[j]);

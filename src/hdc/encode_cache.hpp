@@ -29,11 +29,18 @@
 // are bit-identical to cache-off scoring for any capacity, shard count,
 // eviction pattern, thread count, or kernel backend.
 //
+// Each shard's index (SlotIndex) is a flat open-addressed table of slot
+// ids sized once for the shard's slots, so a miss that evicts allocates
+// and frees nothing: a steady stream of first-sight flows runs through the
+// cache without touching the heap.
+//
 // encode_block (bottom of this file) is stage 1 of every scorer, cache on
 // or off: a row format is just an entry size plus a tile encoder
 // (FloatTileEncode for float rows, QuantizedCyberHd::encode_tile_packed
-// for packed ones), and the miss path — gather, one tile-encode call, one
-// memcpy per miss — is written once for all of them.
+// for packed ones), and the miss path is written once for all of them. A
+// block whose every row missed (cold traffic) encodes in place, one tile
+// call straight into its staging rows, so the ring fill is the only copy
+// caching adds; a block with hits gathers its misses first.
 //
 // The capacity knob is CYBERHD_ENCODE_CACHE (rows; 0 disables) — see
 // capacity_from_env().
@@ -44,7 +51,6 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/exec/execution_context.hpp"
@@ -78,6 +84,52 @@ struct EncodeCacheStats {
                       : static_cast<double>(hits) /
                             static_cast<double>(total);
   }
+};
+
+/// The index of one cache shard: hash -> slot through a flat,
+/// open-addressed table of slot ids, sized once for the shard's slots so
+/// that neither an insert nor an eviction allocates. An entry stores only
+/// a slot id; its key is the hash that slot holds (slot_hash). Probing is
+/// linear from a home bucket taken from the high bits of the finalized
+/// hash (shard routing consumes its low ones), and erasing shifts the rest
+/// of the probe run back instead of leaving a tombstone, so lookups never
+/// degrade. There is one entry per hash: put() under a hash that already
+/// has an entry redirects it to the new slot, and erase() of a slot whose
+/// hash was redirected elsewhere leaves the entry alone (the stale slot is
+/// simply unreachable until the ring reuses it). Not thread-safe: the
+/// owning shard's mutex guards it.
+class SlotIndex {
+ public:
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+
+  /// Size the table for `slots` slots (at most half its buckets ever
+  /// hold an entry) and empty it. Allocates; nothing else does.
+  void reset(std::size_t slots);
+  /// Drop every entry, keeping the storage.
+  void clear() noexcept;
+
+  /// Entries held (indexed slots).
+  std::size_t size() const noexcept { return size_; }
+  std::size_t bucket_count() const noexcept { return table_.size(); }
+  /// The bucket a probe for `hash` starts at (bucket_count() > 0).
+  std::size_t home(std::uint64_t hash) const noexcept {
+    return static_cast<std::size_t>(spread_hash(hash) >> shift_);
+  }
+  /// The slot indexed under `hash`, or kNone.
+  std::uint32_t find(std::uint64_t hash) const noexcept;
+  /// Index `slot` under `hash`, redirecting the hash's entry if it has
+  /// one. `slot` must not be indexed (erase it first when reusing it).
+  void put(std::uint32_t slot, std::uint64_t hash) noexcept;
+  /// Remove the entry of `slot` (under the hash it was last put under) if
+  /// it is indexed; an entry redirected to another slot stays.
+  void erase(std::uint32_t slot) noexcept;
+
+ private:
+  std::vector<std::uint32_t> table_;      // bucket -> slot id, or kNone
+  std::vector<std::uint64_t> slot_hash_;  // slot -> the hash it holds
+  std::size_t mask_ = 0;
+  unsigned shift_ = 63;
+  std::size_t size_ = 0;
 };
 
 /// Fixed-capacity, ring-evicting, content-addressed cache of encoded rows,
@@ -186,7 +238,10 @@ class EncodeCache {
 
  private:
   friend class BorrowGuard;
-  /// One independently locked partition of the cache.
+  /// One independently locked partition of the cache: a FIFO ring of
+  /// slots (verification row, encoded entry, pin count) and the flat
+  /// SlotIndex over them. All of it is sized once by ensure_storage, so a
+  /// miss that evicts allocates and frees nothing.
   struct Shard {
     mutable std::mutex mutex;
     std::size_t capacity = 0;  // slots this shard owns
@@ -196,7 +251,6 @@ class EncodeCache {
     // rows, int8 rows, or packed words — the cache is agnostic).
     std::vector<unsigned char, core::AlignedAllocator<unsigned char>>
         entries;
-    std::vector<std::uint64_t> slot_hash;  // per slot; valid when occupied
     std::vector<bool> occupied;
     // Per-slot borrow pin counts, mutated only under this shard's mutex.
     // insert() skips pinned slots, so a borrowed entry's bytes are
@@ -205,7 +259,9 @@ class EncodeCache {
     // drops its index, not the storage outstanding borrows still read.
     std::vector<std::uint32_t> pins;
     std::size_t resident = 0;  // occupied slot count (bytes accounting)
-    std::unordered_map<std::uint64_t, std::uint32_t> index;  // hash -> slot
+    // hash -> slot over the occupied slots, sized with the ring storage;
+    // every indexed slot is occupied and holds its entry's hash.
+    SlotIndex index;
     std::size_t next_slot = 0;  // ring cursor
     EncodeCacheStats stats;
   };
@@ -266,11 +322,14 @@ struct FloatTileEncode {
 /// the encoded entry of row begin + i of `x` and return the number of
 /// hits (in-batch replays included).
 ///  * With `cache` (armed with this entry size) it is
-///    cache->encode_entries_borrowed with one miss callback: the misses
-///    are gathered into ws.miss_raw, encoded by ONE `encode` call into
-///    ws.miss_packed, and each copied into its row of ws.staging with one
-///    memcpy. Hits point into the ring and stay pinned in ws.borrow until
-///    the caller releases it (BorrowRelease).
+///    cache->encode_entries_borrowed with one miss callback. When every
+///    row of the block missed (no hit, no in-batch replay — cold
+///    traffic), the callback encodes x[begin, end) in place: ONE `encode`
+///    call straight into ws.staging. Otherwise the misses are gathered
+///    into ws.miss_raw, encoded by ONE `encode` call into ws.miss_packed,
+///    and each copied into its row of ws.staging with one memcpy. Hits
+///    point into the ring and stay pinned in ws.borrow until the caller
+///    releases it (BorrowRelease).
 ///  * Without one, the block is one `encode` call into ws.staging; no pins
 ///    are taken and 0 is returned.
 /// The gather kernels' typed views come from ws.float_rows or

@@ -448,6 +448,11 @@ std::unique_ptr<Encoder> deserialize_encoder(std::istream& in) {
     enc->num_features_ = core::io::read_u64(in);
     enc->dims_ = core::io::read_u64(in);
     enc->num_levels_ = core::io::read_u64(in);
+    // level_of maps onto [0, num_levels - 1]: fewer than 2 levels (the
+    // constructor's floor) would index a missing level table.
+    if (enc->num_levels_ < 2) {
+      throw std::runtime_error("id-level encoder needs at least 2 levels");
+    }
     // Table shapes whose products wrap would match small (or empty)
     // arrays and load dimensions with no storage behind them.
     constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();

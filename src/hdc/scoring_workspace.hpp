@@ -43,6 +43,19 @@ namespace cyberhd::hdc {
 
 class EncodeCache;
 
+/// splitmix64's finalizer over a row hash. hash_row makes no promise about
+/// its low bits (the standard library's byte hash varies by
+/// implementation), so every table that buckets row hashes — the shard
+/// routing, the shard index, the in-batch dedup — spreads them first.
+inline std::uint64_t spread_hash(std::uint64_t z) noexcept {
+  z ^= z >> 30;
+  z *= 0xbf58476d1ce4e5b9ULL;
+  z ^= z >> 27;
+  z *= 0x94d049bb133111ebULL;
+  z ^= z >> 31;
+  return z;
+}
+
 /// RAII set of pinned cache slots. Filled by the cache's stage 1;
 /// released (unpinning every slot) when the flush that took the pins ends.
 /// Its destructor unpins too, but the per-thread workspace that owns the
@@ -153,15 +166,8 @@ struct ScoringWorkspace {
     /// The value previously recorded for `key`, or `val` after recording
     /// it — the open-addressed analogue of try_emplace(key, val).second.
     std::uint32_t find_or_insert(std::uint64_t key, std::uint32_t val) {
-      // splitmix64-style finalizer: the row hash makes no promise about
-      // its low bits, and linear probing needs them spread.
-      std::uint64_t z = key;
-      z ^= z >> 30;
-      z *= 0xbf58476d1ce4e5b9ULL;
-      z ^= z >> 27;
-      z *= 0x94d049bb133111ebULL;
-      z ^= z >> 31;
-      std::size_t idx = static_cast<std::size_t>(z) & mask;
+      // Linear probing needs the low bits spread.
+      std::size_t idx = static_cast<std::size_t>(spread_hash(key)) & mask;
       while (stamps[idx] == gen) {
         if (keys[idx] == key) return vals[idx];
         idx = (idx + 1) & mask;
@@ -233,6 +239,8 @@ struct ScoringWorkspace {
   std::vector<std::int64_t> dot_tile;
 
   // --- miss gather scratch (encode_block's miss callback) ---------------
+  // Only a block with hits or in-batch replays gathers: an all-miss block
+  // encodes in place, straight into staging, and leaves these untouched.
   core::Matrix miss_raw;  // gathered raw miss rows
   // Float encodings of misses. No library code fills it since every row
   // format's misses encode into miss_packed; perfbench's tracing decorator

@@ -195,6 +195,31 @@ TEST(HostileEncoderStream, WrappingIdLevelShapeIsRejected) {
   }
 }
 
+TEST(HostileEncoderStream, IdLevelWithFewerThanTwoLevelsIsRejected) {
+  // Well-formed tables for 2 features x 4 dims at 0 and at 1 level: the
+  // quantizer maps onto [0, num_levels - 1], so with 0 levels the first
+  // encode would index past the empty level table. Both must fail at load.
+  for (const std::uint64_t levels : {std::uint64_t{0}, std::uint64_t{1}}) {
+    SCOPED_TRACE(::testing::Message() << levels << " levels");
+    std::ostringstream out;
+    core::io::write_tag(out, "EIDL");
+    core::io::write_u64(out, 2);       // num_features
+    core::io::write_u64(out, 4);       // dims
+    core::io::write_u64(out, levels);  // num_levels
+    core::io::write_f32_array(out, std::vector<float>(2 * 4, 1.0f));
+    core::io::write_f32_array(out, std::vector<float>(levels * 4, 1.0f));
+    std::istringstream in(out.str());
+    try {
+      deserialize_encoder(in);
+      FAIL() << "an id-level stream with fewer than 2 levels must not load";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("at least 2 levels"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(ClassifierPersistence, StreamRoundTripPredictsIdentically) {
   const TrainedSmall t;
   std::stringstream buffer;

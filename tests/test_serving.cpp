@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -538,6 +539,130 @@ TEST(EncodeCacheUnit, ContentVerificationDefeatsHashAliasing) {
   core::Matrix scores;
   t.model.scores_batch(t.queries, scores);
   EXPECT_EQ(scores, reference);
+}
+
+TEST(EncodeCacheUnit, FlatIndexMatchesReferenceUnderForcedCollisions) {
+  // The shard index against the map it replaced, under the rule the ring
+  // relies on: one entry per hash, a later put redirects it, and erasing a
+  // stale slot leaves the redirect alone. Hashes are steered so that
+  // probe runs form on purpose: several share one home bucket, several
+  // start at the last bucket (runs that wrap to bucket 0), and each is
+  // put again into newer slots while older slots still hold it (the same
+  // 64-bit hash with different content). Every put of the ring evicts the
+  // slot it reuses, so erasure by backward shift runs throughout.
+  constexpr std::uint32_t kSlots = 8;
+  SlotIndex index;
+  index.reset(kSlots);
+  ASSERT_EQ(index.bucket_count(), 16u);
+  const std::size_t last = index.bucket_count() - 1;
+  std::vector<std::uint64_t> pool;
+  for (std::uint64_t k = 1; pool.size() < 12; ++k) {
+    const std::uint64_t h = k * 0x9e3779b97f4a7c15ULL;
+    const std::size_t home = index.home(h);
+    const std::size_t want = pool.size() < 6 ? std::size_t{5} : last;
+    if (home == want) pool.push_back(h);
+  }
+  core::Rng rng(43);
+  for (int i = 0; i < 4; ++i) pool.push_back(rng.next_u64());
+
+  std::unordered_map<std::uint64_t, std::uint32_t> reference;
+  std::vector<std::uint64_t> held(kSlots);
+  std::vector<bool> occupied(kSlots, false);
+  const auto check = [&](int step) {
+    ASSERT_EQ(index.size(), reference.size()) << "step " << step;
+    for (const std::uint64_t h : pool) {
+      const auto it = reference.find(h);
+      const std::uint32_t want =
+          it == reference.end() ? SlotIndex::kNone : it->second;
+      ASSERT_EQ(index.find(h), want) << "step " << step << " hash " << h;
+    }
+  };
+
+  // A hand-made run first: three hashes of one home bucket, the middle
+  // one redirected, then the head of the run erased.
+  index.put(0, pool[0]);
+  index.put(1, pool[1]);
+  index.put(2, pool[2]);
+  index.put(3, pool[1]);  // redirect: slot 1 goes stale
+  EXPECT_EQ(index.size(), 3u);
+  EXPECT_EQ(index.find(pool[1]), 3u);
+  index.erase(1);  // stale: the redirect stays
+  EXPECT_EQ(index.find(pool[1]), 3u);
+  index.erase(0);  // shifts the rest of the run back
+  EXPECT_EQ(index.find(pool[0]), SlotIndex::kNone);
+  EXPECT_EQ(index.find(pool[1]), 3u);
+  EXPECT_EQ(index.find(pool[2]), 2u);
+  EXPECT_EQ(index.size(), 2u);
+  index.clear();
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.find(pool[2]), SlotIndex::kNone);
+
+  // A run that wraps: three hashes homed at the last bucket fill it and
+  // buckets 0 and 1; erasing the first shifts the other two back across
+  // the end of the table.
+  index.put(0, pool[6]);
+  index.put(1, pool[7]);
+  index.put(2, pool[8]);
+  index.erase(0);
+  EXPECT_EQ(index.find(pool[6]), SlotIndex::kNone);
+  EXPECT_EQ(index.find(pool[7]), 1u);
+  EXPECT_EQ(index.find(pool[8]), 2u);
+  index.clear();
+
+  // Then a long ring of random puts over the colliding pool.
+  std::uint32_t next = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const std::uint32_t slot = next;
+    next = (next + 1) % kSlots;
+    const std::uint64_t h =
+        pool[static_cast<std::size_t>(rng.next_below(pool.size()))];
+    if (occupied[slot]) {
+      const auto it = reference.find(held[slot]);
+      if (it != reference.end() && it->second == slot) reference.erase(it);
+      index.erase(slot);
+    }
+    occupied[slot] = true;
+    held[slot] = h;
+    reference[h] = slot;
+    index.put(slot, h);
+    check(step);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(EncodeCacheUnit, RacingColdScorersLeaveOneResidentCopy) {
+  // Two scorers flush the same 64 cold rows at once: both miss, both
+  // encode, and the insert pass's re-probe must keep the second insert of
+  // each row out, so the ring holds exactly one copy of every row. Both
+  // flushes must still score bit-identically to the reference.
+  ServingFixture t;
+  const core::Matrix reference = reference_scores(t.model, t.queries);
+  const std::size_t entry_bytes = t.model.physical_dims() * sizeof(float);
+  for (int round = 0; round < 16; ++round) {
+    t.model.set_encode_cache(1024);
+    std::atomic<int> ready{0};
+    std::vector<core::Matrix> outs(2, core::Matrix(64, 3));
+    std::vector<std::thread> scorers;
+    for (core::Matrix& out : outs) {
+      scorers.emplace_back([&t, &ready, dst = &out] {
+        ready.fetch_add(1);
+        while (ready.load() < 2) std::this_thread::yield();
+        t.model.scores_block(t.queries, 0, 64, *dst);
+      });
+    }
+    for (std::thread& th : scorers) th.join();
+    const EncodeCacheStats stats = t.model.encode_cache()->stats();
+    ASSERT_EQ(t.model.encode_cache()->size(), 64u) << "round " << round;
+    ASSERT_EQ(stats.bytes_resident, 64u * entry_bytes) << "round " << round;
+    ASSERT_EQ(stats.evictions, 0u);
+    for (const core::Matrix& out : outs) {
+      for (std::size_t i = 0; i < 64; ++i) {
+        for (std::size_t c = 0; c < 3; ++c) {
+          ASSERT_EQ(out(i, c), reference(i, c)) << "row " << i;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

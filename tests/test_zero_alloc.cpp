@@ -4,9 +4,13 @@
 // into reused staging), and stage 2 (workspace accumulator tiles, gather
 // scoring straight out of the ring). The same holds for a cache-off
 // flush (float rows tile-encoded into the workspace staging, packed rows
-// quantized into per-thread scratch) and for per-sample predict()/scores(),
-// which run as one-row blocks of the same pipeline with the cache
-// bypassed — for the sign-projection encoder's tile as for the RBF one.
+// quantized into per-thread scratch), for cold flushes whose every insert
+// evicts (an all-miss block encoded in place, and a block with in-batch
+// replays whose misses are gathered: the shard index is a flat table, so
+// eviction frees and insertion allocates nothing), and for per-sample
+// predict()/scores(), which run as one-row blocks of the same pipeline
+// with the cache bypassed — for the sign-projection encoder's tile as for
+// the RBF one.
 //
 // The probe is a counting replacement of the global allocation functions:
 // an atomic flag arms a counter around exactly the flush under test. The
@@ -264,6 +268,75 @@ TEST(ZeroAlloc, Quantized1BitCacheOffFlushIsAllocationFree) {
 
 TEST(ZeroAlloc, Quantized8BitCacheOffFlushIsAllocationFree) {
   expect_allocation_free(quantized_flush_allocations(8, 0));
+}
+
+/// Two disjoint sets of 32 distinct cold rows, each followed by its own
+/// replay: rows [0, 32) and [64, 96) are the sets, [32, 64) and [96, 128)
+/// repeat them row for row.
+core::Matrix cold_blocks() {
+  core::Matrix x(128, 5);
+  core::Rng rng(29);
+  for (const std::size_t set : {std::size_t{0}, std::size_t{64}}) {
+    for (std::size_t i = set; i < set + 32; ++i) {
+      for (std::size_t f = 0; f < x.cols(); ++f) {
+        x(i, f) = 0.4f * static_cast<float>(i % 3) +
+                  static_cast<float>(rng.gaussian(0.0, 0.08));
+        x(i + 32, f) = x(i, f);
+      }
+    }
+  }
+  return x;
+}
+
+/// Steady-state allocations of a cold evicting flush through `model`, its
+/// encode cache armed with 16 rows in one shard. Flushes alternate between
+/// the two sets of cold_blocks(), so no row is resident when its flush
+/// probes and every insert evicts. With `replays` each flush is a set plus
+/// its replay (32 misses gathered past 32 in-batch replays); without, the
+/// set alone (all 32 rows miss, so the block encodes in place). The
+/// counted flush's stats are checked on every build.
+template <typename Model>
+std::uint64_t cold_flush_allocations(Model& model, bool replays) {
+  model.set_encode_cache(16, /*shards=*/1);
+  const EncodeCache* cache = model.encode_cache();
+  EXPECT_NE(cache, nullptr);
+  if (cache == nullptr) return 0;
+  const core::Matrix x = cold_blocks();
+  core::Matrix out(x.rows(), model.num_classes());
+  const std::size_t rows = replays ? 64 : 32;
+  std::size_t set = 0;
+  const auto flush = [&] {
+    model.scores_block(x, set, set + rows, out);
+    set = 64 - set;
+  };
+  flush();
+  flush();
+  const EncodeCacheStats before = cache->stats();
+  const std::uint64_t allocs = count_allocations(flush);
+  const EncodeCacheStats after = cache->stats();
+  EXPECT_EQ(after.misses - before.misses, 32u);
+  EXPECT_EQ(after.evictions - before.evictions, 32u);
+  EXPECT_EQ(after.hits - before.hits, replays ? 32u : 0u);
+  return allocs;
+}
+
+TEST(ZeroAlloc, ColdEvictingFloatFlushIsAllocationFree) {
+  for (const bool replays : {false, true}) {
+    SCOPED_TRACE(replays ? "in-batch replays (gather path)"
+                         : "all-miss block (in-place path)");
+    ZeroAllocFixture t;
+    expect_allocation_free(cold_flush_allocations(t.model, replays));
+  }
+}
+
+TEST(ZeroAlloc, ColdEvictingQuantized1BitFlushIsAllocationFree) {
+  for (const bool replays : {false, true}) {
+    SCOPED_TRACE(replays ? "in-batch replays (gather path)"
+                         : "all-miss block (in-place path)");
+    ZeroAllocFixture t;
+    QuantizedCyberHd q(t.model, 1);
+    expect_allocation_free(cold_flush_allocations(q, replays));
+  }
 }
 
 TEST(ZeroAlloc, PerSampleFloatSerialIsAllocationFree) {
