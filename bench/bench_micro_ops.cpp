@@ -133,59 +133,67 @@ BENCHMARK_CAPTURE(BM_KernelSimilaritiesTile, avx2, "avx2")
 BENCHMARK_CAPTURE(BM_KernelSimilaritiesTile, avx512, "avx512")
     ->Arg(512)->Arg(4096)->Arg(10240);
 
-void BM_KernelRbfEncode(benchmark::State& state, const char* name) {
-  const core::Kernels* k = backend(name);
-  if (skip_unavailable(state, k)) return;
-  const std::size_t dims = static_cast<std::size_t>(state.range(0));
-  const std::size_t features = 118;  // NSL-KDD encoded width
-  core::Rng rng(5);
-  core::Matrix bases(dims, features);
-  core::fill_gaussian(rng, bases.data(), bases.size(), 0.0f, 1.0f);
-  const AlignedVec biases = random_vec(dims, 6);
-  const auto x = random_vec(features, 7);
-  std::vector<float> h(dims);
-  for (auto _ : state) {
-    // One flow: the shape of the per-sample encode().
-    k->cos_rbf_tile_f32(bases.data(), dims, features, x.data(), 1, features,
-                        biases.data(), h.data(), dims);
-    benchmark::DoNotOptimize(h.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(dims * features));
-}
-BENCHMARK_CAPTURE(BM_KernelRbfEncode, scalar, "scalar")->Arg(512)->Arg(4096);
-BENCHMARK_CAPTURE(BM_KernelRbfEncode, avx2, "avx2")->Arg(512)->Arg(4096);
-BENCHMARK_CAPTURE(BM_KernelRbfEncode, avx512, "avx512")->Arg(512)->Arg(4096);
+// The fused RBF encode tile over a feature-major F x D base panel (the
+// RbfEncoder's layout). items/s is multiply-adds per second (flows x D x
+// F per call), so G items/s reads directly as GMAC/s against
+// BM_PeakFmaF32 below. range(0) is D, range(1) is F.
 
-// The 64-flow encode tile against the one-flow call above: the same
-// D x F multiply-adds per flow, but a 64-flow block amortizes every base
-// row loaded from L2/L3 across the register-blocked flows. items/s
-// (flow-dims-features per second) over BM_KernelRbfEncode at the same Arg
-// is the arithmetic-intensity gain the batched encode path rides.
-void BM_EncodeTile(benchmark::State& state, const char* name) {
-  const core::Kernels* k = backend(name);
-  if (skip_unavailable(state, k)) return;
-  const std::size_t dims = static_cast<std::size_t>(state.range(0));
-  const std::size_t features = 118;  // NSL-KDD encoded width
-  const std::size_t flows = 64;
+/// One call of `flows` flows against a D x F encoder's panel.
+void run_encode_tile(benchmark::State& state, const core::Kernels& k,
+                     std::size_t dims, std::size_t features,
+                     std::size_t flows) {
   core::Rng rng(15);
-  core::Matrix bases(dims, features);
+  core::Matrix bases(features, dims);
   core::fill_gaussian(rng, bases.data(), bases.size(), 0.0f, 1.0f);
   const AlignedVec biases = random_vec(dims, 16);
   core::Matrix x(flows, features);
   core::fill_gaussian(rng, x.data(), x.size(), 0.0f, 1.0f);
   core::Matrix h(flows, dims);
   for (auto _ : state) {
-    k->cos_rbf_tile_f32(bases.data(), dims, features, x.row(0).data(),
-                        flows, x.cols(), biases.data(), h.data(), h.cols());
+    k.cos_rbf_tile_f32(bases.data(), dims, dims, features, x.row(0).data(),
+                       flows, x.cols(), biases.data(), h.data(), h.cols());
     benchmark::DoNotOptimize(h.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(flows * dims * features));
 }
-BENCHMARK_CAPTURE(BM_EncodeTile, scalar, "scalar")->Arg(512)->Arg(4096);
-BENCHMARK_CAPTURE(BM_EncodeTile, avx2, "avx2")->Arg(512)->Arg(4096);
-BENCHMARK_CAPTURE(BM_EncodeTile, avx512, "avx512")->Arg(512)->Arg(4096);
+
+// One flow: the shape of the per-sample encode() and of a per-sample
+// predict()/scores(), which run a one-row block through the tile.
+void BM_KernelRbfEncode(benchmark::State& state, const char* name) {
+  const core::Kernels* k = backend(name);
+  if (skip_unavailable(state, k)) return;
+  run_encode_tile(state, *k, static_cast<std::size_t>(state.range(0)),
+                  static_cast<std::size_t>(state.range(1)), 1);
+}
+BENCHMARK_CAPTURE(BM_KernelRbfEncode, scalar, "scalar")
+    ->Args({512, 118})->Args({4096, 118})->Args({512, 78});
+BENCHMARK_CAPTURE(BM_KernelRbfEncode, avx2, "avx2")
+    ->Args({512, 118})->Args({4096, 118})->Args({512, 78});
+BENCHMARK_CAPTURE(BM_KernelRbfEncode, avx512, "avx512")
+    ->Args({512, 118})->Args({4096, 118})->Args({512, 78});
+
+// A block of range(2) flows: the miss path's shape. Next to
+// BM_KernelRbfEncode at the same D and F, items/s shows what streaming the
+// block's flows past each strip of the panel buys. At the served shape
+// (D = 512, F = 78 CIC-IDS-2017 features) the flow counts stand for one
+// query (1), a cold-float fixed-rate flush (22), a planner block (64) and
+// a capacity flush (512).
+void BM_EncodeTile(benchmark::State& state, const char* name) {
+  const core::Kernels* k = backend(name);
+  if (skip_unavailable(state, k)) return;
+  run_encode_tile(state, *k, static_cast<std::size_t>(state.range(0)),
+                  static_cast<std::size_t>(state.range(1)),
+                  static_cast<std::size_t>(state.range(2)));
+}
+void encode_tile_shapes(benchmark::internal::Benchmark* b) {
+  b->Args({512, 118, 64})->Args({4096, 118, 64});
+  for (std::int64_t flows : {1, 22, 64, 512}) b->Args({512, 78, flows});
+}
+BENCHMARK_CAPTURE(BM_EncodeTile, scalar, "scalar")->Apply(encode_tile_shapes);
+BENCHMARK_CAPTURE(BM_EncodeTile, avx2, "avx2")->Apply(encode_tile_shapes);
+BENCHMARK_CAPTURE(BM_EncodeTile, avx512, "avx512")->Apply(encode_tile_shapes);
 
 // ---- roofline: this machine's FMA peak -------------------------------------
 //
@@ -549,7 +557,9 @@ void BM_ServingThroughput(benchmark::State& state) {
                           static_cast<std::int64_t>(ServingFixture::kFlows));
   f.model.set_encode_cache(0);  // leave the shared fixture cache-free
 }
-BENCHMARK(BM_ServingThroughput)->Arg(0)->Arg(1)->Arg(2);
+// Wall time: the model scores on the thread pool, so the calling thread's
+// CPU time would overstate items/s on a multi-core host.
+BENCHMARK(BM_ServingThroughput)->Arg(0)->Arg(1)->Arg(2)->UseRealTime();
 
 // ---- quantized serving: the packed pipeline, cold and hot ------------------
 //
@@ -582,7 +592,8 @@ BENCHMARK(BM_ServingThroughputQuantized)
     ->Args({8, 0})
     ->Args({8, 1})
     ->Args({1, 0})
-    ->Args({1, 1});
+    ->Args({1, 1})
+    ->UseRealTime();  // pooled scoring, as BM_ServingThroughput
 
 // ---- training throughput: per-sample rule vs minibatch tiles ---------------
 //

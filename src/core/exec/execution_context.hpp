@@ -84,12 +84,13 @@ struct ServingPlan {
   std::size_t batch_rows = 1;
 };
 
-/// How ExecutionContext::plan_encode_tile shapes the batched RBF encode:
+/// How ExecutionContext::plan_encode_tile shapes the batched encode:
 /// flows are walked in `flow_rows`-row blocks (the unit parallel_for
-/// splits), and inside a block the encoder streams the base matrix in
-/// `panel_rows`-row panels through the cos_rbf_tile_f32 kernel — so each
-/// base row fetched into L2 is reused once per flow in the block instead
-/// of once per call.
+/// splits). Inside a block the sign-projection encoder streams its base
+/// matrix in `panel_rows`-row panels through the float similarity tile —
+/// so each base row fetched into L2 is reused once per flow in the block
+/// instead of once per call — while the RBF encoder hands its whole panel
+/// to cos_rbf_tile_f32, which strips it for L1 itself.
 struct EncodeTilePlan {
   /// Flow rows per tile block: the block's raw feature rows stay
   /// L1-resident while every base row of a panel streams past them.
@@ -205,9 +206,9 @@ class ExecutionContext {
   /// The batched-encode tile shape for a D = `dims` encoder over
   /// `features`-wide input rows: flow_rows from a third of L1d (the flow
   /// block's raw rows), panel_rows from a third of L2 (the base panel the
-  /// tile kernel streams), both powers of two, the panel never wider than
-  /// D. At NIDS widths (F ~ 40, 2 MiB L2) the whole base matrix is one
-  /// panel, so the tile degenerates to a single GEMM-shaped pass.
+  /// sign-projection encoder streams), both powers of two, the panel never
+  /// wider than D. At NIDS widths (F ~ 40, 2 MiB L2) the whole base matrix
+  /// is one panel, so the tile degenerates to a single GEMM-shaped pass.
   EncodeTilePlan plan_encode_tile(std::size_t dims,
                                   std::size_t features) const noexcept;
 

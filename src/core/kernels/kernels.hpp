@@ -3,21 +3,20 @@
 // Every arithmetic hot path in the library — float dot products, the fused
 // RBF encode (dot + bias + cos), packed XOR/popcount similarity, and the
 // quantized int8 dot — funnels through one table of function pointers, the
-// Kernels struct. Two backends are provided:
+// Kernels struct. Three backends are provided:
 //
 //  * scalar — portable C++, the reference semantics. Identical loop
-//    structure to the pre-kernel code, so a scalar-selected build computes
-//    bit-for-bit what the library always computed.
+//    structure to the pre-kernel code for dot, axpy and bind-and-bundle;
+//    the RBF encode tile's reference is an std::fma chain per output
+//    (kernels_rbf.cpp).
 //  * avx2   — AVX2+FMA intrinsics (x86-64 only), selected at startup via
 //    CPUID. 8/16-lane float kernels, a vpshufb nibble-LUT popcount, a
-//    vpmaddwd int8 dot, and an 8-lane polynomial cosine for the fused RBF
-//    encode.
+//    vpmaddwd int8 dot, and a ymm body of the fused RBF encode tile.
 //  * avx512 — AVX-512F 32-lane float kernels (dot, axpy, the blocked
-//    similarity tile), a 16-lane fused RBF encode tile that reproduces the
-//    avx2 tile per (flow, base) pair, a VPOPCNTDQ popcount and a VNNI int8
-//    tile when the CPU has them; the int8 dot (and, without those
-//    extensions, the popcount and int8 tile) is inherited from the avx2
-//    table, which any AVX-512 machine also runs.
+//    similarity tile), a zmm body of the fused RBF encode tile, a
+//    VPOPCNTDQ popcount and a VNNI int8 tile when the CPU has them; the
+//    int8 dot (and, without those extensions, the popcount and int8 tile)
+//    is inherited from the avx2 table, which any AVX-512 machine also runs.
 //
 // Selection happens exactly once (first call to active_kernels()): the
 // best table the CPUID feature bits allow — avx512, then avx2, then
@@ -32,12 +31,14 @@
 //  * integer kernels (xor_popcount_words, quantized_dot_i8, and the packed
 //    serving tiles similarities_tile_i8_gather / hamming_tile_1b_gather)
 //    are exact — backends must agree bit-for-bit;
-//  * float kernels may reassociate sums, so backends agree only to rounding
-//    (tests pin the tolerance);
-//  * within one backend, every (flow, base) entry of a cos_rbf_tile_f32
-//    call is bit-identical to a one-base, one-flow call on the same pair —
-//    encode() and encode_dims() stay consistent after regeneration — and
-//    the avx512 tile is bit-identical to the avx2 tile on every pair;
+//  * the fused RBF encode tile (cos_rbf_tile_f32) is exact too: every
+//    backend computes each output as the same FMA chain and the same
+//    cosine, so backends agree bit-for-bit, and each entry of a call is
+//    bit-identical to a one-flow, one-dimension call on the same pair —
+//    encode() and encode_dims() stay consistent after regeneration;
+//  * the other float kernels (dot_f32, axpy_f32, mul_acc_f32 and
+//    similarities_tile_f32_gather) may reassociate sums or fuse, so
+//    backends agree only to rounding (tests pin the tolerance);
 //  * within one backend, every similarities_tile_f32_gather entry is
 //    bit-identical to dot_f32 on its (row, class) pair.
 #pragma once
@@ -65,31 +66,29 @@ struct Kernels {
   void (*mul_acc_f32)(const float* a, const float* b, float* acc,
                       std::size_t n);
 
-  /// Multi-flow fused RBF encode tile:
-  ///   h[f * h_stride + r] =
-  ///       cos(dot(bases + r * cols, x + f * x_stride) + biases[r])
-  /// for f in [0, num_x), r in [0, rows). `bases` is a row-major
-  /// rows x cols panel, `x` holds num_x flow rows at stride `x_stride`
-  /// floats, and `h` receives each flow's encodings at stride `h_stride`
-  /// floats (callers pass bases + p0 * cols, biases + p0, and
-  /// h + p0 to fill an interior base panel [p0, p0 + rows)). SIMD
-  /// backends register-block over flows and base rows so each base row
-  /// loaded from L2/L3 is reused across the block, but every (base, flow)
-  /// dot accumulates in one fixed order and the cosine epilogue is
-  /// lane-independent — so each h entry is bit-identical to a one-base,
-  /// one-flow call over the same pair on the same backend. The avx2 and
-  /// avx512 tiles share that order: dot_f32_avx2's 16/8-float chunks and
-  /// hsum8 tree, then the cols mod 8 tail products, of which the first
-  /// 4 * floor(t / 4) are rounded and added in order and the remaining
-  /// t mod 4 fused (the tail rule, written out rather than left to the
-  /// compiler) — so the two backends encode identically. The per-sample
-  /// encode (num_x = 1) and the per-dimension refresh (rows = num_x = 1)
-  /// are this kernel's smallest shapes.
-  void (*cos_rbf_tile_f32)(const float* bases, std::size_t rows,
-                           std::size_t cols, const float* x,
-                           std::size_t num_x, std::size_t x_stride,
-                           const float* biases, float* h,
-                           std::size_t h_stride);
+  /// Multi-flow fused RBF encode tile over a feature-major base panel:
+  ///   h[f * h_stride + r] = cos(acc + biases[r]),
+  ///   acc = +0; acc = fma(bases[i * ld + r], x[f * x_stride + i], acc)
+  ///         for i = 0 .. features - 1,
+  /// for f in [0, num_x), r in [0, dims). `bases` is a features x dims
+  /// panel read at leading dimension `ld` >= dims (row i holds feature
+  /// i's weight in every output dimension), `x` holds num_x flow rows at
+  /// stride `x_stride` floats, and `h` receives each flow's encodings at
+  /// stride `h_stride` floats. An interior panel [p0, p0 + dims) of a
+  /// wider one is the call on bases + p0, biases + p0, h + p0 with the
+  /// wider panel's ld; one dimension is dims = 1. cos is the Cephes
+  /// polynomial cosine for |angle| < 8192 and std::cos for every other
+  /// angle (including NaN and +-Inf). Each output is that one chain in
+  /// that order on every backend — SIMD lanes are output dimensions — so
+  /// each h entry is bit-identical across backends (NaN payloads aside)
+  /// and to a one-flow, one-dimension call on the same pair. No backend reads a panel, bias
+  /// or flow float past the ones the formula names, or writes h outside
+  /// [0, dims) of each flow row.
+  void (*cos_rbf_tile_f32)(const float* bases, std::size_t ld,
+                           std::size_t dims, std::size_t features,
+                           const float* x, std::size_t num_x,
+                           std::size_t x_stride, const float* biases,
+                           float* h, std::size_t h_stride);
 
   /// sum_i popcount(a[i] ^ b[i]) — the Hamming distance of two packed
   /// bipolar hypervectors (bitpack.hpp guarantees padding bits are zero).
@@ -160,7 +159,7 @@ const Kernels& scalar_kernels() noexcept;
 /// CPU can run it — check cpu_supports_avx2() before calling it directly.
 const Kernels* avx2_kernels() noexcept;
 
-/// The AVX-512 backend (32-lane float kernels and a 16-lane encode tile
+/// The AVX-512 backend (32-lane float kernels and a zmm encode tile
 /// layered over the avx2 table, VPOPCNTDQ popcount and VNNI int8 tile when
 /// the CPU reports them), or nullptr when this binary
 /// was built for a non-x86 target. As with avx2_kernels(), a non-null

@@ -1,11 +1,11 @@
 // AVX-512 backend.
 //
 // Layered over the avx2 table: the 32-lane float kernels (dot, axpy,
-// mul_acc, the blocked similarity tile), a 16-lane fused RBF encode tile
-// and — when the CPU reports AVX512VPOPCNTDQ / AVX512VNNI — a vpopcntq
-// popcount and a vpdpbusd int8 tile replace their avx2 counterparts,
-// while the int8 dot is inherited unchanged (every AVX-512 CPU also runs
-// AVX2 code).
+// mul_acc, the blocked similarity tile), the zmm body of the fused RBF
+// encode tile (kernels_rbf.cpp) and — when the CPU reports
+// AVX512VPOPCNTDQ / AVX512VNNI — a vpopcntq popcount and a vpdpbusd int8
+// tile replace their avx2 counterparts, while the int8 dot is inherited
+// unchanged (every AVX-512 CPU also runs AVX2 code).
 //
 // Compiled via per-function target attributes like the avx2 backend, so
 // the translation unit is safe inside a portable binary: nothing here
@@ -20,11 +20,11 @@
 // scalar and avx2 backends (tests bound the difference). Within this
 // backend, the float similarity tile reproduces dot_f32's accumulation
 // order exactly — the bit-identical tile contract of kernels.hpp holds per
-// backend, as elsewhere. The encode tile instead reproduces the avx2
-// tile's order (dot_f32_avx2's chunks, hsum8's tree, the written-out tail
-// rule) and the avx2 cosine lane for lane, so this backend encodes every
-// flow exactly as the avx2 backend does.
+// backend, as elsewhere. The encode tile is exact across backends: its
+// zmm body runs the scalar reference's per-dimension FMA chain and cosine
+// lane for lane (kernels_rbf.cpp).
 #include "core/kernels/kernels.hpp"
+#include "core/kernels/kernels_rbf.hpp"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 
@@ -40,7 +40,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 
 #define CYBERHD_AVX512 __attribute__((target("avx512f,avx512dq,avx2,fma")))
 #define CYBERHD_AVX512_POPCNT \
@@ -162,272 +161,6 @@ CYBERHD_AVX512 void similarities_tile_f32_gather_avx512(
       out[r * num_classes + c] =
           dot_f32_avx512(h_rows[r], classes + c * dims, dims);
     }
-  }
-}
-
-// ---- the fused RBF encode tile ---------------------------------------------
-//
-// Bit-identical per (flow, base) pair to the avx2 table's tile, so the two
-// backends encode alike. A block covers 16 pairs in two 8-lane halves:
-// either two flows against the same 8 base rows, or (for a leftover flow)
-// one flow against 8 + 8 base rows. Per pair:
-//  * One zmm accumulator carries dot_f32_avx2's acc0 chain in lanes 0-7
-//    and its acc1 chain in lanes 8-15 — a 16-float chunk feeds both
-//    chains, and the leftover 8-float chunk (which lands in acc0) is a
-//    low-half masked FMA.
-//  * acc0 + acc1 of the block's two halves share one zmm; the 8 rows'
-//    sums are transposed within each half and reduced vertically with
-//    hsum8's add tree ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)).
-//  * The cols mod 8 tail columns are vectorized across the block's rows
-//    under rbf_tail_avx2's rule (rounded products first, then fused).
-//  * + bias, cos16 and the libm fallback for |angle| >= 8192 run in
-//    registers; masked loads and stores never touch a float outside a
-//    row or the [0, rows) output span.
-
-// cos8 of the avx2 table on 16 lanes: the same operations in the same
-// order, so each lane is bit-identical to the avx2 cosine.
-CYBERHD_AVX512 inline __m512 cos16(__m512 x) {
-  const __m512 abs_mask =
-      _mm512_castsi512_ps(_mm512_set1_epi32(0x7fffffff));
-  const __m512 four_over_pi = _mm512_set1_ps(1.27323954473516f);
-  const __m512 dp1 = _mm512_set1_ps(-0.78515625f);
-  const __m512 dp2 = _mm512_set1_ps(-2.4187564849853515625e-4f);
-  const __m512 dp3 = _mm512_set1_ps(-3.77489497744594108e-8f);
-
-  x = _mm512_and_ps(x, abs_mask);
-
-  __m512i j = _mm512_cvttps_epi32(_mm512_mul_ps(x, four_over_pi));
-  j = _mm512_add_epi32(j, _mm512_set1_epi32(1));
-  j = _mm512_and_si512(j, _mm512_set1_epi32(~1));
-  const __m512 y = _mm512_cvtepi32_ps(j);
-  j = _mm512_sub_epi32(j, _mm512_set1_epi32(2));
-
-  __m512i sign_i = _mm512_andnot_si512(j, _mm512_set1_epi32(4));
-  sign_i = _mm512_slli_epi32(sign_i, 29);
-  const __mmask16 poly_mask = _mm512_cmpeq_epi32_mask(
-      _mm512_and_si512(j, _mm512_set1_epi32(2)), _mm512_setzero_si512());
-  const __m512 sign = _mm512_castsi512_ps(sign_i);
-
-  x = _mm512_fmadd_ps(y, dp1, x);
-  x = _mm512_fmadd_ps(y, dp2, x);
-  x = _mm512_fmadd_ps(y, dp3, x);
-  const __m512 z = _mm512_mul_ps(x, x);
-
-  __m512 yc = _mm512_set1_ps(2.443315711809948e-5f);
-  yc = _mm512_fmadd_ps(yc, z, _mm512_set1_ps(-1.388731625493765e-3f));
-  yc = _mm512_fmadd_ps(yc, z, _mm512_set1_ps(4.166664568298827e-2f));
-  yc = _mm512_mul_ps(_mm512_mul_ps(yc, z), z);
-  yc = _mm512_fnmadd_ps(_mm512_set1_ps(0.5f), z, yc);
-  yc = _mm512_add_ps(yc, _mm512_set1_ps(1.0f));
-
-  __m512 ys = _mm512_set1_ps(-1.9515295891e-4f);
-  ys = _mm512_fmadd_ps(ys, z, _mm512_set1_ps(8.3321608736e-3f));
-  ys = _mm512_fmadd_ps(ys, z, _mm512_set1_ps(-1.6666654611e-1f));
-  ys = _mm512_mul_ps(ys, _mm512_mul_ps(z, x));
-  ys = _mm512_add_ps(ys, x);
-
-  return _mm512_xor_ps(_mm512_mask_blend_ps(poly_mask, yc, ys), sign);
-}
-
-/// The 8x8 transpose of each 256-bit half: lane k of out[i]'s half is
-/// lane i of v[k]'s half (the avx2 tile's unpack/shuffle/permute2f128
-/// network, per half).
-CYBERHD_AVX512 inline void transpose8_halves(const __m512 v[8],
-                                             __m512 out[8]) {
-  __m512 t[8], u[8];
-  for (int k = 0; k < 8; k += 2) {
-    t[k] = _mm512_unpacklo_ps(v[k], v[k + 1]);
-    t[k + 1] = _mm512_unpackhi_ps(v[k], v[k + 1]);
-  }
-  for (int k = 0; k < 8; k += 4) {
-    u[k] = _mm512_shuffle_ps(t[k], t[k + 2], _MM_SHUFFLE(1, 0, 1, 0));
-    u[k + 1] = _mm512_shuffle_ps(t[k], t[k + 2], _MM_SHUFFLE(3, 2, 3, 2));
-    u[k + 2] = _mm512_shuffle_ps(t[k + 1], t[k + 3], _MM_SHUFFLE(1, 0, 1, 0));
-    u[k + 3] = _mm512_shuffle_ps(t[k + 1], t[k + 3], _MM_SHUFFLE(3, 2, 3, 2));
-  }
-  // permute2f128(a, b, 0x20) / (a, b, 0x31) within each half.
-  const __m512i lo = _mm512_setr_epi32(0, 1, 2, 3, 16, 17, 18, 19, 8, 9, 10,
-                                       11, 24, 25, 26, 27);
-  const __m512i hi = _mm512_setr_epi32(4, 5, 6, 7, 20, 21, 22, 23, 12, 13,
-                                       14, 15, 28, 29, 30, 31);
-  for (int k = 0; k < 4; ++k) {
-    out[k] = _mm512_permutex2var_ps(u[k], lo, u[k + 4]);
-    out[k + 4] = _mm512_permutex2var_ps(u[k], hi, u[k + 4]);
-  }
-}
-
-/// Tail columns [t0, t0 + t) of the block's rows, transposed: lane k of
-/// tail[j]'s low half is ra[k][t0 + j], of its high half rb[k][t0 + j].
-CYBERHD_AVX512 inline void rbf_tail_columns(const float* const* ra,
-                                            const float* const* rb,
-                                            std::size_t t0, std::size_t t,
-                                            __m512 tail[8]) {
-  if (t == 0) return;
-  const __mmask16 m = static_cast<__mmask16>((1u << t) - 1);
-  __m512 row[8];
-  for (int k = 0; k < 8; ++k) {
-    row[k] = _mm512_insertf32x8(
-        _mm512_maskz_loadu_ps(m, ra[k] + t0),
-        _mm512_castps512_ps256(_mm512_maskz_loadu_ps(m, rb[k] + t0)), 1);
-  }
-  transpose8_halves(row, tail);
-}
-
-/// The 16 angles dot + bias of one block: with kTwoFlows, flow xa (low
-/// half) and flow xb (high half) against rows ra; otherwise flow xa
-/// against rows ra (low half) and rb (high half). `tail` holds
-/// rbf_tail_columns(ra, rb) and `bias` the matching biases.
-template <bool kTwoFlows>
-CYBERHD_AVX512 inline __m512 rbf_angles16(const float* const* ra,
-                                          const float* const* rb,
-                                          const float* xa, const float* xb,
-                                          std::size_t cols,
-                                          const __m512 tail[8],
-                                          __m512 bias) {
-  __m512 acc_a[8], acc_b[8];
-  for (int k = 0; k < 8; ++k) {
-    acc_a[k] = _mm512_setzero_ps();
-    acc_b[k] = _mm512_setzero_ps();
-  }
-  std::size_t i = 0;
-  for (; i + 16 <= cols; i += 16) {
-    const __m512 va = _mm512_loadu_ps(xa + i);
-    if constexpr (kTwoFlows) {
-      const __m512 vb = _mm512_loadu_ps(xb + i);
-      for (int k = 0; k < 8; ++k) {
-        const __m512 b = _mm512_loadu_ps(ra[k] + i);
-        acc_a[k] = _mm512_fmadd_ps(b, va, acc_a[k]);
-        acc_b[k] = _mm512_fmadd_ps(b, vb, acc_b[k]);
-      }
-    } else {
-      for (int k = 0; k < 8; ++k) {
-        acc_a[k] = _mm512_fmadd_ps(_mm512_loadu_ps(ra[k] + i), va, acc_a[k]);
-        acc_b[k] = _mm512_fmadd_ps(_mm512_loadu_ps(rb[k] + i), va, acc_b[k]);
-      }
-    }
-  }
-  if (i + 8 <= cols) {
-    constexpr __mmask16 kLow = 0x00ff;
-    const __m512 va = _mm512_maskz_loadu_ps(kLow, xa + i);
-    const __m512 vb = kTwoFlows ? _mm512_maskz_loadu_ps(kLow, xb + i) : va;
-    for (int k = 0; k < 8; ++k) {
-      const __m512 b = _mm512_maskz_loadu_ps(kLow, ra[k] + i);
-      acc_a[k] = _mm512_mask3_fmadd_ps(b, va, acc_a[k], kLow);
-      acc_b[k] = _mm512_mask3_fmadd_ps(
-          kTwoFlows ? b : _mm512_maskz_loadu_ps(kLow, rb[k] + i), vb,
-          acc_b[k], kLow);
-    }
-    i += 8;
-  }
-  // acc0 + acc1 per pair, half a's in the low 256 bits, half b's above.
-  __m512 v[8], s[8];
-  for (int k = 0; k < 8; ++k) {
-    v[k] = _mm512_add_ps(
-        _mm512_shuffle_f32x4(acc_a[k], acc_b[k], _MM_SHUFFLE(1, 0, 1, 0)),
-        _mm512_shuffle_f32x4(acc_a[k], acc_b[k], _MM_SHUFFLE(3, 2, 3, 2)));
-  }
-  transpose8_halves(v, s);
-  __m512 sum = _mm512_add_ps(
-      _mm512_add_ps(_mm512_add_ps(s[0], s[4]), _mm512_add_ps(s[2], s[6])),
-      _mm512_add_ps(_mm512_add_ps(s[1], s[5]), _mm512_add_ps(s[3], s[7])));
-  const std::size_t t = cols - i;
-  for (std::size_t j = 0; j < t; ++j) {
-    const __m512 xj =
-        kTwoFlows ? _mm512_insertf32x8(_mm512_set1_ps(xa[i + j]),
-                                       _mm256_set1_ps(xb[i + j]), 1)
-                  : _mm512_set1_ps(xa[i + j]);
-    if (j < t / 4 * 4) {
-      // Rounded on its own, as rbf_tail_avx2 (the asm keeps
-      // -ffp-contract=fast from fusing it into the add).
-      __m512 p = _mm512_mul_ps(tail[j], xj);
-      __asm__("" : "+v"(p));
-      sum = _mm512_add_ps(sum, p);
-    } else {
-      sum = _mm512_fmadd_ps(tail[j], xj, sum);
-    }
-  }
-  return _mm512_add_ps(sum, bias);
-}
-
-/// cos16 of the angles, with the lanes in `valid` at |angle| >= 8192 —
-/// past the polynomial's reduction range — redone by libm.
-CYBERHD_AVX512 inline __m512 rbf_cos16(__m512 angle, __mmask16 valid) {
-  const __m512 c = cos16(angle);
-  const __mmask16 oob = _mm512_mask_cmp_ps_mask(
-      valid,
-      _mm512_and_ps(angle,
-                    _mm512_castsi512_ps(_mm512_set1_epi32(0x7fffffff))),
-      _mm512_set1_ps(8192.0f), _CMP_GE_OQ);
-  if (oob == 0) return c;
-  alignas(64) float a[16];
-  alignas(64) float value[16];
-  _mm512_store_ps(a, angle);
-  _mm512_store_ps(value, c);
-  for (int k = 0; k < 16; ++k) {
-    if ((oob >> k) & 1) value[k] = std::cos(a[k]);
-  }
-  return _mm512_load_ps(value);
-}
-
-/// Lane mask of the first n (<= 16) lanes.
-inline __mmask16 first_lanes(std::size_t n) {
-  return static_cast<__mmask16>((1u << n) - 1);
-}
-
-CYBERHD_AVX512 void cos_rbf_tile_f32_avx512(const float* bases,
-                                            std::size_t rows,
-                                            std::size_t cols, const float* x,
-                                            std::size_t num_x,
-                                            std::size_t x_stride,
-                                            const float* biases, float* h,
-                                            std::size_t h_stride) {
-  const std::size_t t0 = cols / 8 * 8;
-  const std::size_t t = cols - t0;
-  const std::size_t pairs_end = num_x / 2 * 2;
-  // Flow pairs: each 8-row base block (ragged last block aliased to its
-  // last row, masked out) with its tail columns and biases is replayed
-  // across every pair.
-  for (std::size_t r = 0; pairs_end != 0 && r < rows; r += 8) {
-    const std::size_t nb = std::min<std::size_t>(8, rows - r);
-    const float* br[8];
-    for (std::size_t k = 0; k < 8; ++k) {
-      br[k] = bases + (r + std::min(k, nb - 1)) * cols;
-    }
-    __m512 tail[8] = {};
-    rbf_tail_columns(br, br, t0, t, tail);
-    const __mmask16 half = first_lanes(nb);
-    const __m512 b8 = _mm512_maskz_loadu_ps(half, biases + r);
-    const __m512 bias = _mm512_shuffle_f32x4(b8, b8, _MM_SHUFFLE(1, 0, 1, 0));
-    const __mmask16 valid = static_cast<__mmask16>(half | (half << 8));
-    for (std::size_t f = 0; f < pairs_end; f += 2) {
-      const float* xa = x + f * x_stride;
-      const __m512 c = rbf_cos16(
-          rbf_angles16<true>(br, br, xa, xa + x_stride, cols, tail, bias),
-          valid);
-      _mm512_mask_storeu_ps(h + f * h_stride + r, half, c);
-      _mm512_mask_storeu_ps(
-          h + (f + 1) * h_stride + r, half,
-          _mm512_shuffle_f32x4(c, c, _MM_SHUFFLE(3, 2, 3, 2)));
-    }
-  }
-  if (pairs_end == num_x) return;
-  // The leftover flow: 16 base rows per block, in two halves.
-  const float* xf = x + pairs_end * x_stride;
-  float* hf = h + pairs_end * h_stride;
-  for (std::size_t r = 0; r < rows; r += 16) {
-    const std::size_t nb = std::min<std::size_t>(16, rows - r);
-    const float* br[16];
-    for (std::size_t k = 0; k < 16; ++k) {
-      br[k] = bases + (r + std::min(k, nb - 1)) * cols;
-    }
-    __m512 tail[8] = {};
-    rbf_tail_columns(br, br + 8, t0, t, tail);
-    const __mmask16 valid = first_lanes(nb);
-    const __m512 bias = _mm512_maskz_loadu_ps(valid, biases + r);
-    _mm512_mask_storeu_ps(
-        hf + r, valid,
-        rbf_cos16(rbf_angles16<false>(br, br + 8, xf, xf, cols, tail, bias),
-                  valid));
   }
 }
 
@@ -576,16 +309,15 @@ CYBERHD_AVX512_VNNI void similarities_tile_i8_gather_avx512vnni(
 }
 
 /// Assembled once at first use: start from the avx2 table (int8 dot and
-/// tile), overlay the 32-lane float kernels and the 16-lane encode tile,
+/// tile), overlay the 32-lane float kernels and the zmm encode tile,
 /// and take the VPOPCNTDQ popcount / VNNI int8 tile only when the CPU has
 /// them.
 const Kernels make_avx512_table() noexcept {
   Kernels k = *avx2_kernels();
   k.name = "avx512";
   // The encode tile uses AVX512F + DQ only (no VL forms), which
-  // cpu_supports_avx512() already requires of this table; it reproduces
-  // the avx2 tile per pair, so the backend's encodings are unchanged.
-  k.cos_rbf_tile_f32 = cos_rbf_tile_f32_avx512;
+  // cpu_supports_avx512() already requires of this table.
+  k.cos_rbf_tile_f32 = detail::cos_rbf_tile_f32_avx512;
   k.dot_f32 = dot_f32_avx512;
   k.axpy_f32 = axpy_f32_avx512;
   k.mul_acc_f32 = mul_acc_f32_avx512;

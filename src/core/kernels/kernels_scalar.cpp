@@ -1,12 +1,15 @@
 // Portable scalar backend — the reference semantics of every kernel.
 //
 // The float loops are ported verbatim from the pre-kernel implementations
-// (core/matrix.cpp, hdc/encoder.cpp, core/bitpack.cpp), so a scalar-selected
-// build reproduces the library's historical numerics bit-for-bit.
+// (core/matrix.cpp, core/bitpack.cpp), so a scalar-selected build
+// reproduces the library's historical dot, axpy and bind-and-bundle
+// numerics bit-for-bit. The RBF encode tile's reference body sits in
+// kernels_rbf.cpp next to the SIMD bodies, which match it bit for bit.
 #include <bit>
 #include <cmath>
 
 #include "core/kernels/kernels.hpp"
+#include "core/kernels/kernels_rbf.hpp"
 
 namespace cyberhd::core {
 namespace {
@@ -32,24 +35,6 @@ void axpy_f32_scalar(float alpha, const float* x, float* y, std::size_t n) {
 void mul_acc_f32_scalar(const float* a, const float* b, float* acc,
                         std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) acc[i] += a[i] * b[i];
-}
-
-void cos_rbf_tile_f32_scalar(const float* bases, std::size_t rows,
-                             std::size_t cols, const float* x,
-                             std::size_t num_x, std::size_t x_stride,
-                             const float* biases, float* h,
-                             std::size_t h_stride) {
-  // Reference semantics: per (flow, base) pair one cos of dot_f32 + bias.
-  // SIMD backends block over flows for base-row reuse but must reproduce
-  // exactly these per-pair values.
-  for (std::size_t f = 0; f < num_x; ++f) {
-    const float* xf = x + f * x_stride;
-    float* hf = h + f * h_stride;
-    for (std::size_t r = 0; r < rows; ++r) {
-      hf[r] =
-          std::cos(dot_f32_scalar(bases + r * cols, xf, cols) + biases[r]);
-    }
-  }
 }
 
 std::size_t xor_popcount_words_scalar(const std::uint64_t* a,
@@ -120,7 +105,7 @@ constexpr Kernels kScalarKernels = {
     .dot_f32 = dot_f32_scalar,
     .axpy_f32 = axpy_f32_scalar,
     .mul_acc_f32 = mul_acc_f32_scalar,
-    .cos_rbf_tile_f32 = cos_rbf_tile_f32_scalar,
+    .cos_rbf_tile_f32 = detail::cos_rbf_tile_f32_scalar,
     .xor_popcount_words = xor_popcount_words_scalar,
     .quantized_dot_i8 = quantized_dot_i8_scalar,
     .similarities_tile_f32_gather = similarities_tile_f32_gather_scalar,

@@ -18,9 +18,16 @@ void Matrix::resize(std::size_t rows, std::size_t cols) {
 
 Matrix Matrix::transposed() const {
   Matrix t(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) {
-      t(c, r) = (*this)(r, c);
+  // 16 x 16 tiles: every source and destination row segment of a tile is
+  // one cache line, so neither side strides a line per element.
+  constexpr std::size_t kTile = 16;
+  for (std::size_t r0 = 0; r0 < rows_; r0 += kTile) {
+    const std::size_t r1 = std::min(rows_, r0 + kTile);
+    for (std::size_t c0 = 0; c0 < cols_; c0 += kTile) {
+      const std::size_t c1 = std::min(cols_, c0 + kTile);
+      for (std::size_t r = r0; r < r1; ++r) {
+        for (std::size_t c = c0; c < c1; ++c) t(c, r) = (*this)(r, c);
+      }
     }
   }
   return t;

@@ -74,16 +74,20 @@ void Encoder::encode_batch_dims(const core::Matrix& x,
 
 RbfEncoder::RbfEncoder(std::size_t input_dim, std::size_t output_dim,
                        core::Rng& rng, float lengthscale)
-    : bases_(output_dim, input_dim),
+    : bases_(input_dim, output_dim),
       biases_(output_dim, 0.0f),
       lengthscale_(lengthscale) {
   assert(input_dim > 0 && output_dim > 0 && lengthscale > 0.0f);
-  for (std::size_t d = 0; d < output_dim; ++d) sample_row(d, rng);
+  for (std::size_t d = 0; d < output_dim; ++d) sample_dim(d, rng);
 }
 
-void RbfEncoder::sample_row(std::size_t d, core::Rng& rng) {
+void RbfEncoder::sample_dim(std::size_t d, core::Rng& rng) {
+  // Dimension d's F base weights, then its bias: the draw order of the
+  // saved D x F layout's row d, so a seed gives the same encoder as ever.
   const float stddev = 1.0f / lengthscale_;
-  core::fill_gaussian(rng, bases_.row(d).data(), bases_.cols(), 0.0f, stddev);
+  for (std::size_t i = 0; i < input_dim(); ++i) {
+    bases_(i, d) = static_cast<float>(rng.gaussian(0.0f, stddev));
+  }
   biases_[d] =
       static_cast<float>(rng.uniform(0.0, 2.0 * std::numbers::pi));
 }
@@ -91,11 +95,10 @@ void RbfEncoder::sample_row(std::size_t d, core::Rng& rng) {
 void RbfEncoder::encode(std::span<const float> x, std::span<float> h) const {
   assert(x.size() == input_dim());
   assert(h.size() == output_dim());
-  // One fused one-flow tile call over the whole contiguous D x F base
-  // block.
+  // One fused one-flow tile call over the whole F x D panel.
   core::active_kernels().cos_rbf_tile_f32(
-      bases_.data(), output_dim(), input_dim(), x.data(), 1, input_dim(),
-      biases_.data(), h.data(), output_dim());
+      bases_.data(), output_dim(), output_dim(), input_dim(), x.data(), 1,
+      input_dim(), biases_.data(), h.data(), output_dim());
 }
 
 void RbfEncoder::encode_dims(std::span<const float> x,
@@ -106,36 +109,13 @@ void RbfEncoder::encode_dims(std::span<const float> x,
   const core::Kernels& k = core::active_kernels();
   for (std::size_t d : dims) {
     assert(d < output_dim());
-    // A one-base, one-flow call is bit-identical to the same entry of the
-    // full encode (kernels.hpp contract), so regenerated columns match a
-    // fresh encode.
-    k.cos_rbf_tile_f32(bases_.row(d).data(), 1, input_dim(), x.data(), 1,
-                       input_dim(), &biases_[d], &h[d], 1);
+    // Column d of the panel: a one-dimension call is bit-identical to the
+    // same entry of the full encode (kernels.hpp contract), so regenerated
+    // columns match a fresh encode.
+    k.cos_rbf_tile_f32(bases_.data() + d, output_dim(), 1, input_dim(),
+                       x.data(), 1, input_dim(), &biases_[d], &h[d], 1);
   }
 }
-
-namespace {
-
-/// Rows [begin, end) of x through the encode tile against a dims x F base
-/// block: the base block is walked in L2-resident panels, and the tile
-/// kernel replays each panel row across the whole flow block. x rows
-/// [begin, end) are contiguous at stride x.cols(), so the kernel streams
-/// them directly.
-void rbf_tile_panels(const core::Kernels& k, std::size_t panel_rows,
-                     const float* bases, const float* biases,
-                     std::size_t dims, const core::Matrix& x,
-                     std::size_t begin, std::size_t end, float* out,
-                     std::size_t out_stride) {
-  const std::size_t features = x.cols();
-  for (std::size_t p = 0; p < dims; p += panel_rows) {
-    const std::size_t pr = std::min(panel_rows, dims - p);
-    k.cos_rbf_tile_f32(bases + p * features, pr, features,
-                       x.row(begin).data(), end - begin, features,
-                       biases + p, out + p, out_stride);
-  }
-}
-
-}  // namespace
 
 void RbfEncoder::encode_tile_block(const core::Matrix& x, std::size_t begin,
                                    std::size_t end, float* out,
@@ -143,11 +123,10 @@ void RbfEncoder::encode_tile_block(const core::Matrix& x, std::size_t begin,
                                    const core::ExecutionContext& exec) const {
   assert(x.cols() == input_dim());
   if (end == begin) return;
-  const core::EncodeTilePlan plan =
-      exec.plan_encode_tile(output_dim(), input_dim());
-  rbf_tile_panels(exec.kernels(), plan.panel_rows, bases_.data(),
-                  biases_.data(), output_dim(), x, begin, end, out,
-                  out_stride);
+  exec.kernels().cos_rbf_tile_f32(bases_.data(), output_dim(), output_dim(),
+                                  input_dim(), x.row(begin).data(),
+                                  end - begin, x.cols(), biases_.data(), out,
+                                  out_stride);
 }
 
 void RbfEncoder::encode_batch_dims(const core::Matrix& x,
@@ -157,20 +136,23 @@ void RbfEncoder::encode_batch_dims(const core::Matrix& x,
   assert(x.cols() == input_dim());
   assert(h.rows() == x.rows() && h.cols() == output_dim());
   if (dims.empty() || x.rows() == 0) return;
-  // Gather the touched dimensions' private state once: a contiguous
-  // |dims| x F base block plus a bias vector. Flow blocks then refresh
-  // through the multi-flow tile into a reused scratch, scattered into the
-  // touched columns; the tile's per-entry contract keeps every value
-  // bit-identical to the per-dimension default.
+  // Gather the touched dimensions' private state once: their columns of
+  // the panel as a compact F x |dims| panel, plus a bias vector. Flow
+  // blocks then refresh through the multi-flow tile into a reused scratch,
+  // scattered into the touched columns; every value is the same chain a
+  // fresh encode runs (kernels.hpp contract).
   const std::size_t nd = dims.size();
   const std::size_t features = input_dim();
-  core::Matrix gathered_bases(nd, features);
+  core::Matrix gathered_bases(features, nd);
   std::vector<float> gathered_biases(nd);
   for (std::size_t j = 0; j < nd; ++j) {
     assert(dims[j] < output_dim());
-    const auto src = bases_.row(dims[j]);
-    std::copy(src.begin(), src.end(), gathered_bases.row(j).begin());
     gathered_biases[j] = biases_[dims[j]];
+  }
+  for (std::size_t i = 0; i < features; ++i) {
+    const float* src = bases_.row(i).data();
+    float* dst = gathered_bases.row(i).data();
+    for (std::size_t j = 0; j < nd; ++j) dst[j] = src[dims[j]];
   }
   const core::EncodeTilePlan plan = exec.plan_encode_tile(nd, features);
   const core::Kernels& k = exec.kernels();
@@ -180,9 +162,9 @@ void RbfEncoder::encode_batch_dims(const core::Matrix& x,
         std::vector<float> fresh(std::min(plan.flow_rows, end - begin) * nd);
         for (std::size_t t = begin; t < end; t += plan.flow_rows) {
           const std::size_t e = std::min(end, t + plan.flow_rows);
-          rbf_tile_panels(k, plan.panel_rows, gathered_bases.data(),
-                          gathered_biases.data(), nd, x, t, e, fresh.data(),
-                          nd);
+          k.cos_rbf_tile_f32(gathered_bases.data(), nd, nd, features,
+                             x.row(t).data(), e - t, x.cols(),
+                             gathered_biases.data(), fresh.data(), nd);
           for (std::size_t i = t; i < e; ++i) {
             const float* src = fresh.data() + (i - t) * nd;
             auto row = h.row(i);
@@ -197,7 +179,7 @@ void RbfEncoder::regenerate(std::span<const std::size_t> dims,
                             core::Rng& rng) {
   for (std::size_t d : dims) {
     assert(d < output_dim());
-    sample_row(d, rng);
+    sample_dim(d, rng);
   }
 }
 
@@ -402,9 +384,11 @@ core::Matrix read_matrix(std::istream& in) {
 }  // namespace
 
 void RbfEncoder::serialize(std::ostream& out) const {
+  // The stream keeps the D x F layout (row d is dimension d's bases), so
+  // saved models load across the panel's in-memory transposition.
   core::io::write_tag(out, "ERBF");
   core::io::write_f32(out, lengthscale_);
-  write_matrix(out, bases_);
+  write_matrix(out, bases_.transposed());
   core::io::write_f32_array(out, biases_);
 }
 
@@ -430,9 +414,9 @@ std::unique_ptr<Encoder> deserialize_encoder(std::istream& in) {
   if (kind == "ERBF") {
     auto enc = std::unique_ptr<RbfEncoder>(new RbfEncoder());
     enc->lengthscale_ = core::io::read_f32(in);
-    enc->bases_ = read_matrix(in);
+    enc->bases_ = read_matrix(in).transposed();
     enc->biases_ = core::io::read_f32_array(in);
-    if (enc->biases_.size() != enc->bases_.rows()) {
+    if (enc->biases_.size() != enc->bases_.cols()) {
       throw std::runtime_error("rbf bias/bases mismatch");
     }
     return enc;

@@ -88,10 +88,10 @@ class Encoder {
 
   /// Serial building block of encode_tile: encode rows [begin, end) of X
   /// on the calling thread. The default walks the rows one encode() at a
-  /// time; families whose per-dimension state is one contiguous block (the
-  /// RBF and sign-projection encoders) override it with a register-blocked
-  /// tile over the flow block — every value bit-identical to the per-row
-  /// walk on the same backend.
+  /// time; families whose state is one base panel (the RBF and
+  /// sign-projection encoders) override it with a register-blocked tile
+  /// over the flow block — every value bit-identical to the per-row walk
+  /// on the same backend.
   virtual void encode_tile_block(const core::Matrix& x, std::size_t begin,
                                  std::size_t end, float* out,
                                  std::size_t out_stride,
@@ -99,8 +99,8 @@ class Encoder {
 
   /// Recompute columns `dims` of H for every row of X (after regeneration).
   /// The default loops encode_dims() row by row; families whose
-  /// per-dimension state can be gathered into one contiguous block (the
-  /// RBF encoder) override it to refresh blocks of samples through the
+  /// per-dimension state can be gathered into one compact panel (the RBF
+  /// encoder) override it to refresh blocks of samples through the
   /// multi-flow encode tile — per-value results are bit-identical either
   /// way.
   virtual void encode_batch_dims(const core::Matrix& x,
@@ -113,6 +113,15 @@ class Encoder {
 /// Random-Fourier-feature encoder: h_d = cos(b_d . x + c_d) with
 /// b_d ~ N(0, (1/lengthscale^2) I) and c_d ~ U[0, 2pi). Encodes the RBF
 /// kernel: E[h(x) . h(y)] ~ exp(-|x-y|^2 / (2 lengthscale^2)) * D / 2.
+///
+/// The bases live in memory as one feature-major F x D panel — row i holds
+/// feature i's weight in every dimension, so dimension d's b_d is column d
+/// — which is the layout cos_rbf_tile_f32 streams with output dimensions
+/// in SIMD lanes. Every encode, per sample, per dimension or batched, is
+/// one call of that kernel on the panel (or on a gathered copy of some of
+/// its columns), so all of them compute each value the same way on every
+/// backend. Saved models keep the D x F layout, and each dimension draws
+/// its F weights then its bias from the Rng, as it always has.
 class RbfEncoder final : public Encoder {
  public:
   friend std::unique_ptr<Encoder> deserialize_encoder(std::istream&);
@@ -124,27 +133,27 @@ class RbfEncoder final : public Encoder {
              float lengthscale = 1.0f);
 
   EncoderKind kind() const noexcept override { return EncoderKind::kRbf; }
-  std::size_t input_dim() const noexcept override { return bases_.cols(); }
-  std::size_t output_dim() const noexcept override { return bases_.rows(); }
+  std::size_t input_dim() const noexcept override { return bases_.rows(); }
+  std::size_t output_dim() const noexcept override { return bases_.cols(); }
   void encode(std::span<const float> x, std::span<float> h) const override;
   void encode_dims(std::span<const float> x,
                    std::span<const std::size_t> dims,
                    std::span<float> h) const override;
-  /// GEMM-shaped batched encode: streams the base matrix in L2-sized
-  /// panels through cos_rbf_tile_f32, register-blocking over the block's
-  /// flows so each base row is fetched once per block instead of once per
-  /// flow. Bit-identical per backend to per-row encode() (the tile
-  /// kernel's contract).
+  /// GEMM-shaped batched encode: one cos_rbf_tile_f32 call over the whole
+  /// panel and the block's flows. The kernel walks the panel in
+  /// dimension strips that stay in L1 while the flows stream past, so each
+  /// base weight is fetched once per block instead of once per flow.
+  /// Bit-identical to per-row encode() (the tile kernel's contract).
   void encode_tile_block(const core::Matrix& x, std::size_t begin,
                          std::size_t end, float* out,
                          std::size_t out_stride,
                          const core::ExecutionContext& exec) const override;
-  /// Regeneration-refresh fast path: gathers the listed dimensions' bases
-  /// and biases into one contiguous block once, then refreshes
-  /// plan_encode_tile(|dims|, F).flow_rows samples per multi-flow
-  /// cos_rbf_tile_f32 call into a reused scratch, scattered into the
-  /// touched columns (the default would issue |dims| one-base kernel calls
-  /// per sample).
+  /// Regeneration-refresh fast path: gathers the listed dimensions'
+  /// columns and biases into one compact F x |dims| panel once, then
+  /// refreshes plan_encode_tile(|dims|, F).flow_rows samples per
+  /// multi-flow cos_rbf_tile_f32 call into a reused scratch, scattered
+  /// into the touched columns (the default would issue |dims|
+  /// one-dimension kernel calls per sample).
   void encode_batch_dims(const core::Matrix& x,
                          std::span<const std::size_t> dims, core::Matrix& h,
                          const core::ExecutionContext& exec =
@@ -155,7 +164,8 @@ class RbfEncoder final : public Encoder {
 
   void serialize(std::ostream& out) const override;
 
-  /// Base-vector matrix (D x F); row d is dimension d's private state.
+  /// The base panel, F x D (feature-major): column d is dimension d's
+  /// private base vector. serialize() writes its D x F transpose.
   const core::Matrix& bases() const noexcept { return bases_; }
   /// Per-dimension phase shifts (size D).
   std::span<const float> biases() const noexcept { return biases_; }
@@ -163,9 +173,10 @@ class RbfEncoder final : public Encoder {
 
  private:
   RbfEncoder() = default;
-  void sample_row(std::size_t d, core::Rng& rng);
+  /// Draws dimension d's base vector (column d), then its bias.
+  void sample_dim(std::size_t d, core::Rng& rng);
 
-  core::Matrix bases_;         // D x F
+  core::Matrix bases_;         // F x D
   std::vector<float> biases_;  // D
   float lengthscale_ = 1.0f;
 };

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <vector>
 
+#include "core/kernels/kernels.hpp"
 #include "core/matrix.hpp"
 #include "core/rng.hpp"
 
@@ -27,8 +29,9 @@ TEST(RbfEncoder, Shapes) {
   RbfEncoder enc(10, 64, rng);
   EXPECT_EQ(enc.input_dim(), 10u);
   EXPECT_EQ(enc.output_dim(), 64u);
-  EXPECT_EQ(enc.bases().rows(), 64u);
-  EXPECT_EQ(enc.bases().cols(), 10u);
+  // The base panel is feature-major: F x D.
+  EXPECT_EQ(enc.bases().rows(), 10u);
+  EXPECT_EQ(enc.bases().cols(), 64u);
   EXPECT_EQ(enc.biases().size(), 64u);
 }
 
@@ -262,6 +265,55 @@ TEST(EncoderBatch, BatchDimsUpdatesColumns) {
       enc.encode_batch(x, h_full, *exec);
       EXPECT_EQ(h_updated, h_full)
           << "rows=" << rows << " pooled=" << (exec == &pooled);
+    }
+  }
+}
+
+/// Every backend this host can run.
+std::vector<const core::Kernels*> runnable_backends() {
+  std::vector<const core::Kernels*> backends = {&core::scalar_kernels()};
+  if (core::cpu_supports_avx2()) backends.push_back(core::avx2_kernels());
+  if (core::cpu_supports_avx512()) backends.push_back(core::avx512_kernels());
+  return backends;
+}
+
+TEST(EncoderBatch, EncodesIdenticallyOnEveryBackend) {
+  // The encode tile is exact across backends, so a batched encode and a
+  // regeneration refresh write the same bytes under a context carrying any
+  // backend's table: at the served shape (F = 78, D = 512) and at a ragged
+  // D, with a refresh of a ragged number of dimensions.
+  constexpr std::size_t kFeatures = 78;
+  for (std::size_t dims_out : {std::size_t{512}, std::size_t{100}}) {
+    std::vector<std::size_t> dims;
+    for (std::size_t d = 3; d < dims_out; d += 7) dims.push_back(d);
+    core::Matrix x(37, kFeatures);
+    core::Rng data_rng(61);
+    core::fill_uniform(data_rng, x.data(), x.size(), 0.0f, 1.0f);
+    core::Matrix want_batch, want_refresh;
+    for (const core::Kernels* k : runnable_backends()) {
+      const core::ExecutionContext exec(nullptr, k,
+                                        core::CacheTopology::detected());
+      core::Rng rng(59);
+      RbfEncoder enc(kFeatures, dims_out, rng);
+      core::Matrix h;
+      enc.encode_batch(x, h, exec);
+      core::Rng regen_rng(67);
+      enc.regenerate(dims, regen_rng);
+      core::Matrix refreshed = h;
+      enc.encode_batch_dims(x, dims, refreshed, exec);
+      if (k == &core::scalar_kernels()) {
+        want_batch = h;
+        want_refresh = refreshed;
+        continue;
+      }
+      EXPECT_EQ(std::memcmp(h.data(), want_batch.data(),
+                            h.size() * sizeof(float)),
+                0)
+          << k->name << " D=" << dims_out;
+      EXPECT_EQ(std::memcmp(refreshed.data(), want_refresh.data(),
+                            refreshed.size() * sizeof(float)),
+                0)
+          << k->name << " D=" << dims_out;
     }
   }
 }

@@ -146,7 +146,10 @@ TEST_F(PipelineTest, RegenerationBeatsStaticAtSameDims) {
       static_model.evaluate(split().test.x, split().test.y);
   const double regen_acc =
       regen_model.evaluate(split().test.x, split().test.y);
-  EXPECT_GT(regen_acc, static_acc - 0.005);
+  // Regeneration must win by a margin, not merely tie: on this split it
+  // reads about 0.81 against static's 0.64.
+  EXPECT_GT(regen_acc, static_acc + 0.10)
+      << "static " << static_acc << ", regen " << regen_acc;
   EXPECT_GT(regen_model.effective_dims(), regen_model.physical_dims());
 }
 

@@ -2,12 +2,12 @@
 //  * scalar and AVX2 backends agree bit-exactly on the integer kernels
 //    (XOR/popcount, int8 dot) and to rounding tolerance on the float
 //    kernels, on randomized inputs including non-multiple-of-64/8 tails;
-//  * the float tiles reproduce their per-pair reference bit-exactly per
-//    backend: each similarities_tile_f32_gather entry is dot_f32 on its
-//    pair, and each cos_rbf_tile_f32 entry a one-base, one-flow call (what
-//    keeps encode() and encode_dims() coherent); the avx512 encode tile
-//    also matches the avx2 one per pair, and no backend's encode tile
-//    reads past its inputs;
+//  * the float similarity tile reproduces dot_f32 per pair bit-exactly per
+//    backend;
+//  * the RBF encode tile is exact across backends: every backend matches
+//    the scalar reference bit for bit, each entry equals a one-flow,
+//    one-dimension call (what keeps encode() and encode_dims() coherent),
+//    and no backend's encode tile reads past its inputs;
 //  * predict/scores and predict_batch/scores_batch reproduce written-out
 //    references (tests/scoring_reference.hpp) bit-exactly for CyberHD and
 //    its quantized snapshots;
@@ -21,6 +21,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <new>
 #include <thread>
 #include <vector>
@@ -181,7 +182,8 @@ TEST(KernelParity, QuantizedDotI8BitExact) {
 // every tested row count), so the tests also prove the kernels follow
 // arbitrary pointer tables rather than assuming h + r * dims.
 
-std::vector<const core::Kernels*> gather_backends() {
+/// Every backend this host can run.
+std::vector<const core::Kernels*> runnable_backends() {
   std::vector<const core::Kernels*> backends = {&core::scalar_kernels()};
   if (const core::Kernels* avx2 = runnable_avx2()) backends.push_back(avx2);
   if (const core::Kernels* avx512 = runnable_avx512()) {
@@ -196,7 +198,7 @@ std::vector<const core::Kernels*> gather_backends() {
 /// "batching never changes results" guarantee on. Rows straddle the 4-row
 /// register block, dims the SIMD widths and tails.
 TEST(KernelGather, SimilaritiesTileF32GatherMatchesPerPairDotBitExactly) {
-  for (const core::Kernels* k : gather_backends()) {
+  for (const core::Kernels* k : runnable_backends()) {
     for (std::size_t rows : {1u, 3u, 4u, 5u, 8u, 17u}) {
       for (std::size_t classes : {1u, 2u, 3u, 10u}) {
         for (std::size_t dims : {1u, 7u, 8u, 16u, 17u, 31u, 65u, 100u, 118u,
@@ -234,7 +236,7 @@ TEST(KernelGather, SimilaritiesTileF32GatherMatchesPerPairDotBitExactly) {
 TEST(KernelGather, SimilaritiesTileI8GatherMatchesPerPairDotExactly) {
   const core::Kernels& scalar = core::scalar_kernels();
   core::Rng rng(21);
-  for (const core::Kernels* k : gather_backends()) {
+  for (const core::Kernels* k : runnable_backends()) {
     for (std::size_t rows : {1u, 3u, 4u, 5u, 8u, 17u}) {
       for (std::size_t classes : {1u, 2u, 3u, 10u}) {
         for (std::size_t dims : {1u, 7u, 15u, 16u, 17u, 63u, 64u, 65u, 100u,
@@ -283,7 +285,7 @@ TEST(KernelTile, SimilaritiesTileI8SaturatedAccumulatorChunks) {
   std::vector<const std::int8_t*> tbl(rows);
   for (std::size_t r = 0; r < rows; ++r) tbl[r] = h.data() + r * big;
   const core::Kernels& scalar = core::scalar_kernels();
-  for (const core::Kernels* k : gather_backends()) {
+  for (const core::Kernels* k : runnable_backends()) {
     std::vector<std::int64_t> out(rows * 2, 0);
     k->similarities_tile_i8_gather(tbl.data(), rows, cls.data(), 2, big,
                                    out.data());
@@ -302,7 +304,7 @@ TEST(KernelTile, SimilaritiesTileI8SaturatedAccumulatorChunks) {
 TEST(KernelGather, HammingTile1bGatherMatchesPerPairPopcountExactly) {
   const core::Kernels& scalar = core::scalar_kernels();
   core::Rng rng(23);
-  for (const core::Kernels* k : gather_backends()) {
+  for (const core::Kernels* k : runnable_backends()) {
     for (std::size_t rows : {1u, 3u, 4u, 5u, 8u, 17u}) {
       for (std::size_t classes : {1u, 2u, 3u, 10u}) {
         for (std::size_t words : {1u, 2u, 7u, 8u, 9u, 31u, 64u, 257u}) {
@@ -386,90 +388,118 @@ TEST(KernelParity, Avx512XorPopcountBitExact) {
 }
 
 // ---- the fused RBF encode tile ----------------------------------------------
+//
+// The bases are a feature-major panel, cols (features) rows of `ld` floats:
+// the weight of feature i in output dimension r sits at bases[i * ld + r],
+// and only r < rows (the output dimensions) is part of the panel.
+
+/// A cols x ld panel of N(0, 1) weights whose pad columns [rows, ld) hold
+/// NaN: a kernel that folded a pad float into an output would turn it NaN.
+std::vector<float> rbf_panel(std::size_t cols, std::size_t rows,
+                             std::size_t ld, std::uint64_t seed) {
+  const auto w = gaussian_vec(cols * rows, seed);
+  std::vector<float> panel(cols * ld, std::nanf(""));
+  for (std::size_t i = 0; i < cols; ++i) {
+    std::copy_n(w.begin() + static_cast<std::ptrdiff_t>(i * rows), rows,
+                panel.begin() + static_cast<std::ptrdiff_t>(i * ld));
+  }
+  return panel;
+}
+
+/// rows biases spread over a few periods of the cosine.
+std::vector<float> rbf_biases(std::size_t rows, std::uint64_t seed) {
+  auto biases = gaussian_vec(rows, seed);
+  for (auto& v : biases) v *= 3.0f;
+  return biases;
+}
+
+/// Equal bits, or NaN on both sides (payloads are not pinned).
+bool same_encoding(float a, float b) {
+  return std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b) ||
+         (std::isnan(a) && std::isnan(b));
+}
 
 TEST(KernelParity, CosRbfRows) {
-  // One flow against a block of base rows (the per-sample encode's shape).
+  // One flow against a block of output dimensions (the per-sample encode's
+  // shape): every backend runs the same FMA chain and cosine per output, so
+  // the SIMD bodies reproduce the scalar reference bit for bit.
   const core::Kernels* avx2 = runnable_avx2();
   if (avx2 == nullptr) GTEST_SKIP() << "AVX2 unavailable on this host";
   const core::Kernels& scalar = core::scalar_kernels();
-  for (std::size_t rows : {1u, 5u, 8u, 9u, 16u, 17u, 64u}) {
-    for (std::size_t cols : {1u, 3u, 24u, 118u}) {
-      const auto bases = gaussian_vec(rows * cols, 1000 + rows * cols);
-      const auto x = gaussian_vec(cols, 2000 + cols);
-      auto biases = gaussian_vec(rows, 3000 + rows);
-      for (auto& v : biases) v *= 3.0f;
-      std::vector<float> h_scalar(rows), h_avx2(rows);
-      scalar.cos_rbf_tile_f32(bases.data(), rows, cols, x.data(), 1, cols,
-                              biases.data(), h_scalar.data(), rows);
-      avx2->cos_rbf_tile_f32(bases.data(), rows, cols, x.data(), 1, cols,
-                             biases.data(), h_avx2.data(), rows);
-      for (std::size_t r = 0; r < rows; ++r) {
-        // Scalar libm vs the AVX2 polynomial cosine plus dot reassociation:
-        // a few float ulps on an output bounded to [-1, 1].
-        EXPECT_NEAR(h_scalar[r], h_avx2[r], 5e-5)
-            << "rows=" << rows << " cols=" << cols << " r=" << r;
+  for (const core::Kernels* k : runnable_backends()) {
+    for (std::size_t rows : {1u, 5u, 8u, 9u, 16u, 17u, 64u}) {
+      for (std::size_t cols : {1u, 3u, 24u, 118u}) {
+        const auto bases = rbf_panel(cols, rows, rows, 1000 + rows * cols);
+        const auto x = gaussian_vec(cols, 2000 + cols);
+        const auto biases = rbf_biases(rows, 3000 + rows);
+        std::vector<float> want(rows), got(rows);
+        scalar.cos_rbf_tile_f32(bases.data(), rows, rows, cols, x.data(), 1,
+                                cols, biases.data(), want.data(), rows);
+        k->cos_rbf_tile_f32(bases.data(), rows, rows, cols, x.data(), 1,
+                            cols, biases.data(), got.data(), rows);
+        for (std::size_t r = 0; r < rows; ++r) {
+          EXPECT_EQ(std::bit_cast<std::uint32_t>(got[r]),
+                    std::bit_cast<std::uint32_t>(want[r]))
+              << k->name << " rows=" << rows << " cols=" << cols
+              << " r=" << r;
+        }
       }
     }
   }
 }
 
 TEST(KernelParity, CosRbfRowsHugeAngleFallsBackToLibm) {
-  const core::Kernels* avx2 = runnable_avx2();
-  if (avx2 == nullptr) GTEST_SKIP() << "AVX2 unavailable on this host";
-  // An angle far outside the polynomial's reduction range must still come
-  // back accurate (the backend re-does those lanes with std::cos).
-  const float base[] = {30000.0f, 1.0f};
+  // An angle far outside the polynomial's reduction range comes back as
+  // libm's cosine of it, on every backend; an in-range one stays within a
+  // few float ulps of libm.
+  const float base[] = {30000.0f, 1.0f};  // one feature, two dimensions
   const float x[] = {1.0f};
   const float bias[] = {0.25f, 0.0f};
-  float h[2] = {0.0f, 0.0f};
-  avx2->cos_rbf_tile_f32(base, 2, 1, x, 1, 1, bias, h, 2);
-  EXPECT_NEAR(h[0], std::cos(30000.0f + 0.25f), 1e-5);
-  EXPECT_NEAR(h[1], std::cos(1.0f), 1e-6);
+  for (const core::Kernels* k : runnable_backends()) {
+    float h[2] = {0.0f, 0.0f};
+    k->cos_rbf_tile_f32(base, 2, 2, 1, x, 1, 1, bias, h, 2);
+    EXPECT_EQ(h[0], std::cos(30000.25f)) << k->name;
+    EXPECT_NEAR(h[1], std::cos(1.0f), 1e-6) << k->name;
+  }
 }
 
-// ---- the multi-flow RBF encode tile ----------------------------------------
-
-/// One base row: the per-dimension refresh's shape (encode_dims).
-float cos_rbf_one(const core::Kernels& k, const float* base, std::size_t cols,
-                  const float* x, float bias) {
+/// One flow against one dimension (the per-dimension refresh's shape):
+/// column r of a panel at leading dimension ld.
+float cos_rbf_one(const core::Kernels& k, const float* bases, std::size_t ld,
+                  std::size_t r, std::size_t cols, const float* x,
+                  float bias) {
   float h = 0.0f;
-  k.cos_rbf_tile_f32(base, 1, cols, x, 1, cols, &bias, &h, 1);
+  k.cos_rbf_tile_f32(bases + r, ld, 1, cols, x, 1, cols, &bias, &h, 1);
   return h;
 }
 
-/// Every backend's encode tile must reproduce, per (flow, base) entry, its
-/// own one-base, one-flow call bit-for-bit — the contract the batched
+/// Every backend's encode tile must reproduce, per (flow, dimension) entry,
+/// a one-flow, one-dimension call bit-for-bit — the contract the batched
 /// encode path (cache miss batches, encode_batch, the streamed trainer),
 /// the one-flow encode() and the per-dimension encode_dims() build their
 /// "tiling never changes encodings" guarantee on. Flow counts straddle the
-/// 4-flow register block, base-row counts the 8-row transpose and the
-/// 8/32-lane cosine epilogue groups, cols the dot kernel's 16/8-lane
-/// chunks and scalar tail (tails of 4-7 are where rounded and fused tail
-/// products differ; 78 is the CIC-IDS-2017 width). The output is written
-/// at h_stride > rows — the interior-panel shape — and the pad bytes
+/// 4-flow register block, dimension counts the 8- and 16-lane vectors and
+/// the strips, cols odd and even feature counts (78 is the CIC-IDS-2017
+/// width). The panel is read at ld > rows and the output written at
+/// h_stride > rows — the interior-panel shape — and the pad floats
 /// between rows and h_stride must come back untouched.
 TEST(KernelTile, CosRbfTileMatchesPerFlowRowsBitExactly) {
-  std::vector<const core::Kernels*> backends = {&core::scalar_kernels()};
-  if (const core::Kernels* avx2 = runnable_avx2()) backends.push_back(avx2);
-  if (const core::Kernels* avx512 = runnable_avx512()) {
-    backends.push_back(avx512);
-  }
-  for (const core::Kernels* k : backends) {
+  for (const core::Kernels* k : runnable_backends()) {
     for (std::size_t flows : {1u, 3u, 4u, 5u, 7u, 8u, 9u, 17u}) {
       for (std::size_t rows : {1u, 5u, 8u, 9u, 16u, 17u, 64u, 100u}) {
         for (std::size_t cols : {1u, 3u, 4u, 7u, 24u, 78u, 118u}) {
-          const auto bases = gaussian_vec(rows * cols, 5000 + rows * cols);
+          const std::size_t ld = rows + 3;
+          const auto bases = rbf_panel(cols, rows, ld, 5000 + rows * cols);
           const auto x = gaussian_vec(flows * cols, 6000 + flows * cols);
-          auto biases = gaussian_vec(rows, 7000 + rows);
-          for (auto& v : biases) v *= 3.0f;
+          const auto biases = rbf_biases(rows, 7000 + rows);
           const std::size_t h_stride = rows + 5;
           std::vector<float> h_tile(flows * h_stride, -2.0f);
-          k->cos_rbf_tile_f32(bases.data(), rows, cols, x.data(), flows,
+          k->cos_rbf_tile_f32(bases.data(), ld, rows, cols, x.data(), flows,
                               cols, biases.data(), h_tile.data(), h_stride);
           for (std::size_t f = 0; f < flows; ++f) {
             for (std::size_t r = 0; r < rows; ++r) {
               EXPECT_EQ(h_tile[f * h_stride + r],
-                        cos_rbf_one(*k, bases.data() + r * cols, cols,
+                        cos_rbf_one(*k, bases.data(), ld, r, cols,
                                     x.data() + f * cols, biases[r]))
                   << k->name << " flows=" << flows << " rows=" << rows
                   << " cols=" << cols << " f=" << f << " r=" << r;
@@ -485,47 +515,64 @@ TEST(KernelTile, CosRbfTileMatchesPerFlowRowsBitExactly) {
   }
 }
 
-/// The avx512 table's encode tile reproduces the avx2 table's per (flow,
-/// base) pair bit for bit, so the two backends encode alike. cols sweeps
-/// every 16/8-float chunk count and tail width up to 130, rows straddle
-/// the 8- and 16-row blocks, flows the flow pairs; one bias puts a lane
-/// past the polynomial's |angle| < 8192 range, onto the libm fallback.
-/// The output is written at h_stride > rows, and the pad must stay
-/// untouched.
-TEST(KernelTile, CosRbfTileAvx512MatchesAvx2BitExactly) {
-  const core::Kernels* avx512 = runnable_avx512();
-  if (avx512 == nullptr) GTEST_SKIP() << "AVX-512 unavailable on this host";
-  const core::Kernels& avx2 = *core::avx2_kernels();
+/// Every backend encodes exactly as the scalar reference does. cols sweeps
+/// every feature count up to 130, rows straddle the 8- and 16-lane vectors,
+/// the 16-, 64- and 128-dimension strips and their ragged edges, and flows
+/// the 4-flow blocks and their leftovers. The panel is read at ld > rows
+/// (its NaN pad must not reach an output) and the output written at
+/// h_stride > rows (its pad must stay untouched). One bias puts a lane past
+/// the polynomial's |angle| < 8192 range, onto libm; one flow carries a
+/// NaN feature and one an infinite one, whose outputs are NaN everywhere.
+TEST(KernelTile, CosRbfTileIsExactAcrossBackends) {
+  const core::Kernels& scalar = core::scalar_kernels();
+  const std::vector<const core::Kernels*> backends = runnable_backends();
+  if (backends.size() == 1) GTEST_SKIP() << "no SIMD backend on this host";
   for (std::size_t cols = 1; cols <= 130; ++cols) {
-    for (std::size_t rows : {1u, 7u, 8u, 9u, 17u, 512u}) {
-      const auto bases = gaussian_vec(rows * cols, 9000 + rows * cols);
-      auto biases = gaussian_vec(rows, 9100 + rows);
-      for (auto& v : biases) v *= 3.0f;
+    for (std::size_t rows :
+         {1u, 7u, 8u, 15u, 16u, 17u, 63u, 64u, 65u, 512u}) {
+      const std::size_t ld = rows + 3;
+      const auto bases = rbf_panel(cols, rows, ld, 9000 + rows * cols);
+      auto biases = rbf_biases(rows, 9100 + rows);
       biases[rows / 2] = 10000.0f;
       const std::size_t h_stride = rows + 3;
-      for (std::size_t flows : {1u, 2u, 3u, 4u, 5u, 22u}) {
-        const auto x = gaussian_vec(flows * cols, 9200 + flows * cols);
+      for (std::size_t flows : {1u, 2u, 3u, 4u, 5u, 22u, 65u}) {
+        auto x = gaussian_vec(flows * cols, 9200 + flows * cols);
+        if (flows >= 3) {
+          x[1 * cols + cols / 2] = std::nanf("");
+          x[2 * cols + cols - 1] =
+              cols % 2 == 0 ? std::numeric_limits<float>::infinity()
+                            : -std::numeric_limits<float>::infinity();
+        }
         std::vector<float> want(flows * h_stride, -2.0f);
-        std::vector<float> got(flows * h_stride, -2.0f);
-        avx2.cos_rbf_tile_f32(bases.data(), rows, cols, x.data(), flows,
-                              cols, biases.data(), want.data(), h_stride);
-        avx512->cos_rbf_tile_f32(bases.data(), rows, cols, x.data(), flows,
-                                 cols, biases.data(), got.data(), h_stride);
-        std::size_t mismatches = 0;
-        std::size_t first = 0;
-        for (std::size_t i = 0; i < got.size(); ++i) {
-          const bool pad = i % h_stride >= rows;
-          if (std::bit_cast<std::uint32_t>(got[i]) !=
-                  std::bit_cast<std::uint32_t>(want[i]) ||
-              (pad && got[i] != -2.0f)) {
-            if (mismatches++ == 0) first = i;
+        scalar.cos_rbf_tile_f32(bases.data(), ld, rows, cols, x.data(),
+                                flows, cols, biases.data(), want.data(),
+                                h_stride);
+        for (const core::Kernels* k : backends) {
+          if (k == &scalar) continue;
+          std::vector<float> got(flows * h_stride, -2.0f);
+          k->cos_rbf_tile_f32(bases.data(), ld, rows, cols, x.data(), flows,
+                              cols, biases.data(), got.data(), h_stride);
+          std::size_t mismatches = 0;
+          std::size_t first = 0;
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            const bool pad = i % h_stride >= rows;
+            if (!same_encoding(got[i], want[i]) || (pad && got[i] != -2.0f)) {
+              if (mismatches++ == 0) first = i;
+            }
+          }
+          EXPECT_EQ(mismatches, 0u)
+              << k->name << " cols=" << cols << " rows=" << rows
+              << " flows=" << flows << " first at f=" << first / h_stride
+              << " r=" << first % h_stride << ": " << got[first]
+              << " vs scalar " << want[first];
+        }
+        if (flows >= 3) {
+          for (std::size_t r = 0; r < rows; ++r) {
+            EXPECT_TRUE(std::isnan(want[1 * h_stride + r]) &&
+                        std::isnan(want[2 * h_stride + r]))
+                << "a non-finite feature must encode as NaN, r=" << r;
           }
         }
-        EXPECT_EQ(mismatches, 0u)
-            << "cols=" << cols << " rows=" << rows << " flows=" << flows
-            << " first at f=" << first / h_stride
-            << " r=" << first % h_stride << ": avx512 " << got[first]
-            << " vs avx2 " << want[first];
       }
     }
   }
@@ -563,31 +610,31 @@ class GuardedFloats {
 };
 
 TEST(KernelTile, CosRbfTileReadsNothingPastItsInputs) {
-  // The last base row, the last flow row and the bias vector each end at
-  // an inaccessible page: a full-width load past a row's end crashes the
-  // test. Every tail width and chunk count up to 40 columns, with row and
-  // flow counts that reach every block shape's ragged edge.
-  std::vector<const core::Kernels*> backends = {&core::scalar_kernels()};
-  if (const core::Kernels* avx2 = runnable_avx2()) backends.push_back(avx2);
-  if (const core::Kernels* avx512 = runnable_avx512()) {
-    backends.push_back(avx512);
-  }
+  // The panel's last element (feature cols - 1, dimension rows - 1), the
+  // last flow row and the bias vector each end at an inaccessible page: a
+  // full-width load past the last dimension or the last feature crashes
+  // the test. The panel is read at ld = rows and at ld > rows, whose last
+  // row then stops short of its pad. Every feature count up to 40, with
+  // dimension and flow counts that reach every block shape's ragged edge.
   for (std::size_t cols = 1; cols <= 40; ++cols) {
-    for (std::size_t rows : {1u, 9u, 17u}) {
-      for (std::size_t flows : {1u, 2u, 5u}) {
-        const GuardedFloats bases(rows * cols);
-        const GuardedFloats x(flows * cols);
-        const GuardedFloats biases(rows);
-        const auto b = gaussian_vec(rows * cols, 9300 + cols);
-        const auto xv = gaussian_vec(flows * cols, 9400 + cols);
-        std::copy(b.begin(), b.end(), bases.data());
-        std::copy(xv.begin(), xv.end(), x.data());
-        std::fill_n(biases.data(), rows, 0.5f);
-        std::vector<float> h(flows * rows);
-        for (const core::Kernels* k : backends) {
-          k->cos_rbf_tile_f32(bases.data(), rows, cols, x.data(), flows,
-                              cols, biases.data(), h.data(), rows);
-          EXPECT_TRUE(std::isfinite(h.back())) << k->name << " cols=" << cols;
+    for (std::size_t rows : {1u, 9u, 17u, 65u, 130u}) {
+      for (std::size_t ld : {rows, rows + 5}) {
+        for (std::size_t flows : {1u, 2u, 5u}) {
+          const GuardedFloats bases((cols - 1) * ld + rows);
+          const GuardedFloats x(flows * cols);
+          const GuardedFloats biases(rows);
+          const auto b = gaussian_vec((cols - 1) * ld + rows, 9300 + cols);
+          const auto xv = gaussian_vec(flows * cols, 9400 + cols);
+          std::copy(b.begin(), b.end(), bases.data());
+          std::copy(xv.begin(), xv.end(), x.data());
+          std::fill_n(biases.data(), rows, 0.5f);
+          std::vector<float> h(flows * rows);
+          for (const core::Kernels* k : runnable_backends()) {
+            k->cos_rbf_tile_f32(bases.data(), ld, rows, cols, x.data(),
+                                flows, cols, biases.data(), h.data(), rows);
+            EXPECT_TRUE(std::isfinite(h.back()))
+                << k->name << " cols=" << cols;
+          }
         }
       }
     }
@@ -595,32 +642,26 @@ TEST(KernelTile, CosRbfTileReadsNothingPastItsInputs) {
 }
 
 TEST(KernelTile, CosRbfTilePanelDecompositionIsExact) {
-  // The encoder walks D in cache-sized panels, pointing the kernel at
-  // bases + p * cols, biases + p, h + p per panel. Panel boundaries must
-  // be invisible: any split — including a ragged tail panel when D is not
-  // a multiple of the panel size — reassembles the one-shot tile result
+  // An interior panel of dimensions [p, p + pr) is the call on bases + p,
+  // biases + p, h + p at the whole panel's ld. Panel boundaries must be
+  // invisible: any split — including a ragged tail panel when D is not a
+  // multiple of the panel size — reassembles the one-shot tile result
   // bit-for-bit on every backend.
-  std::vector<const core::Kernels*> backends = {&core::scalar_kernels()};
-  if (const core::Kernels* avx2 = runnable_avx2()) backends.push_back(avx2);
-  if (const core::Kernels* avx512 = runnable_avx512()) {
-    backends.push_back(avx512);
-  }
   const std::size_t dims = 53;  // not a multiple of any panel below
   const std::size_t cols = 24;
   const std::size_t flows = 6;
-  const auto bases = gaussian_vec(dims * cols, 8100);
+  const auto bases = rbf_panel(cols, dims, dims, 8100);
   const auto x = gaussian_vec(flows * cols, 8200);
-  auto biases = gaussian_vec(dims, 8300);
-  for (auto& v : biases) v *= 3.0f;
-  for (const core::Kernels* k : backends) {
+  const auto biases = rbf_biases(dims, 8300);
+  for (const core::Kernels* k : runnable_backends()) {
     std::vector<float> whole(flows * dims, -2.0f);
-    k->cos_rbf_tile_f32(bases.data(), dims, cols, x.data(), flows, cols,
-                        biases.data(), whole.data(), dims);
+    k->cos_rbf_tile_f32(bases.data(), dims, dims, cols, x.data(), flows,
+                        cols, biases.data(), whole.data(), dims);
     for (std::size_t panel : {1u, 8u, 16u, 32u}) {
       std::vector<float> split(flows * dims, -3.0f);
       for (std::size_t p = 0; p < dims; p += panel) {
         const std::size_t pr = std::min(panel, dims - p);
-        k->cos_rbf_tile_f32(bases.data() + p * cols, pr, cols, x.data(),
+        k->cos_rbf_tile_f32(bases.data() + p, dims, pr, cols, x.data(),
                             flows, cols, biases.data() + p,
                             split.data() + p, dims);
       }
@@ -636,28 +677,23 @@ TEST(KernelTile, CosRbfTileHonorsFlowStride) {
   // Flows handed to the kernel straight out of a wider row layout
   // (x_stride > cols): only the first `cols` entries of each flow row may
   // participate — the pad columns are garbage on purpose.
-  std::vector<const core::Kernels*> backends = {&core::scalar_kernels()};
-  if (const core::Kernels* avx2 = runnable_avx2()) backends.push_back(avx2);
-  if (const core::Kernels* avx512 = runnable_avx512()) {
-    backends.push_back(avx512);
-  }
   const std::size_t rows = 19;
   const std::size_t cols = 118;
   const std::size_t flows = 5;
   const std::size_t x_stride = cols + 7;
-  const auto bases = gaussian_vec(rows * cols, 8400);
+  const auto bases = rbf_panel(cols, rows, rows, 8400);
   const auto x = gaussian_vec(flows * x_stride, 8500);
-  auto biases = gaussian_vec(rows, 8600);
-  for (auto& v : biases) v *= 3.0f;
-  for (const core::Kernels* k : backends) {
+  const auto biases = rbf_biases(rows, 8600);
+  for (const core::Kernels* k : runnable_backends()) {
     std::vector<float> h_tile(flows * rows, -2.0f);
-    k->cos_rbf_tile_f32(bases.data(), rows, cols, x.data(), flows, x_stride,
-                        biases.data(), h_tile.data(), rows);
+    k->cos_rbf_tile_f32(bases.data(), rows, rows, cols, x.data(), flows,
+                        x_stride, biases.data(), h_tile.data(), rows);
     std::vector<float> h_row(rows);
     for (std::size_t f = 0; f < flows; ++f) {
       // The same flow read on its own, out of the strided layout.
-      k->cos_rbf_tile_f32(bases.data(), rows, cols, x.data() + f * x_stride,
-                          1, cols, biases.data(), h_row.data(), rows);
+      k->cos_rbf_tile_f32(bases.data(), rows, rows, cols,
+                          x.data() + f * x_stride, 1, cols, biases.data(),
+                          h_row.data(), rows);
       for (std::size_t r = 0; r < rows; ++r) {
         EXPECT_EQ(h_tile[f * rows + r], h_row[r])
             << k->name << " f=" << f << " r=" << r;

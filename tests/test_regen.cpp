@@ -163,10 +163,11 @@ TEST(RegenController, StepRegeneratesEncoderRows) {
   const core::Matrix bases_before = rbf->bases();
   const RegenStep step = c.step(f.model, *f.encoder, f.rng);
   const core::Matrix& bases_after = rbf->bases();
+  // The panel is F x D: dimension d's base vector is column d.
   for (std::size_t d : step.dims) {
     bool changed = false;
-    for (std::size_t col = 0; col < bases_before.cols(); ++col) {
-      if (bases_before(d, col) != bases_after(d, col)) changed = true;
+    for (std::size_t i = 0; i < bases_before.rows(); ++i) {
+      if (bases_before(i, d) != bases_after(i, d)) changed = true;
     }
     EXPECT_TRUE(changed) << "dim " << d;
   }

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <numbers>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -38,6 +39,7 @@ TEST_P(EncoderRoundTrip, EncodesIdentically) {
   const auto original = make_encoder(GetParam(), 7, 48, rng);
   std::stringstream buffer;
   original->serialize(buffer);
+  const std::string saved = buffer.str();
   const auto restored = deserialize_encoder(buffer);
   ASSERT_NE(restored, nullptr);
   EXPECT_EQ(restored->input_dim(), 7u);
@@ -47,6 +49,41 @@ TEST_P(EncoderRoundTrip, EncodesIdentically) {
   original->encode(x, h1);
   restored->encode(x, h2);
   EXPECT_EQ(h1, h2);
+  std::stringstream resaved;
+  restored->serialize(resaved);
+  EXPECT_EQ(resaved.str(), saved) << "a loaded encoder re-saves byte for byte";
+}
+
+TEST(RbfEncoderFormat, StreamKeepsTheDimensionMajorLayoutAndDrawOrder) {
+  // The in-memory panel is F x D, but the ERBF stream stays D x F — row d
+  // is dimension d's F weights — and each dimension still draws its F
+  // weights, then its bias, so models saved before the panel's
+  // transposition load unchanged. Written out from the Rng here.
+  constexpr std::size_t kFeatures = 3;
+  constexpr std::size_t kDims = 5;
+  constexpr float kLengthscale = 0.5f;
+  core::Rng rng(41);
+  const RbfEncoder enc(kFeatures, kDims, rng, kLengthscale);
+  core::Rng draws(41);
+  std::vector<float> bases, biases;
+  for (std::size_t d = 0; d < kDims; ++d) {
+    for (std::size_t i = 0; i < kFeatures; ++i) {
+      bases.push_back(
+          static_cast<float>(draws.gaussian(0.0, 1.0 / kLengthscale)));
+    }
+    biases.push_back(
+        static_cast<float>(draws.uniform(0.0, 2.0 * std::numbers::pi)));
+  }
+  std::ostringstream want;
+  core::io::write_tag(want, "ERBF");
+  core::io::write_f32(want, kLengthscale);
+  core::io::write_u64(want, kDims);
+  core::io::write_u64(want, kFeatures);
+  core::io::write_f32_array(want, bases);
+  core::io::write_f32_array(want, biases);
+  std::stringstream got;
+  enc.serialize(got);
+  EXPECT_EQ(got.str(), want.str());
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, EncoderRoundTrip,
