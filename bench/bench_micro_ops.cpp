@@ -595,6 +595,27 @@ BENCHMARK(BM_ServingThroughputQuantized)
     ->Args({1, 1})
     ->UseRealTime();  // pooled scoring, as BM_ServingThroughput
 
+// ---- thread-pool dispatch ---------------------------------------------------
+//
+// What one pooled parallel_for costs beyond its work: each iteration runs
+// one parallel_for of `threads` one-row chunks that do nothing, on a
+// private pool of `threads` workers, so the time is the pool's publish,
+// wake-up and join alone. Wall time, since the chunks run on the workers.
+void BM_ParallelForDispatch(benchmark::State& state) {
+  const std::size_t threads = static_cast<std::size_t>(state.range(0));
+  core::ThreadPool pool(threads);
+  for (auto _ : state) {
+    pool.parallel_for(
+        threads,
+        [](std::size_t begin, std::size_t end) {
+          benchmark::DoNotOptimize(begin + end);
+        },
+        /*grain=*/1);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ParallelForDispatch)->Arg(2)->Arg(4)->UseRealTime();
+
 // ---- training throughput: per-sample rule vs minibatch tiles ---------------
 //
 // items/s here is trained samples per second. The epoch benchmark isolates

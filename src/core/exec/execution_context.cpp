@@ -188,26 +188,6 @@ const ExecutionContext& ExecutionContext::serial() {
   return ctx;
 }
 
-void ExecutionContext::for_each_block(
-    std::size_t n, std::size_t block_rows,
-    const std::function<void(std::size_t, std::size_t)>& fn) const {
-  if (n == 0) return;
-  block_rows = std::max<std::size_t>(1, block_rows);
-  if (pool_ == nullptr || block_rows >= n || pool_->on_worker_thread()) {
-    for (std::size_t t = 0; t < n; t += block_rows) {
-      fn(t, std::min(t + block_rows, n));
-    }
-    return;
-  }
-  ThreadPool::TaskGroup group(*pool_);
-  std::size_t block = 0;
-  for (std::size_t t = 0; t < n; t += block_rows, ++block) {
-    const std::size_t end = std::min(t + block_rows, n);
-    group.submit_to_group(block, [&fn, t, end] { fn(t, end); });
-  }
-  group.wait();
-}
-
 std::size_t ExecutionContext::score_block_rows(
     std::size_t dims) const noexcept {
   if (dims == 0) return 1;

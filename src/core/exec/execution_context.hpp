@@ -32,7 +32,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 
 #include "core/kernels/kernels.hpp"
 #include "core/thread_pool.hpp"
@@ -69,12 +68,11 @@ struct CacheTopology {
 /// How ExecutionContext::plan_serving splits a serving batch: each of the
 /// machine's shared-L3 domains works one `block_rows`-row, L3-resident
 /// sub-batch at a time, so one driver iteration covers `batch_rows` rows.
-/// The per-domain residency is approximate, not enforced: parallel_for
-/// hands every worker one contiguous chunk and splits the encode and
-/// score stages of a block identically, so each worker revisits in stage
-/// 2 the ~block_rows-per-domain range it encoded in stage 1 — but workers
-/// are not pinned to domains. Explicit domain-affine dispatch (and a NUMA
-/// model above it) is the next placement step (see ROADMAP).
+/// The per-domain residency is a sizing model, not a placement: a batch's
+/// stages are split by ThreadPool::parallel_for, which runs chunk c on
+/// worker c, and no worker is pinned to a CPU or a domain. Placing
+/// sub-batches per domain would need pinned workers, which the pool does
+/// not have.
 struct ServingPlan {
   /// Rows per L3-resident sub-batch (one in flight per L3 domain).
   std::size_t block_rows = 1;
@@ -134,12 +132,9 @@ class ExecutionContext {
   /// attached, inline otherwise. The single call site replaces the
   /// `if (pool) pool->parallel_for(...) else body(0, n)` pattern.
   ///
-  /// Templated so the serial path invokes the callable DIRECTLY — no
-  /// std::function is ever constructed, which is what keeps a serial
-  /// steady-state serving flush at zero heap allocations. The pooled path
-  /// wraps `fn` in a std::reference_wrapper (guaranteed non-allocating by
-  /// [func.wrap.func.con]) before handing it to the pool; only the pool's
-  /// own per-chunk task boxing allocates there.
+  /// Templated so the serial path invokes the callable directly; the
+  /// pooled path hands `fn` to ThreadPool::parallel_for by reference (a
+  /// FunctionRef), so neither path allocates.
   template <typename Fn>
   void parallel_for(std::size_t n, Fn&& fn, std::size_t grain = 256) const {
     if (n == 0) return;
@@ -147,25 +142,8 @@ class ExecutionContext {
       fn(0, n);
       return;
     }
-    pool_->parallel_for(
-        n, std::function<void(std::size_t, std::size_t)>(std::ref(fn)),
-        grain);
+    pool_->parallel_for(n, fn, grain);
   }
-
-  /// Domain-affine block dispatch — the serving shape. Run
-  /// fn(begin, end) over [0, n) in `block_rows`-row blocks, each block
-  /// submitted as ONE task pinned to one worker group (groups map to
-  /// shared-L3 domains in the process pool), block b to group
-  /// b mod num_groups. A block's whole encode→score pipeline therefore
-  /// runs on the workers of one L3 domain, instead of every stage being
-  /// split blindly across the machine; nested parallel_for calls inside
-  /// fn run inline on that worker. Waits for these blocks only (other
-  /// streams' work on the pool is not awaited). Falls back to a serial
-  /// block walk when there is no pool, only one block, or the calling
-  /// thread is itself a pool worker.
-  void for_each_block(
-      std::size_t n, std::size_t block_rows,
-      const std::function<void(std::size_t, std::size_t)>& fn) const;
 
   /// Rows per L2-resident block of the tile-kernel scoring passes
   /// (HdcModel::similarities_into, which serving and the trainer's

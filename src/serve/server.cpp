@@ -23,15 +23,12 @@ std::uint64_t Server::linger_from_env() noexcept {
 Server::Server(const core::Classifier& model, std::size_t input_dim,
                ServerConfig config)
     : model_(model),
-      exec_(config.domain_affine ? &core::ExecutionContext::process()
-                                 : &core::ExecutionContext::serial()),
       input_dim_(input_dim),
       num_classes_(model.num_classes()),
       max_batch_rows_(config.max_batch_rows),
       linger_us_(config.max_linger_us >= 0
                      ? static_cast<std::uint64_t>(config.max_linger_us)
                      : linger_from_env()),
-      domain_affine_(config.domain_affine),
       queue_(config.queue_capacity),
       epoch_(std::chrono::steady_clock::now()) {
   assert(input_dim_ > 0);
@@ -47,14 +44,6 @@ Server::Server(const core::Classifier& model, std::size_t input_dim,
     max_batch_rows_ = model_.preferred_batch_rows(probe);
     if (max_batch_rows_ <= 1) max_batch_rows_ = 256;
   }
-  // One group-pinned sub-batch per flush per group, planner-sized: for
-  // CyberHD max_batch = block_rows * domains, so dividing by the pool's
-  // group count recovers the L3-resident block_rows.
-  const core::ThreadPool* pool = exec_->pool();
-  const std::size_t groups = pool != nullptr ? pool->num_groups() : 1;
-  affine_block_rows_ =
-      std::max<std::size_t>(1, max_batch_rows_ / std::max<std::size_t>(
-                                                     1, groups));
   batch_x_.resize(max_batch_rows_, input_dim_);
   batch_scores_.resize(max_batch_rows_, num_classes_);
   pending_.reserve(max_batch_rows_);
@@ -276,17 +265,10 @@ void Server::flush(std::size_t n) {
     return;
   }
   try {
-    // Score through the same virtual hook scores_batch drives — one
-    // planner-sized sub-batch per task, each pinned to one worker group
-    // so a sub-batch's encode and score stages stay on one shared-L3
-    // domain. The serial fallback (no pool, one block, in-batcher
-    // scoring) walks the same blocks inline; either way per-row results
-    // are bit-identical to a serial scores_batch of the same rows.
-    exec_->for_each_block(w, affine_block_rows_,
-                          [this](std::size_t begin, std::size_t end) {
-                            model_.scores_block(batch_x_, begin, end,
-                                                batch_scores_);
-                          });
+    // Score through the same virtual hook scores_batch drives, which
+    // splits its stages across the model's pool; per-row results are
+    // bit-identical to a serial scores_batch of the same rows.
+    model_.scores_block(batch_x_, 0, w, batch_scores_);
   } catch (const std::exception&) {
     // A scoring failure (a genuine one, not injected) must not take the
     // batcher down or hang the batch's clients.

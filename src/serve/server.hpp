@@ -18,11 +18,10 @@
 // lingering), and try_submit notifies only once the ring holds that
 // many. Arrivals that leave the batch short cost no wake-up.
 // Each flush gathers the borrowed feature rows into one matrix, scores it
-// through Classifier::scores_block — the same stage-split encode→score
-// pipeline scores_batch drives, with each planner sub-batch dispatched as
-// ONE task pinned to one worker group / shared-L3 domain
-// (ExecutionContext::for_each_block) — and delivers each row's scores to
-// its stream's ResultSlot.
+// with one Classifier::scores_block call — the same stage-split
+// encode→score pipeline scores_batch drives, which splits its own stages
+// across the model's thread pool — and delivers each row's scores to its
+// stream's ResultSlot.
 //
 // Correctness contract: the pipeline is row-wise deterministic for any
 // block split, so every request's scores are bit-identical to a serial
@@ -63,7 +62,6 @@
 #include <vector>
 
 #include "core/classifier.hpp"
-#include "core/exec/execution_context.hpp"
 #include "core/matrix.hpp"
 #include "serve/fault_injector.hpp"
 #include "serve/result_slot.hpp"
@@ -84,9 +82,9 @@ struct ServerConfig {
   /// Rows per coalesced batch. 0 asks the model's planner
   /// (preferred_batch_rows — for CyberHD the L3-derived serving batch).
   std::size_t max_batch_rows = 0;
-  /// Dispatch each planner sub-batch to one worker group (shared-L3
-  /// domain) via ExecutionContext::for_each_block. false scores batches
-  /// inline on the batcher thread (still through the staged pipeline).
+  /// Ignored. Every flush is one scores_block call on the batcher thread,
+  /// whose stages run on the served model's own execution context. The
+  /// field stays only so existing callers that set it keep compiling.
   bool domain_affine = true;
   /// Fault injection: nullopt reads the CYBERHD_FAULT_* environment
   /// (off unless one of the probabilities is set there); pass an
@@ -218,13 +216,10 @@ class Server {
   std::uint64_t now_us() const noexcept;
 
   const core::Classifier& model_;
-  const core::ExecutionContext* exec_;
   std::size_t input_dim_;
   std::size_t num_classes_;
   std::size_t max_batch_rows_;
-  std::size_t affine_block_rows_;  // rows per group-pinned sub-batch
   std::uint64_t linger_us_;
-  bool domain_affine_;
 
   SubmissionQueue queue_;
   std::thread batcher_;

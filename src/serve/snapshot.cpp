@@ -99,8 +99,14 @@ bool ModelAuditor::heal() {
   if (!restored.has_value()) return false;
   if (float_model_ != nullptr) {
     // Hot swap in place: move-assignment keeps the object address (and
-    // every Server reference to it) stable while replacing the guts.
+    // every Server reference to it) stable while replacing the guts. The
+    // restored model comes with the environment's default cache, so the
+    // served cache's capacity and shard count (0: off) are re-armed.
+    const hdc::EncodeCache* cache = float_model_->encode_cache();
+    const std::size_t rows = cache != nullptr ? cache->capacity() : 0;
+    const std::size_t shards = cache != nullptr ? cache->shard_count() : 0;
     *float_model_ = std::move(*restored);
+    float_model_->set_encode_cache(rows, shards);
     return true;
   }
   // Re-quantize the restored float weights at the live bitwidth.

@@ -25,6 +25,7 @@
 #include <string>
 #include <thread>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/classifier.hpp"
@@ -90,7 +91,7 @@ TEST(ConcurrentFirstTouch, ProcessSingletonsConstructOnceUnderRace) {
     EXPECT_EQ(sum[static_cast<std::size_t>(t)], 1000u * 999u / 2);
   }
   EXPECT_EQ(ctx[0]->pool(), pool[0]);
-  EXPECT_GE(pool[0]->num_groups(), 1u);
+  EXPECT_GE(pool[0]->num_threads(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -350,8 +351,7 @@ struct ServeFixture {
 /// concurrently; every delivered score vector must be bit-identical to a
 /// serial scores_batch replay of that stream alone.
 void expect_bit_identical_streams(std::size_t num_streams, bool cache_on,
-                                  bool parallel_model, long linger_us,
-                                  bool domain_affine) {
+                                  bool parallel_model, long linger_us) {
   ServeFixture f(parallel_model);
   f.model.set_encode_cache(cache_on ? 1024 : 0);
 
@@ -365,7 +365,6 @@ void expect_bit_identical_streams(std::size_t num_streams, bool cache_on,
 
   ServerConfig cfg;
   cfg.max_linger_us = linger_us;
-  cfg.domain_affine = domain_affine;
   Server server(f.model, 5, cfg);
 
   std::vector<std::vector<ResultSlot>> slots;
@@ -419,27 +418,27 @@ void expect_bit_identical_streams(std::size_t num_streams, bool cache_on,
 }
 
 TEST(ServerBitIdentity, OneStreamCacheOn) {
-  expect_bit_identical_streams(1, true, true, -1, true);
+  expect_bit_identical_streams(1, true, true, -1);
 }
 
 TEST(ServerBitIdentity, TwoStreamsCacheOn) {
-  expect_bit_identical_streams(2, true, true, -1, true);
+  expect_bit_identical_streams(2, true, true, -1);
 }
 
 TEST(ServerBitIdentity, EightStreamsCacheOn) {
-  expect_bit_identical_streams(8, true, true, -1, true);
+  expect_bit_identical_streams(8, true, true, -1);
 }
 
 TEST(ServerBitIdentity, EightStreamsCacheOff) {
-  expect_bit_identical_streams(8, false, true, -1, true);
+  expect_bit_identical_streams(8, false, true, -1);
 }
 
 TEST(ServerBitIdentity, SerialModelZeroLinger) {
-  expect_bit_identical_streams(2, true, false, 0, true);
+  expect_bit_identical_streams(2, true, false, 0);
 }
 
-TEST(ServerBitIdentity, InlineScoringNoDomainAffinity) {
-  expect_bit_identical_streams(4, true, true, -1, false);
+TEST(ServerBitIdentity, FourStreamsCacheOn) {
+  expect_bit_identical_streams(4, true, true, -1);
 }
 
 // ---------------------------------------------------------------------------
@@ -609,7 +608,6 @@ TEST(ServerBackpressure, FullRingRejectsAndAcceptedStillComplete) {
   cfg.queue_capacity = 2;
   cfg.max_linger_us = 0;
   cfg.max_batch_rows = 4;
-  cfg.domain_affine = false;
   cfg.faults = FaultConfig{};  // exact-score pins: force injection off
   Server server(stub, 3, cfg);
 
@@ -707,7 +705,6 @@ ServerConfig wake_test_config(long linger_us, std::size_t batch_rows) {
   ServerConfig cfg;
   cfg.max_linger_us = linger_us;
   cfg.max_batch_rows = batch_rows;
-  cfg.domain_affine = false;
   cfg.faults = FaultConfig{};
   cfg.watchdog_us = 0;
   return cfg;
@@ -772,7 +769,6 @@ TEST(ServerDeadline, ExpiredRequestsAreShedWithStatus) {
   cfg.queue_capacity = 512;
   cfg.max_linger_us = 0;
   cfg.max_batch_rows = 4;
-  cfg.domain_affine = false;
   cfg.faults = FaultConfig{};
   Server server(stub, 3, cfg);
 
@@ -886,7 +882,6 @@ TEST(ServerFault, WatchdogObservesInjectedStallAndAllComplete) {
   cfg.queue_capacity = 256;
   cfg.max_linger_us = 0;
   cfg.max_batch_rows = 4;
-  cfg.domain_affine = false;
   FaultConfig faults;
   faults.seed = 11;
   faults.delay_p = 1.0;
@@ -1269,11 +1264,19 @@ TEST(SnapshotIntegrity, KeepsOnlyLastN) {
   EXPECT_EQ(snapshots.keep(), 2u);
 }
 
-TEST(SnapshotIntegrity, AuditorDetectsCorruptionAndHealsFloatModel) {
-  ServeFixture f(false);
+/// Rows and shards of `cache`; {0, 0} when the cache is off.
+std::pair<std::size_t, std::size_t> cache_shape(const hdc::EncodeCache* cache) {
+  if (cache == nullptr) return {0, 0};
+  return {cache->capacity(), cache->shard_count()};
+}
+
+/// Corrupt `f`'s float model, heal it, and check that it scores as before
+/// the corruption and keeps its encode cache's rows and shards.
+void expect_auditor_heals_float(ServeFixture& f) {
   const core::Matrix flows = ServeFixture::stream_flows(0);
   core::Matrix want;
   f.model.scores_batch(flows, want);
+  const auto shape = cache_shape(f.model.encode_cache());
 
   SnapshotManager snapshots(3);
   snapshots.capture(f.model);
@@ -1285,6 +1288,8 @@ TEST(SnapshotIntegrity, AuditorDetectsCorruptionAndHealsFloatModel) {
   fault::inject_floats({w.data(), w.rows() * w.cols()}, 0.05, rng);
   EXPECT_EQ(auditor.audit_and_heal(), AuditOutcome::kRecovered);
   EXPECT_EQ(auditor.audit_and_heal(), AuditOutcome::kClean);
+  EXPECT_EQ(cache_shape(f.model.encode_cache()), shape)
+      << "the heal re-armed the encode cache with other rows or shards";
 
   core::Matrix got;
   f.model.scores_batch(flows, got);
@@ -1292,6 +1297,26 @@ TEST(SnapshotIntegrity, AuditorDetectsCorruptionAndHealsFloatModel) {
     for (std::size_t c = 0; c < 3; ++c) {
       ASSERT_EQ(got(i, c), want(i, c)) << "heal was not bit-identical";
     }
+  }
+}
+
+TEST(SnapshotIntegrity, AuditorDetectsCorruptionAndHealsFloatModel) {
+  {
+    SCOPED_TRACE("the cache fit() armed");
+    ServeFixture f(false);
+    expect_auditor_heals_float(f);
+  }
+  {
+    SCOPED_TRACE("16 rows in 1 shard");
+    ServeFixture f(false);
+    f.model.set_encode_cache(16, 1);
+    expect_auditor_heals_float(f);
+  }
+  {
+    SCOPED_TRACE("cache off");
+    ServeFixture f(false);
+    f.model.set_encode_cache(0);
+    expect_auditor_heals_float(f);
   }
 }
 

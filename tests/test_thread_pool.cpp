@@ -1,6 +1,7 @@
-// Unit tests for core/thread_pool: exact range coverage, idle waiting,
-// parallel-result equivalence with serial execution, worker groups,
-// per-caller TaskGroup completion, and parallel_for reentrancy.
+// Unit tests for core/thread_pool: exact range coverage, parallel-result
+// equivalence with serial execution, the fixed chunk-to-worker mapping,
+// parallel_for reentrancy, callers that find the job slot taken, and
+// exceptions thrown by chunks.
 #include "core/thread_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -22,22 +24,6 @@ TEST(ThreadPool, SpawnsRequestedThreads) {
 TEST(ThreadPool, DefaultUsesHardwareConcurrency) {
   ThreadPool pool;
   EXPECT_GE(pool.num_threads(), 1u);
-}
-
-TEST(ThreadPool, SubmitRunsTask) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
 }
 
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
@@ -111,46 +97,6 @@ TEST(ThreadPool, ReusableAcrossManyParallelFors) {
   EXPECT_EQ(total.load(), 50u * 1000u);
 }
 
-TEST(ThreadPool, GroupsClampAndPartitionWorkers) {
-  ThreadPool pool(4, 2);
-  EXPECT_EQ(pool.num_groups(), 2u);
-  // More groups than workers clamps.
-  ThreadPool narrow(2, 8);
-  EXPECT_EQ(narrow.num_groups(), 2u);
-  ThreadPool flat(3);
-  EXPECT_EQ(flat.num_groups(), 1u);
-}
-
-TEST(ThreadPool, SubmitToGroupRunsOnThatGroupsWorkers) {
-  ThreadPool pool(4, 2);
-  std::atomic<int> wrong_group{0};
-  ThreadPool::TaskGroup group(pool);
-  for (std::size_t g = 0; g < 2; ++g) {
-    for (int i = 0; i < 32; ++i) {
-      group.submit_to_group(g, [&pool, &wrong_group, g] {
-        if (pool.current_group() != g) {
-          wrong_group.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-    }
-  }
-  group.wait();
-  EXPECT_EQ(wrong_group.load(), 0);
-}
-
-TEST(ThreadPool, CurrentGroupIsNoGroupOffPool) {
-  ThreadPool pool(2, 2);
-  EXPECT_EQ(pool.current_group(), ThreadPool::kNoGroup);
-  EXPECT_FALSE(pool.on_worker_thread());
-  std::atomic<bool> saw_worker{false};
-  pool.submit([&] {
-    saw_worker.store(pool.on_worker_thread() &&
-                     pool.current_group() != ThreadPool::kNoGroup);
-  });
-  pool.wait_idle();
-  EXPECT_TRUE(saw_worker.load());
-}
-
 TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
   // A pool task that calls parallel_for on its own pool must complete
   // (the nested call runs inline on the occupied worker) — this was a
@@ -173,33 +119,103 @@ TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
   EXPECT_EQ(inner_total.load(), 400u);
 }
 
-TEST(ThreadPool, TaskGroupWaitsOnlyItsOwnTasks) {
-  ThreadPool pool(2);
-  // A slow background task keeps the pool non-idle; the TaskGroup's wait
-  // must return as soon as its own tasks finish regardless.
-  std::atomic<bool> release{false};
-  pool.submit([&] {
-    while (!release.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
+TEST(ThreadPool, ChunkRunsOnTheSameWorkerEveryCallNeverOnTheCaller) {
+  // Worker-local scratch stays warm across calls only because chunk c
+  // always lands on the same worker.
+  ThreadPool pool(3);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> first(3);
+  for (int round = 0; round < 50; ++round) {
+    std::vector<std::thread::id> ran(3);
+    pool.parallel_for(
+        3,
+        [&ran](std::size_t b, std::size_t) {
+          ran[b] = std::this_thread::get_id();
+        },
+        /*grain=*/1);
+    if (round == 0) first = ran;
+    for (std::size_t c = 0; c < 3; ++c) {
+      ASSERT_EQ(ran[c], first[c]) << "round " << round << " chunk " << c;
+      ASSERT_NE(ran[c], caller) << "chunk " << c << " ran on the caller";
     }
-  });
-  std::atomic<int> mine{0};
-  {
-    ThreadPool::TaskGroup group(pool);
-    for (int i = 0; i < 8; ++i) {
-      group.submit([&mine] { mine.fetch_add(1, std::memory_order_relaxed); });
-    }
-    group.wait();  // must not wait for the blocked background task
-    EXPECT_EQ(mine.load(), 8);
   }
+  EXPECT_NE(first[0], first[1]);
+  EXPECT_NE(first[1], first[2]);
+  EXPECT_NE(first[0], first[2]);
+}
+
+TEST(ThreadPool, CallerFindingTheSlotTakenRunsInline) {
+  // The holder's chunk 0 blocks until released, so its job holds the slot
+  // while a second caller arrives: that caller must run its whole range
+  // on its own thread without waiting, and the holder's job must still
+  // complete. The block gives up after 10 s, so a caller that waits for
+  // the slot fails the checks below instead of hanging the test.
+  ThreadPool pool(2);
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+  std::atomic<std::size_t> holder_rows{0};
+  std::thread holder([&] {
+    pool.parallel_for(
+        2,
+        [&](std::size_t b, std::size_t e) {
+          if (b == 0) {
+            entered.store(true, std::memory_order_release);
+            const auto give_up =
+                std::chrono::steady_clock::now() + std::chrono::seconds(10);
+            while (!release.load(std::memory_order_acquire) &&
+                   std::chrono::steady_clock::now() < give_up) {
+              std::this_thread::yield();
+            }
+          }
+          holder_rows.fetch_add(e - b, std::memory_order_relaxed);
+        },
+        /*grain=*/1);
+  });
+  while (!entered.load(std::memory_order_acquire)) std::this_thread::yield();
+
+  const std::thread::id caller = std::this_thread::get_id();
+  int calls = 0;  // the inline call runs on this thread
+  pool.parallel_for(
+      100,
+      [&](std::size_t b, std::size_t e) {
+        ++calls;
+        EXPECT_EQ(b, 0u);
+        EXPECT_EQ(e, 100u);
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+      },
+      /*grain=*/1);
+  EXPECT_EQ(calls, 1);
+
   release.store(true, std::memory_order_release);
-  pool.wait_idle();
+  holder.join();
+  EXPECT_EQ(holder_rows.load(), 2u);
+}
+
+TEST(ThreadPool, ChunkExceptionReachesTheCaller) {
+  // A throwing chunk must not end its worker (or the process): the caller
+  // gets the exception once every chunk is done, and the pool stays usable.
+  ThreadPool pool(2);
+  std::atomic<std::size_t> rows{0};
+  const auto count_rows = [&rows](std::size_t b, std::size_t e) {
+    rows.fetch_add(e - b, std::memory_order_relaxed);
+  };
+  EXPECT_THROW(pool.parallel_for(
+                   2,
+                   [&](std::size_t b, std::size_t e) {
+                     if (b == 1) throw std::runtime_error("chunk 1");
+                     count_rows(b, e);
+                   },
+                   /*grain=*/1),
+               std::runtime_error);
+  EXPECT_EQ(rows.load(), 1u);
+  pool.parallel_for(2, count_rows, /*grain=*/1);
+  EXPECT_EQ(rows.load(), 3u);
 }
 
 TEST(ThreadPool, ConcurrentParallelForsFromTwoExternalThreads) {
   // Two client threads driving the same pool concurrently each get their
-  // full range exactly once — per-caller completion means neither waits
-  // on (or steals completion signals from) the other.
+  // full range exactly once — whichever finds the slot taken runs inline,
+  // so neither waits on (or steals completion signals from) the other.
   ThreadPool pool(4);
   constexpr std::size_t kN = 20000;
   std::atomic<std::size_t> total_a{0}, total_b{0};

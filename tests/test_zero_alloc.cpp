@@ -10,7 +10,10 @@
 // eviction frees and insertion allocates nothing), and for per-sample
 // predict()/scores(), which run as one-row blocks of the same pipeline
 // with the cache bypassed — for the sign-projection encoder's tile as for
-// the RBF one.
+// the RBF one. Pooled flushes are held to the same bar: the thread pool
+// publishes each job in a fixed slot and runs chunk c on worker c, so a
+// flush split across the process pool allocates nothing either once
+// every worker's scratch is warm.
 //
 // The probe is a counting replacement of the global allocation functions:
 // an atomic flag arms a counter around exactly the flush under test. The
@@ -26,6 +29,7 @@
 #include <new>
 #include <vector>
 
+#include "core/exec/execution_context.hpp"
 #include "core/matrix.hpp"
 #include "core/rng.hpp"
 #include "hdc/cyberhd.hpp"
@@ -102,19 +106,29 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace cyberhd::hdc {
 namespace {
 
-/// A small trained classifier, serial execution by default (the
-/// steady-state contract is per serving thread; the pool's own scheduling
-/// is out of scope), and a query batch with in-batch replays —
-/// ServingFixture's shape: rows 64..127 repeat rows 0..63.
+/// The fixture's widths: `features` per row, `dims` per hypervector, and
+/// `queries` query rows.
+struct FixtureShape {
+  std::size_t features = 5;
+  std::size_t dims = 128;
+  std::size_t queries = 128;
+};
+
+/// A small trained classifier, serial execution by default, and a query
+/// batch whose second half replays its first — at the default shape
+/// ServingFixture's: rows 64..127 repeat rows 0..63.
 struct ZeroAllocFixture {
-  core::Matrix train{150, 5};
+  core::Matrix train;
   std::vector<int> y = std::vector<int>(150);
-  core::Matrix queries{128, 5};
+  core::Matrix queries;
   CyberHdClassifier model;
 
   explicit ZeroAllocFixture(bool parallel = false,
-                            EncoderKind encoder = EncoderKind::kRbf)
-      : model(config(parallel, encoder)) {
+                            EncoderKind encoder = EncoderKind::kRbf,
+                            FixtureShape shape = {})
+      : train(150, shape.features),
+        queries(shape.queries, shape.features),
+        model(config(parallel, encoder, shape.dims)) {
     core::Rng rng(17);
     for (std::size_t i = 0; i < train.rows(); ++i) {
       const int cls = static_cast<int>(i % 3);
@@ -124,20 +138,22 @@ struct ZeroAllocFixture {
       }
       y[i] = cls;
     }
-    for (std::size_t i = 0; i < 64; ++i) {
+    const std::size_t half = queries.rows() / 2;
+    for (std::size_t i = 0; i < half; ++i) {
       for (std::size_t f = 0; f < queries.cols(); ++f) {
         queries(i, f) = 0.4f * static_cast<float>(i % 3) +
                         static_cast<float>(rng.gaussian(0.0, 0.08));
-        queries(i + 64, f) = queries(i, f);
+        queries(i + half, f) = queries(i, f);
       }
     }
     model.fit(train, y, 3);
   }
 
-  static CyberHdConfig config(bool parallel, EncoderKind encoder) {
+  static CyberHdConfig config(bool parallel, EncoderKind encoder,
+                              std::size_t dims) {
     CyberHdConfig cfg;
     cfg.encoder = encoder;
-    cfg.dims = 128;
+    cfg.dims = dims;
     cfg.regen_steps = 2;
     cfg.final_epochs = 2;
     cfg.parallel = parallel;
@@ -234,6 +250,40 @@ TEST(ZeroAlloc, FloatServingFlushIsAllocationFree) {
     SCOPED_TRACE(::testing::Message() << "cache rows " << cache_rows);
     expect_allocation_free(
         float_flush_allocations(EncoderKind::kRbf, cache_rows));
+  }
+}
+
+TEST(ZeroAlloc, PooledServingFlushIsAllocationFree) {
+  if (core::ExecutionContext::process().workers() < 2) {
+    GTEST_SKIP() << "the process pool has one worker, so no flush is "
+                    "pooled (run with CYBERHD_THREADS >= 2)";
+  }
+  // 512 rows at F = 78 and D = 512: the encode splits across the pool
+  // too (its grain, plan_encode_tile's flow_rows, is at most 256 rows),
+  // not only the scoring (grain 32).
+  ZeroAllocFixture t(/*parallel=*/true, EncoderKind::kRbf,
+                     {.features = 78, .dims = 512, .queries = 512});
+  ASSERT_LT(core::ExecutionContext::process().plan_encode_tile(512, 78)
+                .flow_rows,
+            t.queries.rows());
+  QuantizedCyberHd q(t.model, 1);
+  core::Matrix out;
+  // 4096 rows hold the 256 distinct queries in any shard split; 0 turns
+  // the cache off, so every flush encodes all 512 rows on the pool.
+  for (const std::size_t cache_rows : {std::size_t{4096}, std::size_t{0}}) {
+    SCOPED_TRACE(::testing::Message() << "cache rows " << cache_rows);
+    t.model.set_encode_cache(cache_rows);
+    q.set_encode_cache(cache_rows);
+    {
+      SCOPED_TRACE("float");
+      expect_allocation_free(allocations_in_steady_state(
+          [&] { t.model.scores_batch(t.queries, out); }));
+    }
+    {
+      SCOPED_TRACE("1-bit");
+      expect_allocation_free(allocations_in_steady_state(
+          [&] { q.scores_batch(t.queries, out); }));
+    }
   }
 }
 
