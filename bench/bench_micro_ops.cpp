@@ -32,6 +32,8 @@
 #include "hdc/model.hpp"
 #include "hdc/quantized.hpp"
 #include "hdc/trainer.hpp"
+#include "nids/datasets.hpp"
+#include "nids/preprocess.hpp"
 
 using namespace cyberhd;
 
@@ -620,36 +622,78 @@ BENCHMARK(BM_ParallelForDispatch)->Arg(2)->Arg(4)->UseRealTime();
 //
 // items/s here is trained samples per second. The epoch benchmark isolates
 // the adaptive retrain loop (the phase regen cycles repeat) over
-// pre-encoded data at the acceptance dimensionality D = 10k; the fit
-// benchmark times the whole encode→bundle→retrain→regen pipeline. Both run
-// on the active backend — pin with CYBERHD_KERNELS to compare backends.
+// pre-encoded data at the acceptance dimensionality D = 10k, and at the
+// paper's shape (BM_TrainerEpoch/paper_d512_c8); the fit benchmark times
+// the whole encode→bundle→retrain→regen pipeline. Both run on the active
+// backend — pin with CYBERHD_KERNELS to compare backends.
 
 /// Pre-encoded training set shared by the epoch benchmarks.
 struct EpochFixture {
-  static constexpr std::size_t kSamples = 512;
-  static constexpr std::size_t kDims = 10240;
-  static constexpr std::size_t kClasses = 3;
-  core::Matrix encoded{kSamples, kDims};
-  std::vector<int> labels = std::vector<int>(kSamples);
+  core::Matrix encoded;
+  std::vector<int> labels;
+  std::size_t classes = 0;
 
+  std::size_t samples() const { return encoded.rows(); }
+  std::size_t dims() const { return encoded.cols(); }
+
+  /// 512 Gaussian samples in 3 classes at the acceptance dimensionality
+  /// D = 10240.
   static EpochFixture& get() {
-    static EpochFixture f;
+    static EpochFixture f = gaussian(512, 10240, 3);
     return f;
   }
 
-  EpochFixture() {
+  /// The paper's shape: the repository benchmark's served-model training
+  /// set (CIC-IDS-2017 synthesized at model seed 1, 8000 flows split 50/50,
+  /// so 3998 training rows in 8 classes), RBF-encoded at D = 512 with
+  /// fit()'s lengthscale rule. Its 7.8 MiB encoded set outgrows L2, so the
+  /// shuffled visit order reads it from L3, and one-row scoring runs the
+  /// four-class block twice per sample.
+  static EpochFixture& paper() {
+    static EpochFixture f = cic_ids_2017(4000, 512);
+    return f;
+  }
+
+ private:
+  static EpochFixture gaussian(std::size_t samples, std::size_t dims,
+                               std::size_t classes) {
+    EpochFixture f;
+    f.classes = classes;
+    f.encoded.resize(samples, dims);
+    f.labels.resize(samples);
     core::Rng rng(41);
-    core::fill_gaussian(rng, encoded.data(), encoded.size(), 0.0f, 1.0f);
-    for (std::size_t i = 0; i < kSamples; ++i) {
-      labels[i] = static_cast<int>(i % kClasses);
+    core::fill_gaussian(rng, f.encoded.data(), f.encoded.size(), 0.0f, 1.0f);
+    for (std::size_t i = 0; i < samples; ++i) {
+      f.labels[i] = static_cast<int>(i % classes);
       // Separate the classes a little so updates fire at a realistic rate.
-      encoded(i, 0) += 2.0f * static_cast<float>(labels[i]);
+      f.encoded(i, 0) += 2.0f * static_cast<float>(f.labels[i]);
     }
+    return f;
+  }
+
+  static EpochFixture cic_ids_2017(std::size_t fit_rows, std::size_t dims) {
+    const nids::FlowSynthesizer synth =
+        nids::make_synthesizer(nids::DatasetId::kCicIds2017, /*seed=*/1);
+    const nids::TrainTestSplit split = nids::preprocess(
+        synth.generate(2 * fit_rows, 0), 0.5, 1 ^ 0x5eedULL);
+    const hdc::CyberHdConfig cfg;
+    core::Rng rng(cfg.seed);
+    core::Rng encoder_rng = rng.fork(1);
+    core::Rng median_rng = rng.fork(4);
+    const float lengthscale =
+        cfg.lengthscale_factor *
+        hdc::median_heuristic_lengthscale(split.train.x, median_rng);
+    const hdc::RbfEncoder encoder(split.train.num_features(), dims,
+                                  encoder_rng, lengthscale);
+    EpochFixture f;
+    f.classes = split.train.num_classes;
+    encoder.encode_batch(split.train.x, f.encoded);
+    f.labels = split.train.y;
+    return f;
   }
 };
 
-void BM_TrainerEpoch(benchmark::State& state) {
-  EpochFixture& f = EpochFixture::get();
+void BM_TrainerEpoch(benchmark::State& state, EpochFixture& f) {
   hdc::TrainerConfig cfg;
   cfg.learning_rate = 0.3f;
   // range(0) is the minibatch size; 0 = auto (cache-derived by the
@@ -659,13 +703,13 @@ void BM_TrainerEpoch(benchmark::State& state) {
   // different caches stay comparable.
   cfg.batch_size = static_cast<std::size_t>(state.range(0));
   hdc::Trainer trainer(cfg, core::ExecutionContext::process());
-  state.SetLabel("batch_rows=" + std::to_string(trainer.resolved_batch_size(
-                                     EpochFixture::kDims)));
+  state.SetLabel("batch_rows=" +
+                 std::to_string(trainer.resolved_batch_size(f.dims())));
   // Every iteration times the same workload: the first epoch after
   // initialization, from the same model and shuffle. Training the one
   // model across iterations would let updates decay to zero and make the
   // reported rate depend on the iteration count.
-  hdc::HdcModel initialized(EpochFixture::kClasses, EpochFixture::kDims);
+  hdc::HdcModel initialized(f.classes, f.dims());
   trainer.initialize(initialized, f.encoded, f.labels);
   hdc::HdcModel model = initialized;
   for (auto _ : state) {
@@ -678,9 +722,15 @@ void BM_TrainerEpoch(benchmark::State& state) {
     benchmark::DoNotOptimize(stats.mispredicted);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(EpochFixture::kSamples));
+                          static_cast<std::int64_t>(f.samples()));
+}
+void BM_TrainerEpoch(benchmark::State& state) {
+  BM_TrainerEpoch(state, EpochFixture::get());
 }
 BENCHMARK(BM_TrainerEpoch)->Arg(0)->Arg(1)->Arg(16)->Arg(64)->Arg(256);
+// The paper-config epoch fit() runs 67 times: batch 1, D = 512, 8 classes.
+BENCHMARK_CAPTURE(BM_TrainerEpoch, paper_d512_c8, EpochFixture::paper())
+    ->Arg(1);
 
 /// The scoring-only bound of the minibatch epoch: labels are the model's
 /// own predictions, so the decision pass records zero updates and the
@@ -695,16 +745,16 @@ void BM_TrainerEpochScoringOnly(benchmark::State& state) {
   cfg.learning_rate = 0.3f;
   cfg.batch_size = static_cast<std::size_t>(state.range(0));
   hdc::Trainer trainer(cfg, core::ExecutionContext::process());
-  state.SetLabel("batch_rows=" + std::to_string(trainer.resolved_batch_size(
-                                     EpochFixture::kDims)));
-  hdc::HdcModel model(EpochFixture::kClasses, EpochFixture::kDims);
+  state.SetLabel("batch_rows=" +
+                 std::to_string(trainer.resolved_batch_size(f.dims())));
+  hdc::HdcModel model(f.classes, f.dims());
   trainer.initialize(model, f.encoded, f.labels);
   // Relabel every sample with the model's current prediction: the epoch
   // then mispredicts nothing and applies no updates.
   core::Matrix scores;
   model.similarities_batch(f.encoded, scores);
-  std::vector<int> self_labels(EpochFixture::kSamples);
-  for (std::size_t i = 0; i < EpochFixture::kSamples; ++i) {
+  std::vector<int> self_labels(f.samples());
+  for (std::size_t i = 0; i < f.samples(); ++i) {
     self_labels[i] = static_cast<int>(core::argmax(scores.row(i)));
   }
   for (auto _ : state) {
@@ -714,7 +764,7 @@ void BM_TrainerEpochScoringOnly(benchmark::State& state) {
     benchmark::DoNotOptimize(stats.mispredicted);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(EpochFixture::kSamples));
+                          static_cast<std::int64_t>(f.samples()));
 }
 BENCHMARK(BM_TrainerEpochScoringOnly)->Arg(0);
 

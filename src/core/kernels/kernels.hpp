@@ -114,7 +114,8 @@ struct Kernels {
   /// for r in [0, rows), c in [0, num_classes). SIMD backends
   /// register-block over query rows so each class row is loaded once per
   /// row block (class vectors stay cache-resident while the rows stream),
-  /// but every individual dot accumulates in exactly dot_f32's order —
+  /// and score the rows left over against four classes per pass, but
+  /// every individual dot accumulates in exactly dot_f32's order —
   /// each out entry is bit-identical to a per-pair dot_f32 call on the
   /// same backend. The float batch scorer (serving and the minibatch
   /// trainer) and the sign-projection encoder's tile run on it.

@@ -106,6 +106,55 @@ CYBERHD_AVX2 inline void sim_tile_f32_block4_avx2(
   }
 }
 
+// The transposed block for the rows left over from the 4-row blocks (a
+// one-row tile is all remainder): one query row against four class rows,
+// each query load shared by the four dots. Every dot again keeps its own
+// (acc0, acc1) pair in dot_f32_avx2's exact order, so eight independent
+// FMA chains run where one dot_f32 call runs two, with the same bits.
+CYBERHD_AVX2 inline void sim_tile_f32_class4_avx2(
+    const float* h, const float* c0, const float* c1, const float* c2,
+    const float* c3, std::size_t dims, float* out4) {
+  __m256 a00 = _mm256_setzero_ps(), a01 = _mm256_setzero_ps();
+  __m256 a10 = _mm256_setzero_ps(), a11 = _mm256_setzero_ps();
+  __m256 a20 = _mm256_setzero_ps(), a21 = _mm256_setzero_ps();
+  __m256 a30 = _mm256_setzero_ps(), a31 = _mm256_setzero_ps();
+  std::size_t i = 0;
+  for (; i + 16 <= dims; i += 16) {
+    const __m256 h0 = _mm256_loadu_ps(h + i);
+    const __m256 h1 = _mm256_loadu_ps(h + i + 8);
+    a00 = _mm256_fmadd_ps(h0, _mm256_loadu_ps(c0 + i), a00);
+    a01 = _mm256_fmadd_ps(h1, _mm256_loadu_ps(c0 + i + 8), a01);
+    a10 = _mm256_fmadd_ps(h0, _mm256_loadu_ps(c1 + i), a10);
+    a11 = _mm256_fmadd_ps(h1, _mm256_loadu_ps(c1 + i + 8), a11);
+    a20 = _mm256_fmadd_ps(h0, _mm256_loadu_ps(c2 + i), a20);
+    a21 = _mm256_fmadd_ps(h1, _mm256_loadu_ps(c2 + i + 8), a21);
+    a30 = _mm256_fmadd_ps(h0, _mm256_loadu_ps(c3 + i), a30);
+    a31 = _mm256_fmadd_ps(h1, _mm256_loadu_ps(c3 + i + 8), a31);
+  }
+  for (; i + 8 <= dims; i += 8) {
+    const __m256 h0 = _mm256_loadu_ps(h + i);
+    a00 = _mm256_fmadd_ps(h0, _mm256_loadu_ps(c0 + i), a00);
+    a10 = _mm256_fmadd_ps(h0, _mm256_loadu_ps(c1 + i), a10);
+    a20 = _mm256_fmadd_ps(h0, _mm256_loadu_ps(c2 + i), a20);
+    a30 = _mm256_fmadd_ps(h0, _mm256_loadu_ps(c3 + i), a30);
+  }
+  float s0 = hsum8(_mm256_add_ps(a00, a01));
+  float s1 = hsum8(_mm256_add_ps(a10, a11));
+  float s2 = hsum8(_mm256_add_ps(a20, a21));
+  float s3 = hsum8(_mm256_add_ps(a30, a31));
+  for (; i < dims; ++i) {
+    const float v = h[i];
+    s0 += v * c0[i];
+    s1 += v * c1[i];
+    s2 += v * c2[i];
+    s3 += v * c3[i];
+  }
+  out4[0] = s0;
+  out4[1] = s1;
+  out4[2] = s2;
+  out4[3] = s3;
+}
+
 CYBERHD_AVX2 void similarities_tile_f32_gather_avx2(
     const float* const* h_rows, std::size_t rows, const float* classes,
     std::size_t num_classes, std::size_t dims, float* out) {
@@ -116,9 +165,15 @@ CYBERHD_AVX2 void similarities_tile_f32_gather_avx2(
                              out + r * num_classes);
   }
   for (; r < rows; ++r) {
-    for (std::size_t c = 0; c < num_classes; ++c) {
-      out[r * num_classes + c] =
-          dot_f32_avx2(h_rows[r], classes + c * dims, dims);
+    float* row_out = out + r * num_classes;
+    std::size_t c = 0;
+    for (; c + 4 <= num_classes; c += 4) {
+      const float* cls = classes + c * dims;
+      sim_tile_f32_class4_avx2(h_rows[r], cls, cls + dims, cls + 2 * dims,
+                               cls + 3 * dims, dims, row_out + c);
+    }
+    for (; c < num_classes; ++c) {
+      row_out[c] = dot_f32_avx2(h_rows[r], classes + c * dims, dims);
     }
   }
 }

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "core/io.hpp"
+#include "core/timer.hpp"
 
 namespace cyberhd::hdc {
 
@@ -95,7 +96,9 @@ void CyberHdClassifier::fit_in_memory(const core::Matrix& x,
   const core::ExecutionContext& exec_ctx = exec();
   // Encode the whole training set once; every phase reads from it.
   core::Matrix encoded;
+  const core::Timer encode_timer;
   encoder_->encode_batch(x, encoded, exec_ctx);
+  report_.encode_s = encode_timer.seconds();
   report_.peak_encode_rows = encoded.rows();
 
   SchedulePhases phases;

@@ -34,19 +34,27 @@ void HdcModel::similarities_batch(const core::Matrix& h,
 
 void HdcModel::similarities_into(const EncodedRows& h, float* out,
                                  const core::ExecutionContext& exec) const {
+  if (h.rows() == 0) return;
+  // Class norms live in the thread-local workspace: recomputed every call
+  // (the model may have changed), but the vector's allocation is reused —
+  // the steady-state serving flush touches no allocator here.
+  std::vector<float>& class_norms = ScoringWorkspace::tl().class_norms;
+  class_norms.resize(num_classes());
+  for (std::size_t c = 0; c < class_norms.size(); ++c) {
+    class_norms[c] = class_norm(c);
+  }
+  similarities_into(h, class_norms, out, exec);
+}
+
+void HdcModel::similarities_into(const EncodedRows& h,
+                                 std::span<const float> class_norms,
+                                 float* out,
+                                 const core::ExecutionContext& exec) const {
   assert(h.dims() == dims());
+  assert(class_norms.size() == num_classes());
   if (h.rows() == 0) return;
   const std::size_t C = num_classes();
   const std::size_t D = dims();
-  // Class norms live in the thread-local workspace: recomputed every call
-  // (they are cheap and the model may have changed), but the vector's
-  // allocation is reused — the steady-state serving flush touches no
-  // allocator here.
-  std::vector<float>& class_norms = ScoringWorkspace::tl().class_norms;
-  class_norms.resize(C);
-  for (std::size_t c = 0; c < C; ++c) {
-    class_norms[c] = core::norm2(classes_.row(c));
-  }
   // Tile-internal blocking: each worker streams its row range through the
   // register-blocked gather tile kernel in chunks small enough that the
   // chunk's rows stay L2-resident for the norm pass right after the kernel

@@ -77,6 +77,22 @@ class HdcModel {
                          const core::ExecutionContext& exec =
                              core::ExecutionContext::serial()) const;
 
+  /// The same scorer with the class norms supplied: `class_norms[c]` must
+  /// be class_norm(c) of the model as it stands. The trainer keeps them
+  /// across an epoch and recomputes only the classes an update touched;
+  /// the overload above computes them and delegates here, so every score
+  /// comes out of this one body.
+  void similarities_into(const EncodedRows& h,
+                         std::span<const float> class_norms, float* out,
+                         const core::ExecutionContext& exec =
+                             core::ExecutionContext::serial()) const;
+
+  /// core::norm2 of one class hypervector: the norm every score divides
+  /// by.
+  float class_norm(std::size_t cls) const noexcept {
+    return core::norm2(classes_.row(cls));
+  }
+
   /// L2-normalize every class hypervector in place (step (D)).
   void normalize_rows() noexcept;
 

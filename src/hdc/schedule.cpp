@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "core/timer.hpp"
+
 namespace cyberhd::hdc {
 
 RegenRebundle::RegenRebundle(std::size_t num_classes,
@@ -37,11 +39,17 @@ void RegenRebundle::apply(HdcModel& model,
 void ScheduleDriver::run(FitReport& report,
                          const SchedulePhases& phases) const {
   assert(phases.bundle && phases.run_epoch && phases.refresh_dims);
-  phases.bundle();
+  const auto timed = [](double& seconds, auto&& phase) {
+    const core::Timer timer;
+    phase();
+    seconds += timer.seconds();
+  };
+  timed(report.bundle_s, phases.bundle);
 
   const auto run_epochs = [&](std::size_t count) {
     for (std::size_t e = 0; e < count; ++e) {
-      const EpochStats stats = phases.run_epoch();
+      EpochStats stats;
+      timed(report.epochs_s, [&] { stats = phases.run_epoch(); });
       report.epoch_accuracy.push_back(stats.accuracy());
       ++report.epochs;
     }
@@ -52,10 +60,12 @@ void ScheduleDriver::run(FitReport& report,
   if (config_.regenerating()) {
     for (std::size_t s = 0; s < config_.regen_steps; ++s) {
       run_epochs(config_.epochs_per_step);
-      const RegenStep step = regen_.step(model_, encoder_, regen_rng_);
+      RegenStep step;
+      timed(report.regen_s,
+            [&] { step = regen_.step(model_, encoder_, regen_rng_); });
       report.regenerated_per_step.push_back(step.dims.size());
       if (!step.dims.empty()) {
-        phases.refresh_dims(step.dims);
+        timed(report.refresh_s, [&] { phases.refresh_dims(step.dims); });
       }
     }
   }

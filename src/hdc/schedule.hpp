@@ -26,7 +26,8 @@
 
 namespace cyberhd::hdc {
 
-/// Per-fit diagnostics: accuracy trajectory and the regeneration ledger.
+/// Per-fit diagnostics: accuracy trajectory, the regeneration ledger and
+/// where the wall-clock time went.
 struct FitReport {
   /// Training accuracy after each adaptive epoch, in order.
   std::vector<double> epoch_accuracy;
@@ -40,6 +41,20 @@ struct FitReport {
   /// training-set row count on the in-memory path, the tile row count when
   /// streaming — the observable for memory-bound deployments (and tests).
   std::size_t peak_encode_rows = 0;
+  /// Wall-clock seconds of each phase, read from a steady clock once per
+  /// phase call (never per sample), so they sum to at most fit()'s wall
+  /// time:
+  ///  * encode_s — the up-front encode of the in-memory fit (0 when fit()
+  ///    streams: its encodes run inside the phases that need them);
+  ///  * bundle_s — the one-shot bundle;
+  ///  * epochs_s — every adaptive epoch;
+  ///  * regen_s — the regeneration steps (variance, drop, resample);
+  ///  * refresh_s — the refreshes of the regenerated dimensions.
+  double encode_s = 0.0;
+  double bundle_s = 0.0;
+  double epochs_s = 0.0;
+  double regen_s = 0.0;
+  double refresh_s = 0.0;
 };
 
 /// The schedule knobs the driver consumes (a projection of CyberHdConfig).
@@ -94,8 +109,8 @@ class RegenRebundle {
 };
 
 /// Runs the bundle -> [epochs -> regenerate -> refresh] x N -> final-epochs
-/// schedule, recording the epoch-accuracy trajectory and the regeneration
-/// ledger into a FitReport.
+/// schedule, recording the epoch-accuracy trajectory, the regeneration
+/// ledger and the phase clocks (all but encode_s) into a FitReport.
 class ScheduleDriver {
  public:
   ScheduleDriver(ScheduleConfig config, RegenController& regen,

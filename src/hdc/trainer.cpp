@@ -25,6 +25,18 @@ constexpr std::size_t kInitMaxStripes = 16;
 constexpr std::size_t kUpdateStripeAlign = 16;
 constexpr std::size_t kUpdateMinStripeCols = 512;
 
+// Read-prefetch every 64-byte cache line of `row` into L1.
+void prefetch_row(std::span<const float> row) noexcept {
+#if defined(__GNUC__) || defined(__clang__)
+  constexpr std::size_t kLineFloats = 64 / sizeof(float);
+  for (std::size_t i = 0; i < row.size(); i += kLineFloats) {
+    __builtin_prefetch(row.data() + i, /*rw=*/0, /*locality=*/3);
+  }
+#else
+  (void)row;
+#endif
+}
+
 }  // namespace
 
 // ---- InitAccumulator --------------------------------------------------------
@@ -111,10 +123,16 @@ void UpdateAccumulator::collect(const EncodedRows& tile, const int* labels,
   assert(scores.size() >= rows * num_classes);
   tile_ = tile;
   updates_.clear();
+  touched_.assign(num_classes, 0);
   const auto step_weight = [&](float score) {
     return config_.similarity_weighted
                ? config_.learning_rate * (1.0f - score)
                : config_.learning_rate;
+  };
+  const auto record = [&](std::size_t r, std::size_t cls, float weight) {
+    updates_.push_back({static_cast<std::uint32_t>(r),
+                        static_cast<std::uint32_t>(cls), weight});
+    touched_[cls] = 1;
   };
   for (std::size_t r = 0; r < rows; ++r) {
     const auto truth = static_cast<std::size_t>(labels[r]);
@@ -126,16 +144,10 @@ void UpdateAccumulator::collect(const EncodedRows& tile, const int* labels,
       // Truth before pred, matching the serial rule's axpy order (only the
       // per-class subsequence order matters — the axpys touch different
       // model rows — but keeping it identical costs nothing).
-      updates_.push_back({static_cast<std::uint32_t>(r),
-                          static_cast<std::uint32_t>(truth),
-                          step_weight(row_scores[truth])});
-      updates_.push_back({static_cast<std::uint32_t>(r),
-                          static_cast<std::uint32_t>(pred),
-                          -step_weight(row_scores[pred])});
+      record(r, truth, step_weight(row_scores[truth]));
+      record(r, pred, -step_weight(row_scores[pred]));
     } else if (config_.reinforce_correct) {
-      updates_.push_back({static_cast<std::uint32_t>(r),
-                          static_cast<std::uint32_t>(truth),
-                          step_weight(row_scores[truth])});
+      record(r, truth, step_weight(row_scores[truth]));
     }
   }
 }
@@ -175,6 +187,14 @@ void UpdateAccumulator::apply(HdcModel& model,
         }
       },
       /*grain=*/1);
+}
+
+void UpdateAccumulator::refresh_norms(const HdcModel& model,
+                                      std::span<float> class_norms) const {
+  assert(class_norms.size() == touched_.size());
+  for (std::size_t c = 0; c < touched_.size(); ++c) {
+    if (touched_[c] != 0) class_norms[c] = model.class_norm(c);
+  }
 }
 
 // ---- Trainer ----------------------------------------------------------------
@@ -217,17 +237,31 @@ void Trainer::update_tile(HdcModel& model, const EncodedRows& rows,
   const core::ExecutionContext serial(nullptr, &exec_.kernels(),
                                       exec_.cache());
   const core::ExecutionContext& ctx = batch > 1 ? exec_ : serial;
-  std::vector<float> scores(batch * model.num_classes());
+  const std::size_t classes = model.num_classes();
+  std::vector<float> scores(batch * classes);
+  // One tile's updates change only the classes they touch, so the norms
+  // are computed once here and the touched ones recomputed after each
+  // apply(), with the class_norm() the scorer would run: every score keeps
+  // its bits.
+  std::vector<float> class_norms(classes);
+  for (std::size_t c = 0; c < classes; ++c) {
+    class_norms[c] = model.class_norm(c);
+  }
   UpdateAccumulator acc(config_);
   for (std::size_t t = 0; t < n; t += batch) {
     const EncodedRows tile(rows.row_ptrs() + t, std::min(batch, n - t),
                            rows.dims());
+    // The shuffled visit order reads the encoded set from outer cache; a
+    // one-row tile is scored too fast to hide that, so start loading the
+    // next sample now.
+    if (batch == 1 && t + 1 < n) prefetch_row(rows.row(t + 1));
     // Frozen-model scoring through the batch scorer (the same bits for any
     // split), then the serial decision sweep and the striped replay —
     // deterministic for every worker count.
-    model.similarities_into(tile, scores.data(), ctx);
-    acc.collect(tile, labels + t, scores, model.num_classes(), stats);
+    model.similarities_into(tile, class_norms, scores.data(), ctx);
+    acc.collect(tile, labels + t, scores, classes, stats);
     acc.apply(model, ctx);
+    acc.refresh_norms(model, class_norms);
   }
 }
 

@@ -163,6 +163,13 @@ class UpdateAccumulator {
   /// them serially in visit order, for any worker count.
   void apply(HdcModel& model, const core::ExecutionContext& exec) const;
 
+  /// After apply(): recompute HdcModel::class_norm of every class the
+  /// recorded updates touched, once each however many updates it took.
+  /// The other entries of `class_norms` still hold their classes' exact
+  /// norms, since their vectors did not change.
+  void refresh_norms(const HdcModel& model,
+                     std::span<float> class_norms) const;
+
   std::size_t num_updates() const noexcept { return updates_.size(); }
 
  private:
@@ -176,6 +183,7 @@ class UpdateAccumulator {
   TrainerConfig config_;
   EncodedRows tile_;
   std::vector<Update> updates_;
+  std::vector<char> touched_;  // per class: updated by this tile
 };
 
 /// Trains an HdcModel over pre-encoded data. All parallelism and tiling
@@ -250,7 +258,9 @@ class Trainer {
   /// alongside) in resolved_batch_size() tiles. Each tile is scored
   /// against the frozen model by HdcModel::similarities_into, then its
   /// adaptive updates replay through the accumulator — both split across
-  /// the context's pool when the batch is larger than one row.
+  /// the context's pool when the batch is larger than one row. The class
+  /// norms are computed once per call and only the touched classes'
+  /// recomputed after each tile, so the scores keep their bits.
   void update_tile(HdcModel& model, const EncodedRows& rows,
                    const int* labels, EpochStats& stats) const;
 

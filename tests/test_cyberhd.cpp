@@ -10,6 +10,7 @@
 
 #include "core/matrix.hpp"
 #include "core/rng.hpp"
+#include "core/timer.hpp"
 #include "hdc/regen.hpp"
 #include "hdc/trainer.hpp"
 
@@ -223,6 +224,36 @@ TEST(CyberHdClassifier, FitReportTracksEpochs) {
   model.fit(data.x, data.y, 3);
   EXPECT_EQ(model.last_fit_report().epochs, 3u * 2u + 4u);
   EXPECT_EQ(model.last_fit_report().epoch_accuracy.size(), 10u);
+}
+
+TEST(CyberHdClassifier, FitReportClocksEveryPhaseWithinFitWallTime) {
+  const Blobs data(40);
+  auto cfg = small_config();
+  cfg.regen_steps = 3;
+  cfg.epochs_per_step = 2;
+  for (const std::size_t tile_rows : {0u, 32u}) {
+    cfg.train_tile_rows = tile_rows;
+    CyberHdClassifier model(cfg);
+    const core::Timer wall;
+    model.fit(data.x, data.y, 3);
+    const double fit_s = wall.seconds();
+    const FitReport& r = model.last_fit_report();
+    ASSERT_EQ(r.regenerated_per_step.size(), 3u);
+    ASSERT_GT(r.regenerated_per_step[0], 0u);
+    // The streamed fit encodes inside its phases, never up front.
+    if (tile_rows == 0) {
+      EXPECT_GT(r.encode_s, 0.0);
+    } else {
+      EXPECT_EQ(r.encode_s, 0.0);
+    }
+    EXPECT_GT(r.bundle_s, 0.0) << "tile_rows=" << tile_rows;
+    EXPECT_GT(r.epochs_s, 0.0) << "tile_rows=" << tile_rows;
+    EXPECT_GT(r.regen_s, 0.0) << "tile_rows=" << tile_rows;
+    EXPECT_GT(r.refresh_s, 0.0) << "tile_rows=" << tile_rows;
+    EXPECT_LE(r.encode_s + r.bundle_s + r.epochs_s + r.regen_s + r.refresh_s,
+              fit_s)
+        << "tile_rows=" << tile_rows;
+  }
 }
 
 TEST(CyberHdClassifier, RefitResetsState) {

@@ -196,11 +196,12 @@ std::vector<const core::Kernels*> runnable_backends() {
 /// (row, class) pair bit-for-bit — the contract the batch scorer (serving
 /// and the minibatch trainer) and the sign-projection encoder build their
 /// "batching never changes results" guarantee on. Rows straddle the 4-row
-/// register block, dims the SIMD widths and tails.
+/// register block, classes the four-class block of the leftover rows (with
+/// no tail and tails of 1 and 2), dims the SIMD widths and tails.
 TEST(KernelGather, SimilaritiesTileF32GatherMatchesPerPairDotBitExactly) {
   for (const core::Kernels* k : runnable_backends()) {
     for (std::size_t rows : {1u, 3u, 4u, 5u, 8u, 17u}) {
-      for (std::size_t classes : {1u, 2u, 3u, 10u}) {
+      for (std::size_t classes : {1u, 2u, 3u, 4u, 5u, 8u, 10u}) {
         for (std::size_t dims : {1u, 7u, 8u, 16u, 17u, 31u, 65u, 100u, 118u,
                                  130u, 512u}) {
           const auto h = gaussian_vec(rows * dims, 9000 + rows + dims);

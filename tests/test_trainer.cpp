@@ -19,25 +19,34 @@
 namespace cyberhd::hdc {
 namespace {
 
-/// Two well-separated Gaussian blobs encoded through an RBF encoder.
+/// Gaussian blobs in the unit square (sd 0.08), one per class, encoded
+/// through an RBF encoder. With s = classes - 1, class k is centred at
+/// (0.25 + 0.5 k / s, 0.25 + 0.5 (3k mod classes) / s): two classes sit in
+/// opposite corners, well separated, and seven spread over the square
+/// about 2.3 sd apart, so their epochs keep mispredicting.
 struct BlobFixture {
   core::Matrix encoded;
   std::vector<int> labels;
   std::size_t dims;
+  std::size_t classes;
 
   explicit BlobFixture(std::size_t n_per_class, std::uint64_t seed = 5,
-                       std::size_t dims_ = 128)
-      : dims(dims_) {
+                       std::size_t dims_ = 128, std::size_t classes_ = 2)
+      : dims(dims_), classes(classes_) {
     core::Rng rng(seed);
-    core::Matrix raw(2 * n_per_class, 2);
-    labels.resize(2 * n_per_class);
+    core::Matrix raw(classes * n_per_class, 2);
+    labels.resize(classes * n_per_class);
+    const auto span01 = static_cast<double>(classes - 1);
     for (std::size_t i = 0; i < n_per_class; ++i) {
-      raw(i, 0) = static_cast<float>(rng.gaussian(0.25, 0.08));
-      raw(i, 1) = static_cast<float>(rng.gaussian(0.25, 0.08));
-      labels[i] = 0;
-      raw(n_per_class + i, 0) = static_cast<float>(rng.gaussian(0.75, 0.08));
-      raw(n_per_class + i, 1) = static_cast<float>(rng.gaussian(0.75, 0.08));
-      labels[n_per_class + i] = 1;
+      for (std::size_t k = 0; k < classes; ++k) {
+        const std::size_t row = k * n_per_class + i;
+        const double cx = 0.25 + 0.5 * static_cast<double>(k) / span01;
+        const double cy =
+            0.25 + 0.5 * static_cast<double>(3 * k % classes) / span01;
+        raw(row, 0) = static_cast<float>(rng.gaussian(cx, 0.08));
+        raw(row, 1) = static_cast<float>(rng.gaussian(cy, 0.08));
+        labels[row] = static_cast<int>(k);
+      }
     }
     core::Rng enc_rng(seed + 1);
     RbfEncoder enc(2, dims, enc_rng, 0.5f);
@@ -266,46 +275,63 @@ EpochStats golden_sequential_epoch(const TrainerConfig& config,
 
 TEST(TrainerTiled, EpochIsBitExactToWrittenOutRuleAtEveryBatchAndPool) {
   // 1024 dims: on the 4-worker pool the update replay splits the class
-  // matrix into column stripes, and 64-row tiles split their scoring.
-  BlobFixture fixture(120, /*seed=*/43, /*dims_=*/1024);
+  // matrix into column stripes, and 64-row tiles split their scoring. The
+  // golden rule recomputes every class norm for every row; the trainer
+  // keeps them and recomputes only the classes a tile's updates touched.
+  // Seven classes pin that: an update leaves at least five untouched, a
+  // tile of 4-64 rows refreshes its touched classes once, and one-row
+  // scoring runs the four-class block plus a three-class tail.
+  const BlobFixture fixtures[] = {
+      BlobFixture(120, /*seed=*/43, /*dims_=*/1024),
+      BlobFixture(60, /*seed=*/43, /*dims_=*/1024, /*classes_=*/7)};
   core::ThreadPool pool1(1), pool4(4);
   const std::pair<const char*, core::ExecutionContext> contexts[] = {
       {"serial", core::ExecutionContext::serial()},
       {"pool(1)", core::ExecutionContext(&pool1)},
       {"pool(4)", core::ExecutionContext(&pool4)}};
-  for (const std::size_t batch : {1u, 4u, 16u, 64u}) {
-    for (const auto& [ctx_name, ctx] : contexts) {
-      for (const bool weighted : {true, false}) {
-        for (const bool reinforce : {false, true}) {
-          TrainerConfig cfg;
-          cfg.learning_rate = 0.3f;
-          cfg.similarity_weighted = weighted;
-          cfg.reinforce_correct = reinforce;
-          cfg.batch_size = batch;
-          Trainer trainer(cfg, ctx);
-          HdcModel tiled(2, fixture.dims), golden(2, fixture.dims);
-          trainer.initialize(tiled, fixture.encoded, fixture.labels);
-          trainer.initialize(golden, fixture.encoded, fixture.labels);
-          ASSERT_EQ(tiled.weights(), golden.weights());
-          core::Rng rng_tiled(47), rng_golden(47);
-          for (int e = 0; e < 3; ++e) {
-            const EpochStats t = trainer.train_epoch(
-                tiled, fixture.encoded, fixture.labels, rng_tiled);
-            const EpochStats g = golden_sequential_epoch(
-                cfg, golden, fixture.encoded, fixture.labels, rng_golden);
-            EXPECT_EQ(t.samples, g.samples);
-            EXPECT_EQ(t.mispredicted, g.mispredicted)
-                << "batch=" << batch << " " << ctx_name
-                << " weighted=" << weighted << " reinforce=" << reinforce
-                << " epoch " << e;
-            // Bit-exact: float-for-float identical class hypervectors.
-            ASSERT_EQ(tiled.weights(), golden.weights())
-                << "batch=" << batch << " " << ctx_name
-                << " weighted=" << weighted << " reinforce=" << reinforce
-                << " epoch " << e;
+  for (const BlobFixture& fixture : fixtures) {
+    std::size_t mispredicted = 0;
+    for (const std::size_t batch : {1u, 4u, 16u, 64u}) {
+      for (const auto& [ctx_name, ctx] : contexts) {
+        for (const bool weighted : {true, false}) {
+          for (const bool reinforce : {false, true}) {
+            TrainerConfig cfg;
+            cfg.learning_rate = 0.3f;
+            cfg.similarity_weighted = weighted;
+            cfg.reinforce_correct = reinforce;
+            cfg.batch_size = batch;
+            Trainer trainer(cfg, ctx);
+            HdcModel tiled(fixture.classes, fixture.dims);
+            HdcModel golden(fixture.classes, fixture.dims);
+            trainer.initialize(tiled, fixture.encoded, fixture.labels);
+            trainer.initialize(golden, fixture.encoded, fixture.labels);
+            ASSERT_EQ(tiled.weights(), golden.weights());
+            core::Rng rng_tiled(47), rng_golden(47);
+            for (int e = 0; e < 3; ++e) {
+              const EpochStats t = trainer.train_epoch(
+                  tiled, fixture.encoded, fixture.labels, rng_tiled);
+              const EpochStats g = golden_sequential_epoch(
+                  cfg, golden, fixture.encoded, fixture.labels, rng_golden);
+              mispredicted += g.mispredicted;
+              EXPECT_EQ(t.samples, g.samples);
+              EXPECT_EQ(t.mispredicted, g.mispredicted)
+                  << fixture.classes << " classes batch=" << batch << " "
+                  << ctx_name << " weighted=" << weighted
+                  << " reinforce=" << reinforce << " epoch " << e;
+              // Bit-exact: float-for-float identical class hypervectors.
+              ASSERT_EQ(tiled.weights(), golden.weights())
+                  << fixture.classes << " classes batch=" << batch << " "
+                  << ctx_name << " weighted=" << weighted
+                  << " reinforce=" << reinforce << " epoch " << e;
+            }
           }
         }
       }
+    }
+    // The two blobs never mispredict (only reinforcement updates them);
+    // the seven must, or their kept norms go untested.
+    if (fixture.classes > 2) {
+      EXPECT_GT(mispredicted, 0u);
     }
   }
 }
