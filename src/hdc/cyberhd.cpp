@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <fstream>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 
@@ -16,7 +17,8 @@ CyberHdClassifier::CyberHdClassifier(CyberHdConfig config)
   if (config_.dims == 0) {
     throw std::invalid_argument("CyberHdConfig.dims must be positive");
   }
-  if (config_.regen_rate < 0.0 || config_.regen_rate >= 1.0) {
+  // Written so that NaN fails too.
+  if (!(config_.regen_rate >= 0.0 && config_.regen_rate < 1.0)) {
     throw std::invalid_argument(
         "CyberHdConfig.regen_rate must be in [0, 1)");
   }
@@ -57,14 +59,12 @@ void CyberHdClassifier::fit(const core::Matrix& x, std::span<const int> y,
   regen_.emplace(config_.dims, config_.regen_rate,
                  config_.regen_anneal ? config_.regen_steps : 0);
 
-  Trainer trainer(TrainerConfig{
-                      .learning_rate = config_.learning_rate,
-                      .similarity_weighted = config_.similarity_weighted_update,
-                      .batch_size = config_.batch_size},
-                  exec());
-
-  // The schedule control flow lives exactly once, in the driver; the two
-  // fit paths below differ only in the phase callbacks they plug in.
+  const core::ExecutionContext& exec_ctx = exec();
+  const Trainer trainer(
+      TrainerConfig{.learning_rate = config_.learning_rate,
+                    .similarity_weighted = config_.similarity_weighted_update,
+                    .batch_size = config_.batch_size},
+      exec_ctx);
   const ScheduleDriver driver(
       ScheduleConfig{.regen_rate = config_.regen_rate,
                      .regen_steps = config_.regen_steps,
@@ -72,142 +72,105 @@ void CyberHdClassifier::fit(const core::Matrix& x, std::span<const int> y,
                      .final_epochs = config_.final_epochs},
       *regen_, model_, *encoder_, regen_rng);
 
-  // Streamed fit: encode→train in O(tile x D) chunks instead of holding
-  // the n x D encoded training set. Engages only when the tile is actually
-  // smaller than the set — otherwise the in-memory path is strictly better
-  // (it encodes each sample once per fit, not once per epoch).
-  if (config_.train_tile_rows > 0 && config_.train_tile_rows < x.rows()) {
-    fit_streamed(x, y, num_classes, trainer, driver, train_rng);
-  } else {
-    fit_in_memory(x, y, num_classes, trainer, driver, train_rng);
-  }
-
-  // (Re)fitting replaces the encoder, so every cached encoding is stale;
-  // re-arm the serving cache at the env-configured capacity.
-  set_encode_cache(EncodeCache::capacity_from_env());
-}
-
-void CyberHdClassifier::fit_in_memory(const core::Matrix& x,
-                                      std::span<const int> y,
-                                      std::size_t num_classes,
-                                      const Trainer& trainer,
-                                      const ScheduleDriver& driver,
-                                      core::Rng& train_rng) {
-  const core::ExecutionContext& exec_ctx = exec();
-  // Encode the whole training set once; every phase reads from it.
-  core::Matrix encoded;
-  const core::Timer encode_timer;
-  encoder_->encode_batch(x, encoded, exec_ctx);
-  report_.encode_s = encode_timer.seconds();
-  report_.peak_encode_rows = encoded.rows();
-
-  SchedulePhases phases;
-  phases.bundle = [&] { trainer.initialize(model_, encoded, y); };
-  phases.run_epoch = [&] {
-    return trainer.train_epoch(model_, encoded, y, train_rng);
-  };
-  phases.refresh_dims = [&](std::span<const std::size_t> dims) {
-    // Refresh only the touched columns of the cached encoded matrix, then
-    // (when configured) re-bundle them into the model.
-    encoder_->encode_batch_dims(x, dims, encoded, exec_ctx);
-    if (config_.rebundle_after_regen) {
-      RegenRebundle rebundle(num_classes, dims);
-      for (std::size_t i = 0; i < encoded.rows(); ++i) {
-        rebundle.add_row(encoded.row(i), static_cast<std::size_t>(y[i]));
-      }
-      rebundle.apply(model_, y);
-    }
-  };
-  driver.run(report_, phases);
-}
-
-void CyberHdClassifier::fit_streamed(const core::Matrix& x,
-                                     std::span<const int> y,
-                                     std::size_t num_classes,
-                                     const Trainer& trainer,
-                                     const ScheduleDriver& driver,
-                                     core::Rng& train_rng) {
-  const core::ExecutionContext& exec_ctx = exec();
+  // Every phase walks the training set in windows of `tile` rows. When the
+  // tile holds every row, the set is encoded once up front and those
+  // encodings are kept: a window points into them, and a regeneration
+  // step refreshes their touched columns. Otherwise fit() streams: a
+  // window gathers its raw rows into one tile-sized buffer and encodes
+  // them there, so encode memory stays O(tile x D) at the price of
+  // re-encoding every epoch.
   const std::size_t n = x.rows();
-  const std::size_t tile = config_.train_tile_rows;
+  const std::size_t dims = config_.dims;
+  const std::size_t tile =
+      config_.train_tile_rows == 0 ? n : std::min(config_.train_tile_rows, n);
+  const bool resident = tile == n;
   report_.peak_encode_rows = tile;
-
-  // The one resident encode buffer — every phase refills it in place.
-  core::Matrix enc_tile(tile, config_.dims);
-  std::vector<int> tile_labels(tile);
-
-  // Every encode phase rides a batched path (bit-identical to per-row
-  // encodes): the bundle phase tiles contiguous ranges of x directly; the
-  // shuffled epoch phase and the regeneration refresh first gather their
-  // picks' raw F-float rows into one contiguous block — the gather is tiny
-  // next to the D x F encode it batches.
-  core::Matrix raw_tile(tile, x.cols());
-  const auto encode_range = [&](std::size_t t, std::size_t m) {
-    encoder_->encode_tile(x, t, t + m, enc_tile.data(), config_.dims,
-                          exec_ctx);
-  };
-  const auto gather_raw = [&](std::size_t m, auto&& pick) {
+  core::Matrix encoded;  // resident: every row's encoding; else one tile
+  core::Matrix raw;      // streamed: the window's gathered raw rows
+  if (resident) {
+    const core::Timer encode_timer;
+    encoder_->encode_batch(x, encoded, exec_ctx);
+    report_.encode_s = encode_timer.seconds();
+  } else {
+    encoded.resize(tile, dims);
+    raw.resize(tile, x.cols());
+  }
+  std::vector<std::size_t> index_order(n);
+  std::iota(index_order.begin(), index_order.end(), 0);
+  std::vector<const float*> window_rows(tile);
+  std::vector<int> window_labels(tile);
+  // Rows order[t], ..., order[t + m - 1], m = min(tile, n - t), as a view
+  // of their encodings plus their labels. A streamed window with
+  // `fresh_dims` encodes only those columns.
+  const auto window = [&](std::span<const std::size_t> order, std::size_t t,
+                          std::span<const std::size_t> fresh_dims = {}) {
+    const std::size_t m = std::min(tile, n - t);
     for (std::size_t i = 0; i < m; ++i) {
-      const auto src = x.row(pick(i));
-      std::copy(src.begin(), src.end(), raw_tile.row(i).begin());
+      const std::size_t row = order[t + i];
+      window_labels[i] = y[row];
+      if (resident) {
+        window_rows[i] = encoded.row(row).data();
+      } else {
+        const auto src = x.row(row);
+        std::copy(src.begin(), src.end(), raw.row(i).begin());
+        window_rows[i] = encoded.row(i).data();
+      }
     }
+    if (!resident) {
+      if (fresh_dims.empty()) {
+        encoder_->encode_tile(raw, 0, m, encoded.data(), dims, exec_ctx);
+      } else {
+        // Past a partial last tile, raw still holds an earlier window's
+        // rows; their refreshed columns are never read.
+        encoder_->encode_batch_dims(raw, fresh_dims, encoded, exec_ctx);
+      }
+    }
+    return std::pair{EncodedRows(window_rows.data(), m, dims),
+                     std::span<const int>(window_labels.data(), m)};
   };
 
   SchedulePhases phases;
-  // One-shot bundling, tile by tile. The InitAccumulator routes rows into
-  // stripes by global index, so this produces the exact model the
-  // in-memory initialize() builds.
   phases.bundle = [&] {
-    InitAccumulator acc(num_classes, config_.dims, n);
+    InitAccumulator acc(num_classes, dims, n);
     for (std::size_t t = 0; t < n; t += tile) {
-      const std::size_t m = std::min(tile, n - t);
-      encode_range(t, m);
-      acc.accumulate(enc_tile, y.subspan(t, m), 0, m, /*row_offset=*/t);
+      const auto [rows, labels] = window(index_order, t);
+      acc.accumulate(rows, labels, /*row_offset=*/t, exec_ctx);
     }
     acc.finish(model_, trainer.config());
   };
-  // One adaptive epoch: draw the same visit order train_epoch would, then
-  // gather-encode and train tile by tile. With batch_size == 1 this is
-  // bit-identical to the in-memory epoch (same order, same encodes, same
-  // update sequence); larger batches split at tile boundaries.
+  // One adaptive epoch: the visit order train_epoch would draw, walked
+  // window by window. Minibatches split at window boundaries, so the
+  // model is train_epoch's whenever the tile is a multiple of the batch.
   phases.run_epoch = [&] {
     const std::vector<std::size_t> order =
         Trainer::epoch_order(n, train_rng, trainer.config().shuffle);
     EpochStats stats;
     stats.samples = n;
     for (std::size_t t = 0; t < n; t += tile) {
-      const std::size_t m = std::min(tile, n - t);
-      gather_raw(m, [&](std::size_t i) { return order[t + i]; });
-      encoder_->encode_tile(raw_tile, 0, m, enc_tile.data(), config_.dims,
-                            exec_ctx);
-      for (std::size_t i = 0; i < m; ++i) {
-        tile_labels[i] = y[order[t + i]];
-      }
-      trainer.train_tile(model_, enc_tile, {tile_labels.data(), m}, stats);
+      const auto [rows, labels] = window(order, t);
+      trainer.train_rows(model_, rows, labels, stats);
     }
     return stats;
   };
-  phases.refresh_dims = [&](std::span<const std::size_t> dims) {
-    // Streamed centered re-bundle: recompute only the touched columns
-    // tile by tile (the next epochs would see them anyway — there is no
-    // cached encoded matrix to refresh) through encode_batch_dims, as the
-    // in-memory path does, and feed the shared RegenRebundle in the same
-    // row order. Past a partial last tile, raw_tile keeps an earlier
-    // tile's rows; their refreshed columns are never read.
+  phases.refresh_dims = [&](std::span<const std::size_t> regenerated) {
+    if (resident) {
+      encoder_->encode_batch_dims(x, regenerated, encoded, exec_ctx);
+    }
     if (!config_.rebundle_after_regen) return;
-    RegenRebundle rebundle(num_classes, dims);
+    RegenRebundle rebundle(num_classes, regenerated);
     for (std::size_t t = 0; t < n; t += tile) {
-      const std::size_t m = std::min(tile, n - t);
-      gather_raw(m, [&](std::size_t i) { return t + i; });
-      encoder_->encode_batch_dims(raw_tile, dims, enc_tile, exec_ctx);
-      for (std::size_t i = 0; i < m; ++i) {
-        rebundle.add_row(enc_tile.row(i),
-                         static_cast<std::size_t>(y[t + i]));
+      const auto [rows, labels] = window(index_order, t, regenerated);
+      for (std::size_t i = 0; i < rows.rows(); ++i) {
+        rebundle.add_row(rows.row(i), static_cast<std::size_t>(labels[i]));
       }
     }
     rebundle.apply(model_, y);
   };
   driver.run(report_, phases);
+
+  // (Re)fitting replaces the encoder, so every cached encoding is stale;
+  // re-arm the serving cache at the env-configured capacity.
+  set_encode_cache(EncodeCache::capacity_from_env());
 }
 
 int CyberHdClassifier::predict(std::span<const float> x) const {
@@ -336,6 +299,7 @@ void write_header_fields(std::ostream& out, const SavedHeader& h) {
 SavedHeader read_header_fields(std::istream& in) {
   SavedHeader h;
   h.cfg.dims = core::io::read_u64(in);
+  if (h.cfg.dims == 0) throw std::runtime_error("saved dims is 0");
   const std::uint64_t encoder_kind = core::io::read_u64(in);
   if (encoder_kind > static_cast<std::uint64_t>(EncoderKind::kIdLevel)) {
     throw std::runtime_error("unknown encoder kind id " +
@@ -343,6 +307,13 @@ SavedHeader read_header_fields(std::istream& in) {
   }
   h.cfg.encoder = static_cast<EncoderKind>(encoder_kind);
   h.cfg.regen_rate = core::io::read_f32(in);
+  // The constructor's check, here so that a bad file fails as malformed
+  // input (std::runtime_error) and NaN fails too.
+  if (!(h.cfg.regen_rate >= 0.0 && h.cfg.regen_rate < 1.0)) {
+    throw std::runtime_error("saved regen_rate " +
+                             std::to_string(h.cfg.regen_rate) +
+                             " is outside [0, 1)");
+  }
   h.cfg.regen_steps = core::io::read_u64(in);
   h.cfg.regen_anneal = core::io::read_u64(in) != 0;
   h.cfg.epochs_per_step = core::io::read_u64(in);

@@ -7,11 +7,12 @@
 //   variance -> drop R% -> regenerate bases -> re-encode touched dims ] x N
 //   -> final adaptive epochs
 //
-// The schedule control flow lives once, in hdc::ScheduleDriver; fit()
-// plugs in either the in-memory phases (encode everything up front) or the
-// streamed phases (tile-at-a-time encode→train, O(tile x D) peak memory).
-// All parallelism and tiling policy flows through one
-// core::ExecutionContext selected by config().parallel.
+// The schedule control flow lives in hdc::ScheduleDriver. fit() is one
+// body whose phases walk the training set in windows of train_tile_rows
+// rows: when one window holds every row, the set is encoded once and the
+// encodings are kept; otherwise each window is encoded as it is needed,
+// in O(tile x D) memory. All parallelism and tiling policy flows through
+// one core::ExecutionContext selected by config().parallel.
 //
 // With `regen_rate == 0` (or `regen_steps == 0`) this degrades exactly to
 // the static-encoder baseline HDC the paper compares against.
@@ -29,13 +30,11 @@
 #include "core/classifier.hpp"
 #include "core/exec/execution_context.hpp"
 #include "core/matrix.hpp"
-#include "core/rng.hpp"
 #include "hdc/encode_cache.hpp"
 #include "hdc/encoder.hpp"
 #include "hdc/model.hpp"
 #include "hdc/regen.hpp"
 #include "hdc/schedule.hpp"
-#include "hdc/trainer.hpp"
 
 namespace cyberhd::hdc {
 
@@ -92,13 +91,14 @@ struct CyberHdConfig {
   /// from the machine's cache topology (pin it with CYBERHD_L2_BYTES for
   /// cross-host comparable runs).
   std::size_t batch_size = 1;
-  /// Rows per encode→train chunk of fit(). 0 (the default) encodes the
-  /// whole training set up front — peak encode memory O(n x D). When > 0,
-  /// fit() streams: each phase (one-shot bundling, adaptive epochs, the
-  /// regeneration re-bundles) encodes `train_tile_rows` rows at a time
-  /// into one reused buffer, keeping peak encode memory at O(tile x D) at
-  /// the price of re-encoding every epoch. With batch_size == 1 the
-  /// streamed fit is bit-identical to the in-memory fit.
+  /// Rows per window of fit(): every phase (one-shot bundling, adaptive
+  /// epochs, the regeneration re-bundles) walks the training set in
+  /// windows of this many rows. 0 (the default), or a tile of at least n
+  /// rows, makes one window of every row: the set is encoded once and the
+  /// encodings kept, peak encode memory O(n x D). A smaller tile streams:
+  /// each window is encoded into one reused buffer, keeping peak encode
+  /// memory at O(tile x D) at the price of re-encoding every epoch. The
+  /// model does not depend on the tile when batch_size divides it.
   std::size_t train_tile_rows = 0;
   /// Seed for encoder sampling, shuffling, and regeneration.
   std::uint64_t seed = 0xc1beau;
@@ -218,16 +218,6 @@ class CyberHdClassifier final : public core::Classifier {
   static CyberHdClassifier load_file(const std::string& path);
 
  private:
-  /// Build the in-memory fit phases (whole training set encoded up front)
-  /// and run them through the ScheduleDriver.
-  void fit_in_memory(const core::Matrix& x, std::span<const int> y,
-                     std::size_t num_classes, const Trainer& trainer,
-                     const ScheduleDriver& driver, core::Rng& train_rng);
-  /// Build the streamed fit phases (tile-at-a-time encode→train in one
-  /// reused O(tile x D) buffer) and run them through the same driver.
-  void fit_streamed(const core::Matrix& x, std::span<const int> y,
-                    std::size_t num_classes, const Trainer& trainer,
-                    const ScheduleDriver& driver, core::Rng& train_rng);
   /// The one scorer: encode_block through `cache` (nullptr encodes every
   /// row), then similarities_into, over rows [begin, end) of `x` into
   /// (end - begin) x num_classes() floats at `out`.

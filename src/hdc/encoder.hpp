@@ -81,7 +81,7 @@ class Encoder {
   /// The range is split into plan_encode_tile flow blocks across the
   /// context's pool; each block runs through encode_tile_block. Every
   /// batch-encode consumer — encode_batch, the encode-cache miss driver,
-  /// the streamed trainer, the quantized packer — funnels through here.
+  /// fit()'s streamed windows, the quantized packer — funnels through here.
   void encode_tile(const core::Matrix& x, std::size_t begin, std::size_t end,
                    float* out, std::size_t out_stride,
                    const core::ExecutionContext& exec) const;

@@ -56,7 +56,7 @@ void ScheduleDriver::run(FitReport& report,
   };
 
   // Regeneration cycles: retrain, then drop-and-regenerate (steps D..H of
-  // the workflow), then let the fit path refresh the touched columns.
+  // the workflow), then let the caller refresh the touched columns.
   if (config_.regenerating()) {
     for (std::size_t s = 0; s < config_.regen_steps; ++s) {
       run_epochs(config_.epochs_per_step);

@@ -1,16 +1,13 @@
-// The shared training-schedule driver behind CyberHdClassifier::fit().
+// The training-schedule driver behind CyberHdClassifier::fit().
 //
-// The CyberHD fit loop of Fig. 2 — one-shot bundle, then N cycles of
-// [adaptive epochs -> drop-and-regenerate -> refresh touched dims], then
-// final epochs — used to exist twice: once over an in-memory encoded
-// matrix and once in the streamed tile-at-a-time variant, differing only
-// in how rows are produced and how regenerated columns are refreshed.
-// ScheduleDriver owns that control flow exactly once; the two fit paths
-// supply their row production and refresh strategies as SchedulePhases
-// callbacks. Because the driver performs the same sequence of trainer,
-// regeneration, and RNG operations the duplicated loops performed, the
-// streamed == in-memory bit-identity contract is preserved by
-// construction (and still pinned by tests).
+// ScheduleDriver owns the CyberHD fit loop of Fig. 2 — one-shot bundle,
+// then N cycles of [adaptive epochs -> drop-and-regenerate -> refresh
+// touched dims], then final epochs — and fit() supplies the three phases
+// as SchedulePhases callbacks over its windows of encoded rows. The
+// phases are callbacks, not direct calls, because fit() is not their only
+// caller: perfbench's traced_fit plugs in the same trainer, encoder and
+// RegenRebundle calls with a trace span around each, and checks that its
+// weights equal the library's byte for byte.
 #pragma once
 
 #include <cstddef>
@@ -37,15 +34,17 @@ struct FitReport {
   std::size_t effective_dims = 0;
   /// Total adaptive epochs run.
   std::size_t epochs = 0;
-  /// Rows of the largest encoded buffer fit() held resident: the full
-  /// training-set row count on the in-memory path, the tile row count when
-  /// streaming — the observable for memory-bound deployments (and tests).
+  /// Rows of the largest encoded buffer fit() held resident: the tile
+  /// (train_tile_rows, or the training-set row count when one window
+  /// holds every row) — the observable for memory-bound deployments (and
+  /// tests).
   std::size_t peak_encode_rows = 0;
   /// Wall-clock seconds of each phase, read from a steady clock once per
   /// phase call (never per sample), so they sum to at most fit()'s wall
   /// time:
-  ///  * encode_s — the up-front encode of the in-memory fit (0 when fit()
-  ///    streams: its encodes run inside the phases that need them);
+  ///  * encode_s — the up-front encode of a fit whose one window holds
+  ///    every row (0 when fit() streams: its encodes run inside the
+  ///    phases that need them);
   ///  * bundle_s — the one-shot bundle;
   ///  * epochs_s — every adaptive epoch;
   ///  * regen_s — the regeneration steps (variance, drop, resample);
@@ -69,8 +68,9 @@ struct ScheduleConfig {
   }
 };
 
-/// The strategy callbacks a fit path plugs into the driver. All three are
-/// required; each runs over whatever row storage the path owns.
+/// The phase callbacks the driver runs. All three are required; fit()'s
+/// run over its windows of encoded rows, traced_fit's over one encoded
+/// matrix.
 struct SchedulePhases {
   /// One-shot initialization: bundle every training sample into the model.
   std::function<void()> bundle;
@@ -79,9 +79,9 @@ struct SchedulePhases {
   /// must happen exactly in driver order — which they do, since only the
   /// driver calls it.
   std::function<EpochStats()> run_epoch;
-  /// A regeneration step just resampled `dims`: refresh whatever encoded
-  /// state the path caches and (when configured) re-bundle the touched
-  /// model columns.
+  /// A regeneration step just resampled `dims`: refresh whatever
+  /// encodings the caller keeps and (when configured) re-bundle the
+  /// touched model columns.
   std::function<void(std::span<const std::size_t> dims)> refresh_dims;
 };
 
@@ -89,9 +89,10 @@ struct SchedulePhases {
 /// class sums minus each class's share of the grand mean, written straight
 /// into the touched model columns. A raw bundle would hand the fresh
 /// dimensions mostly class-common mass — exactly what the variance
-/// criterion exists to remove. Shared by the in-memory and streamed regen
-/// phases (and the golden-fit regression tests) so the arithmetic compiles
-/// exactly once, which is what keeps their bit-identity contracts honest.
+/// criterion exists to remove. Shared by fit()'s refresh phase, perfbench's
+/// traced_fit and the golden-fit regression tests, so the arithmetic
+/// compiles exactly once, which is what keeps their bit-identity
+/// contracts honest.
 class RegenRebundle {
  public:
   RegenRebundle(std::size_t num_classes, std::span<const std::size_t> dims);

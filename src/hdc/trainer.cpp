@@ -52,33 +52,40 @@ InitAccumulator::InitAccumulator(std::size_t num_classes, std::size_t dims,
   stripe_counts_.assign(stripes, std::vector<std::size_t>(num_classes, 0));
 }
 
-std::size_t InitAccumulator::stripe_of(std::size_t global_row) const noexcept {
-  return std::min(global_row / stripe_rows_, num_stripes() - 1);
-}
-
-std::pair<std::size_t, std::size_t> InitAccumulator::stripe_range(
-    std::size_t s) const noexcept {
-  const std::size_t begin = s * stripe_rows_;
-  return {std::min(begin, total_rows_),
-          std::min(begin + stripe_rows_, total_rows_)};
-}
-
-void InitAccumulator::accumulate(const core::Matrix& encoded,
+void InitAccumulator::accumulate(const EncodedRows& rows,
                                  std::span<const int> labels,
-                                 std::size_t begin, std::size_t end,
-                                 std::size_t row_offset) {
-  assert(end <= encoded.rows() && end <= labels.size());
-  for (std::size_t i = begin; i < end; ++i) {
-    const std::size_t s = stripe_of(row_offset + i);
-    const int y = labels[i];
-    assert(y >= 0 &&
-           static_cast<std::size_t>(y) < stripe_counts_[s].size());
-    const auto h = encoded.row(i);
-    core::axpy(1.0f, h, stripe_sums_[s].row(static_cast<std::size_t>(y)));
-    auto& mean = stripe_means_[s];
-    for (std::size_t d = 0; d < h.size(); ++d) mean[d] += h[d];
-    ++stripe_counts_[s][static_cast<std::size_t>(y)];
-  }
+                                 std::size_t row_offset,
+                                 const core::ExecutionContext& exec) {
+  const std::size_t m = rows.rows();
+  assert(labels.size() == m && row_offset + m <= total_rows_);
+  if (m == 0) return;
+  // One task per stripe the window reaches (stripe s holds global rows
+  // [s * stripe_rows_, (s + 1) * stripe_rows_)): the tasks touch disjoint
+  // stripes, and each adds its rows in index order, so the sums are the
+  // same whichever worker runs which stripe.
+  const std::size_t first = row_offset / stripe_rows_;
+  exec.parallel_for(
+      (row_offset + m - 1) / stripe_rows_ - first + 1,
+      [&](std::size_t s_begin, std::size_t s_end) {
+        for (std::size_t s = first + s_begin; s < first + s_end; ++s) {
+          const std::size_t begin =
+              std::max(s * stripe_rows_, row_offset) - row_offset;
+          const std::size_t end =
+              std::min((s + 1) * stripe_rows_, row_offset + m) - row_offset;
+          auto& mean = stripe_means_[s];
+          for (std::size_t i = begin; i < end; ++i) {
+            const int y = labels[i];
+            assert(y >= 0 &&
+                   static_cast<std::size_t>(y) < stripe_counts_[s].size());
+            const auto h = rows.row(i);
+            core::axpy(1.0f, h,
+                       stripe_sums_[s].row(static_cast<std::size_t>(y)));
+            for (std::size_t d = 0; d < h.size(); ++d) mean[d] += h[d];
+            ++stripe_counts_[s][static_cast<std::size_t>(y)];
+          }
+        }
+      },
+      /*grain=*/1);
 }
 
 void InitAccumulator::finish(HdcModel& model, const TrainerConfig& config) {
@@ -203,18 +210,13 @@ void Trainer::initialize(HdcModel& model, const core::Matrix& encoded,
                          std::span<const int> labels) const {
   assert(encoded.rows() == labels.size());
   assert(encoded.cols() == model.dims());
+  std::vector<const float*> rows(encoded.rows());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    rows[i] = encoded.row(i).data();
+  }
   InitAccumulator acc(model.num_classes(), model.dims(), encoded.rows());
-  // One task per stripe: the partition is fixed by the row count, so the
-  // merged result is the same whichever worker handles which stripe.
-  exec_.parallel_for(
-      acc.num_stripes(),
-      [&](std::size_t s_begin, std::size_t s_end) {
-        for (std::size_t s = s_begin; s < s_end; ++s) {
-          const auto [begin, end] = acc.stripe_range(s);
-          acc.accumulate(encoded, labels, begin, end, /*row_offset=*/0);
-        }
-      },
-      /*grain=*/1);
+  acc.accumulate(EncodedRows(rows.data(), rows.size(), encoded.cols()),
+                 labels, /*row_offset=*/0, exec_);
   acc.finish(model, config_);
 }
 
@@ -226,10 +228,13 @@ std::vector<std::size_t> Trainer::epoch_order(std::size_t n, core::Rng& rng,
   return order;
 }
 
-void Trainer::update_tile(HdcModel& model, const EncodedRows& rows,
-                          const int* labels, EpochStats& stats) const {
+void Trainer::train_rows(HdcModel& model, const EncodedRows& rows,
+                         std::span<const int> labels,
+                         EpochStats& stats) const {
   const std::size_t n = rows.rows();
+  assert(labels.size() == n);
   if (n == 0) return;
+  assert(rows.dims() == model.dims());
   const std::size_t batch = std::min(resolved_batch_size(rows.dims()), n);
   // A one-row tile gains nothing from the pool: score and replay it on a
   // pool-less copy of the context (same kernels and cache model, so an
@@ -259,7 +264,8 @@ void Trainer::update_tile(HdcModel& model, const EncodedRows& rows,
     // split), then the serial decision sweep and the striped replay —
     // deterministic for every worker count.
     model.similarities_into(tile, class_norms, scores.data(), ctx);
-    acc.collect(tile, labels + t, scores, classes, stats);
+    acc.collect(tile, labels.subspan(t, tile.rows()).data(), scores, classes,
+                stats);
     acc.apply(model, ctx);
     acc.refresh_norms(model, class_norms);
   }
@@ -283,21 +289,9 @@ EpochStats Trainer::train_epoch(HdcModel& model, const core::Matrix& encoded,
   }
   EpochStats stats;
   stats.samples = n;
-  update_tile(model, EncodedRows(rows.data(), n, encoded.cols()),
-              visit_labels.data(), stats);
+  train_rows(model, EncodedRows(rows.data(), n, encoded.cols()),
+             visit_labels, stats);
   return stats;
-}
-
-void Trainer::train_tile(HdcModel& model, const core::Matrix& tile,
-                         std::span<const int> labels,
-                         EpochStats& stats) const {
-  const std::size_t n = labels.size();
-  assert(tile.rows() >= n);
-  assert(tile.cols() == model.dims());
-  std::vector<const float*> rows(n);
-  for (std::size_t i = 0; i < n; ++i) rows[i] = tile.row(i).data();
-  update_tile(model, EncodedRows(rows.data(), n, tile.cols()), labels.data(),
-              stats);
 }
 
 EpochStats Trainer::train(HdcModel& model, const core::Matrix& encoded,

@@ -19,22 +19,23 @@
 //    scores a whole tile of shuffled samples against the frozen model —
 //    split across the context's pool — then the (1 - delta)-weighted
 //    updates replay through the UpdateAccumulator, also thread-parallel
-//    yet bit-identical for every worker count. The tile is a window of one
-//    row-pointer table over the epoch's visit order, so no sample is
-//    copied. batch_size = 1 reproduces the classic sample-at-a-time rule
-//    bit-exactly; larger tiles are the OnlineHD-style minibatch
-//    approximation (scores lag the updates by at most one tile).
-//  * One-shot initialize() bundles through fixed row stripes (a function of
-//    the row count only), each accumulated independently and merged in
-//    stripe order — so any thread count, and the streamed fit() path
-//    feeding tiles through InitAccumulator, produce bit-identical models.
+//    yet bit-identical for every worker count. Training reads its rows
+//    through an EncodedRows view (train_rows): a row-pointer table over
+//    the visit order, so no sample is copied, and fit() hands an epoch
+//    over window by window. batch_size = 1 reproduces the classic
+//    sample-at-a-time rule bit-exactly; larger tiles are the
+//    OnlineHD-style minibatch approximation (scores lag the updates by at
+//    most one tile).
+//  * One-shot bundling runs through fixed row stripes (a function of the
+//    row count only), each accumulated independently and merged in stripe
+//    order, so the model is bit-identical for any thread count and any
+//    split of the rows into windows: initialize() is the one-window case.
 //  * evaluate() rides HdcModel::similarities_batch (the same batch scorer).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "core/exec/execution_context.hpp"
@@ -89,40 +90,36 @@ struct EpochStats {
 };
 
 /// Striped one-shot-bundling accumulator — the deterministic core behind
-/// Trainer::initialize and the streamed fit() path.
+/// Trainer::initialize and fit()'s bundle phase.
 ///
 /// Rows are partitioned into fixed stripes by their *global* index (the
 /// partition depends only on the total row count), each stripe keeps its
 /// own float class sums and double mean sums, and finish() merges stripes
 /// in index order. Because the arithmetic never depends on which thread
-/// processed a stripe or on how tiles were sliced, initialize() over 1, 2,
-/// or 8 workers and a streamed tile-at-a-time accumulation all produce
-/// bit-identical models. With a single stripe (small inputs) the result is
-/// bit-identical to the historical sequential bundle-into-a-zero-model.
+/// processed a stripe or on how the rows were split into windows,
+/// initialize() over 1, 2, or 8 workers and a window-by-window
+/// accumulation all produce bit-identical models. With a single stripe
+/// (small inputs) the result is bit-identical to the historical
+/// sequential bundle-into-a-zero-model.
 class InitAccumulator {
  public:
   InitAccumulator(std::size_t num_classes, std::size_t dims,
                   std::size_t total_rows);
 
-  std::size_t num_stripes() const noexcept { return stripe_sums_.size(); }
-  /// [begin, end) of global row indices covered by stripe `s`.
-  std::pair<std::size_t, std::size_t> stripe_range(
-      std::size_t s) const noexcept;
-
-  /// Bundle encoded rows [begin, end) of `encoded`, whose row i carries
-  /// global index row_offset + i. Safe to call concurrently for ranges
-  /// that touch disjoint stripes (Trainer::initialize parallelizes one
-  /// task per stripe); the streaming path calls it tile-by-tile.
-  void accumulate(const core::Matrix& encoded, std::span<const int> labels,
-                  std::size_t begin, std::size_t end,
-                  std::size_t row_offset);
+  /// Bundle one window of encoded rows: row i of `rows`, labelled
+  /// labels[i], carries global index row_offset + i. The window splits at
+  /// the stripe boundaries it reaches, one task per stripe on the
+  /// context's pool. Windows must arrive in index order, so every stripe
+  /// sums its rows in the same order however the set was split.
+  void accumulate(const EncodedRows& rows, std::span<const int> labels,
+                  std::size_t row_offset, const core::ExecutionContext& exec);
 
   /// Merge the stripes into `model` in stripe order and, when the config
   /// asks for it, remove the across-class common mode.
   void finish(HdcModel& model, const TrainerConfig& config);
 
  private:
-  std::size_t stripe_of(std::size_t global_row) const noexcept;
+  std::size_t num_stripes() const noexcept { return stripe_sums_.size(); }
 
   std::size_t total_rows_;
   std::size_t stripe_rows_;
@@ -210,16 +207,15 @@ class Trainer {
   }
 
   /// One-shot initialization: bundle every encoded sample into its class
-  /// (the classic single-pass HDC "training"). The model must match
-  /// (num_classes x dims) of the data. Stripes split across the context's
-  /// pool; the result is bit-identical for every thread count.
+  /// (the classic single-pass HDC "training") as one InitAccumulator
+  /// window. The model must match (num_classes x dims) of the data.
+  /// Stripes split across the context's pool; the result is bit-identical
+  /// for every thread count.
   void initialize(HdcModel& model, const core::Matrix& encoded,
                   std::span<const int> labels) const;
 
-  /// One adaptive epoch over the encoded data, in minibatch tiles of
-  /// resolved_batch_size(). Tile scoring and the update replay split
-  /// across the context's pool (results are thread-count independent).
-  /// Returns per-epoch stats.
+  /// One adaptive epoch over the encoded data: train_rows over the rows
+  /// in epoch_order(). Returns per-epoch stats.
   EpochStats train_epoch(HdcModel& model, const core::Matrix& encoded,
                          std::span<const int> labels, core::Rng& rng) const;
 
@@ -228,20 +224,22 @@ class Trainer {
                    std::span<const int> labels, std::size_t epochs,
                    core::Rng& rng) const;
 
-  /// Apply the adaptive rule to one pre-encoded, pre-gathered tile (the
-  /// first `labels.size()` rows of `tile`), processed in sub-batches of
-  /// resolved_batch_size() exactly as train_epoch walks its visit order.
-  /// Misprediction counts accumulate into `stats` (`stats.samples` is the
-  /// caller's bookkeeping). This is the streamed fit() entry point:
-  /// feeding a whole epoch through tiles whose rows follow the
-  /// epoch_order() sequence reproduces train_epoch bit-exactly when the
-  /// tile size is a multiple of the batch size.
-  void train_tile(HdcModel& model, const core::Matrix& tile,
+  /// Apply the adaptive rule to `rows` in order (`labels` alongside), in
+  /// resolved_batch_size() tiles. Each tile is scored against the frozen
+  /// model by HdcModel::similarities_into, then its updates replay through
+  /// the UpdateAccumulator — both split across the context's pool when
+  /// the batch is larger than one row. The class norms are computed once
+  /// per call and only the touched classes' recomputed after each tile, so
+  /// the scores keep their bits. Mispredictions accumulate into `stats`
+  /// (`stats.samples` is the caller's bookkeeping). Feeding an epoch
+  /// window by window along epoch_order() reproduces train_epoch
+  /// bit-exactly when the window size is a multiple of the batch size.
+  void train_rows(HdcModel& model, const EncodedRows& rows,
                   std::span<const int> labels, EpochStats& stats) const;
 
   /// The sample visit order of one epoch: [0, n) shuffled when `shuffle`.
-  /// Exposed so the streamed fit() path draws exactly the same sequence
-  /// from the same generator as train_epoch.
+  /// Exposed so fit() draws exactly the same sequence from the same
+  /// generator as train_epoch.
   static std::vector<std::size_t> epoch_order(std::size_t n, core::Rng& rng,
                                               bool shuffle);
 
@@ -254,16 +252,6 @@ class Trainer {
                              core::ExecutionContext::serial());
 
  private:
-  /// The one epoch path: walk `rows` (samples in visit order, `labels`
-  /// alongside) in resolved_batch_size() tiles. Each tile is scored
-  /// against the frozen model by HdcModel::similarities_into, then its
-  /// adaptive updates replay through the accumulator — both split across
-  /// the context's pool when the batch is larger than one row. The class
-  /// norms are computed once per call and only the touched classes'
-  /// recomputed after each tile, so the scores keep their bits.
-  void update_tile(HdcModel& model, const EncodedRows& rows,
-                   const int* labels, EpochStats& stats) const;
-
   TrainerConfig config_;
   core::ExecutionContext exec_;
 };

@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <span>
 #include <stdexcept>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/matrix.hpp"
@@ -17,12 +21,16 @@
 namespace cyberhd::hdc {
 namespace {
 
-/// Three Gaussian blobs in 4-d feature space, values in [0, 1].
+/// Three Gaussian blobs in 4-d feature space around centres in [0, 1].
+/// At the default spread of 0.06 they are separable, so a fit's epochs
+/// rarely mispredict; at 0.25 they overlap and about a tenth of every
+/// epoch does.
 struct Blobs {
   core::Matrix x;
   std::vector<int> y;
 
-  explicit Blobs(std::size_t per_class, std::uint64_t seed = 3) {
+  explicit Blobs(std::size_t per_class, std::uint64_t seed = 3,
+                 double sd = 0.06) {
     const float centers[3][4] = {{0.2f, 0.2f, 0.8f, 0.5f},
                                  {0.8f, 0.3f, 0.2f, 0.4f},
                                  {0.5f, 0.8f, 0.5f, 0.9f}};
@@ -34,13 +42,20 @@ struct Blobs {
         const std::size_t row = c * per_class + i;
         for (std::size_t f = 0; f < 4; ++f) {
           x(row, f) = centers[c][f] +
-                      static_cast<float>(rng.gaussian(0.0, 0.06));
+                      static_cast<float>(rng.gaussian(0.0, sd));
         }
         y[row] = static_cast<int>(c);
       }
     }
   }
 };
+
+/// Byte-for-byte equality of two weight matrices (float == would let
+/// -0.0 match 0.0).
+bool same_bytes(const core::Matrix& a, const core::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
 
 CyberHdConfig small_config(std::size_t dims = 128) {
   CyberHdConfig cfg;
@@ -63,6 +78,9 @@ TEST(CyberHdClassifier, RejectsBadConfig) {
   CyberHdConfig negative_rate;
   negative_rate.regen_rate = -0.1;
   EXPECT_THROW(CyberHdClassifier{negative_rate}, std::invalid_argument);
+  CyberHdConfig nan_rate;
+  nan_rate.regen_rate = std::nan("");
+  EXPECT_THROW(CyberHdClassifier{nan_rate}, std::invalid_argument);
 }
 
 TEST(CyberHdClassifier, FitRejectsEmptyData) {
@@ -282,9 +300,7 @@ TEST(CyberHdClassifier, ParallelAndSerialAgree) {
   CyberHdClassifier s(serial_cfg), p(parallel_cfg);
   s.fit(data.x, data.y, 3);
   p.fit(data.x, data.y, 3);
-  for (std::size_t i = 0; i < data.x.rows(); i += 7) {
-    EXPECT_EQ(s.predict(data.x.row(i)), p.predict(data.x.row(i)));
-  }
+  ASSERT_TRUE(same_bytes(p.model().weights(), s.model().weights()));
 }
 
 TEST(CyberHdClassifier, BaselineConfigDisablesRegeneration) {
@@ -297,24 +313,66 @@ TEST(CyberHdClassifier, BaselineConfigDisablesRegeneration) {
 
 // ---- tiled / streaming training engine --------------------------------------
 
-TEST(CyberHdTiledTraining, StreamedFitIsBitIdenticalToInMemoryFit) {
-  // batch_size = 1 and a tile smaller than the dataset: the streamed
-  // encode→train path must rebuild the exact in-memory model (same epoch
-  // orders from the same generator, same per-row encodes, same updates).
-  const Blobs data(80);  // 240 rows
+// Encoder kind x parallel x rebundle_after_regen x batch size.
+using StreamedFitCase = std::tuple<EncoderKind, bool, bool, std::size_t>;
+
+class CyberHdTiledTrainingSweep
+    : public ::testing::TestWithParam<StreamedFitCase> {};
+
+TEST_P(CyberHdTiledTrainingSweep, StreamedFitIsBitIdenticalToInMemoryFit) {
+  // A 64-row tile over 1050 rows: the streamed fit must rebuild the model
+  // of the fit that keeps every encoding (same epoch orders from the same
+  // generator, same per-row encodes, same updates). The bundle's two
+  // 525-row stripes split the window [512, 576), and the last window is
+  // partial. 64 is a multiple of both batch sizes, so minibatches split
+  // where they do in one window of every row. The blobs overlap, so the
+  // epochs make updates.
+  const auto [kind, parallel, rebundle, batch] = GetParam();
+  const Blobs data(350, /*seed=*/3, /*sd=*/0.25);
   auto cfg = small_config();
+  cfg.encoder = kind;
+  cfg.parallel = parallel;
+  cfg.rebundle_after_regen = rebundle;
+  cfg.batch_size = batch;
   CyberHdClassifier in_memory(cfg);
   in_memory.fit(data.x, data.y, 3);
   auto streamed_cfg = cfg;
   streamed_cfg.train_tile_rows = 64;
   CyberHdClassifier streamed(streamed_cfg);
   streamed.fit(data.x, data.y, 3);
-  ASSERT_EQ(streamed.model().weights(), in_memory.model().weights());
+  EXPECT_EQ(streamed.last_fit_report().peak_encode_rows, 64u);
+  EXPECT_EQ(in_memory.last_fit_report().peak_encode_rows, data.x.rows());
+  ASSERT_LT(in_memory.last_fit_report().epoch_accuracy.back(), 1.0)
+      << "the epochs must mispredict, or their updates go unchecked";
+  ASSERT_TRUE(
+      same_bytes(streamed.model().weights(), in_memory.model().weights()));
   EXPECT_EQ(streamed.last_fit_report().epochs,
             in_memory.last_fit_report().epochs);
   EXPECT_EQ(streamed.last_fit_report().epoch_accuracy,
             in_memory.last_fit_report().epoch_accuracy);
 }
+
+std::string streamed_fit_case_name(
+    const ::testing::TestParamInfo<StreamedFitCase>& info) {
+  const auto [kind, parallel, rebundle, batch] = info.param;
+  std::string name = kind == EncoderKind::kRbf              ? "Rbf"
+                     : kind == EncoderKind::kSignProjection ? "SignProjection"
+                                                            : "IdLevel";
+  name += parallel ? "_Pooled" : "_Serial";
+  name += rebundle ? "_Rebundle" : "_NoRebundle";
+  name += "_Batch";
+  name += std::to_string(batch);
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EncodersPoolsRebundleBatches, CyberHdTiledTrainingSweep,
+    ::testing::Combine(::testing::Values(EncoderKind::kRbf,
+                                         EncoderKind::kSignProjection,
+                                         EncoderKind::kIdLevel),
+                       ::testing::Bool(), ::testing::Bool(),
+                       ::testing::Values(std::size_t{1}, std::size_t{16})),
+    streamed_fit_case_name);
 
 TEST(CyberHdTiledTraining, StreamingBoundsPeakEncodeBuffer) {
   // A dataset much larger than the configured tile: the resident encode
@@ -464,6 +522,18 @@ TEST(CyberHdGoldenFit, StaticBaselineMatchesGoldenLoopToo) {
   CyberHdClassifier model(cfg);
   model.fit(data.x, data.y, 3);
   ASSERT_EQ(model.model().weights(), golden.weights());
+}
+
+TEST(CyberHdGoldenFit, MispredictingEpochsMatchGoldenLoopToo) {
+  // Overlapping blobs: the epochs update the model, so the visit order
+  // and the update sequence are pinned too.
+  const Blobs data(60, /*seed=*/3, /*sd=*/0.25);
+  const auto cfg = small_config();
+  const HdcModel golden = golden_fit(cfg, data.x, data.y, 3);
+  CyberHdClassifier model(cfg);
+  model.fit(data.x, data.y, 3);
+  ASSERT_LT(model.last_fit_report().epoch_accuracy.back(), 1.0);
+  ASSERT_TRUE(same_bytes(model.model().weights(), golden.weights()));
 }
 
 // Encoder-kind sweep: the facade learns blobs with every encoder family.

@@ -7,6 +7,7 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -589,6 +590,43 @@ TEST(FieldOrderDrift, ClassifierOutOfRangeEncoderKindIsRejected) {
   fix_section_crc(bytes, sections[0]);
   std::stringstream in(bytes);
   EXPECT_THROW(CyberHdClassifier::load(in), std::runtime_error);
+}
+
+TEST(FieldOrderDrift, ClassifierOutOfRangeConfigFieldsAreRejected) {
+  // CFG0 values the constructor would refuse: dims (u64 at offset 0) of 0,
+  // and a regen_rate (f32 at offset 16) of NaN or 2. The section is
+  // re-sealed, so the field checks behind the checksum must reject them,
+  // as malformed input (std::runtime_error) that names the field.
+  const TrainedSmall t;
+  std::stringstream buffer;
+  t.model.save(buffer);
+  const std::string saved = buffer.str();
+  const auto sections = parse_sections(saved);
+  ASSERT_GE(sections.size(), 1u);
+  ASSERT_EQ(sections[0].tag, "CFG0");
+  const auto expect_rejected = [&](std::size_t offset, const void* value,
+                                   std::size_t size, const char* field) {
+    std::string bytes = saved;
+    std::memcpy(bytes.data() + sections[0].payload_offset + offset, value,
+                size);
+    fix_section_crc(bytes, sections[0]);
+    std::stringstream in(bytes);
+    try {
+      CyberHdClassifier::load(in);
+      ADD_FAILURE() << "a bad " << field << " must not load";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << "error should name the field, got: " << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "a bad " << field
+                    << " must fail as std::runtime_error, got: " << e.what();
+    }
+  };
+  const std::uint64_t zero_dims = 0;
+  expect_rejected(0, &zero_dims, sizeof(zero_dims), "dims");
+  for (const float rate : {std::nanf(""), 2.0f}) {
+    expect_rejected(16, &rate, sizeof(rate), "regen_rate");
+  }
 }
 
 // ---- checksummed sections: corruption rejection + v1 back-compat -----------

@@ -438,10 +438,61 @@ TEST(TrainerTiled, EvaluatePoolMatchesSerial) {
                         core::ExecutionContext(&pool)));
 }
 
-TEST(TrainerTiled, TrainTileMatchesEpochOnPreGatheredOrder) {
-  // Feeding an epoch through train_tile in tile-sized chunks of the
-  // epoch_order sequence reproduces train_epoch exactly (tile a multiple
-  // of batch_size).
+TEST(TrainerTiled, WindowedBundlingMatchesInitialize) {
+  // Bundling one encoded set through windows of 7, 80 and 513 rows — each
+  // size has windows that straddle the boundary of the two 600-row
+  // stripes — must build initialize()'s model, serially and on 4 workers.
+  // The rows are small integers, so every sum is exact: uncentered, the
+  // model must also equal the class sums taken directly, which a row
+  // dropped or counted twice at a stripe boundary would break even where
+  // initialize() shares the mistake.
+  const std::size_t n = 1200, dims = 64, classes = 3;
+  core::Rng rng(113);
+  core::Matrix encoded(n, dims);
+  std::vector<int> labels(n);
+  core::Matrix class_sums(classes, dims);
+  for (std::size_t i = 0; i < n; ++i) {
+    labels[i] = static_cast<int>(rng.next_below(classes));
+    for (std::size_t d = 0; d < dims; ++d) {
+      encoded(i, d) = static_cast<float>(rng.next_below(5)) - 2.0f;
+      class_sums(static_cast<std::size_t>(labels[i]), d) += encoded(i, d);
+    }
+  }
+  std::vector<const float*> rows(n);
+  for (std::size_t i = 0; i < n; ++i) rows[i] = encoded.row(i).data();
+  core::ThreadPool pool(4);
+  for (const core::ExecutionContext& ctx :
+       {core::ExecutionContext::serial(), core::ExecutionContext(&pool)}) {
+    for (const bool centered : {true, false}) {
+      TrainerConfig cfg;
+      cfg.center_initialization = centered;
+      const Trainer trainer(cfg, ctx);
+      HdcModel reference(classes, dims);
+      trainer.initialize(reference, encoded, labels);
+      if (!centered) {
+        ASSERT_EQ(reference.weights(), class_sums);
+      }
+      for (const std::size_t window : {7u, 80u, 513u}) {
+        InitAccumulator acc(classes, dims, n);
+        for (std::size_t t = 0; t < n; t += window) {
+          const std::size_t m = std::min(window, n - t);
+          acc.accumulate(EncodedRows(rows.data() + t, m, dims),
+                         std::span<const int>(labels).subspan(t, m), t, ctx);
+        }
+        HdcModel model(classes, dims);
+        acc.finish(model, cfg);
+        ASSERT_EQ(model.weights(), reference.weights())
+            << window << "-row windows, " << ctx.workers()
+            << " workers, centered " << centered;
+      }
+    }
+  }
+}
+
+TEST(TrainerTiled, TrainRowsMatchesEpochOnPreGatheredOrder) {
+  // Feeding an epoch through train_rows in window-sized chunks of the
+  // epoch_order sequence, each gathered into one reused tile, reproduces
+  // train_epoch exactly (window a multiple of batch_size).
   BlobFixture fixture(90, /*seed=*/89);
   TrainerConfig cfg;
   cfg.batch_size = 4;
@@ -457,6 +508,10 @@ TEST(TrainerTiled, TrainTileMatchesEpochOnPreGatheredOrder) {
   const auto order = Trainer::epoch_order(n, rng_tiled, cfg.shuffle);
   const std::size_t tile_rows = 16;  // multiple of batch_size
   core::Matrix tile(tile_rows, fixture.dims);
+  std::vector<const float*> tile_ptrs(tile_rows);
+  for (std::size_t i = 0; i < tile_rows; ++i) {
+    tile_ptrs[i] = tile.row(i).data();
+  }
   std::vector<int> tile_labels(tile_rows);
   EpochStats tiled_stats;
   tiled_stats.samples = n;
@@ -467,7 +522,8 @@ TEST(TrainerTiled, TrainTileMatchesEpochOnPreGatheredOrder) {
       std::copy(src.begin(), src.end(), tile.row(i).begin());
       tile_labels[i] = fixture.labels[order[t + i]];
     }
-    trainer.train_tile(tiled, tile, {tile_labels.data(), m}, tiled_stats);
+    trainer.train_rows(tiled, EncodedRows(tile_ptrs.data(), m, fixture.dims),
+                       {tile_labels.data(), m}, tiled_stats);
   }
   EXPECT_EQ(tiled_stats.mispredicted, whole_stats.mispredicted);
   ASSERT_EQ(tiled.weights(), whole.weights());
